@@ -47,7 +47,6 @@ from .models import (  # noqa: E402
     TrainedModel,
     cart_best_split,
     default_space,
-    ensemble_aggregate,
     fit,
     predict_class,
     predict_value,

@@ -232,13 +232,10 @@ def serialize_candles_csv(series: CandleSeries) -> str:
 
 def validate_series(series: CandleSeries) -> ValidationReport:
     """Report every index whose gap to the previous candle is not `interval`."""
-    report = ValidationReport()
     ts = series.timestamps
-    for i in range(1, ts.size):
-        gap = int(ts[i] - ts[i - 1])
-        if gap != series.interval:
-            report.findings.append(GapFinding(i, int(ts[i - 1]), int(ts[i]), gap))
-    return report
+    gaps = np.diff(ts)
+    bad = np.nonzero(gaps != series.interval)[0]
+    return ValidationReport([GapFinding(int(i) + 1, int(ts[i]), int(ts[i + 1]), int(gaps[i])) for i in bad])
 
 
 def _series_from_candles(rows: list[Candle], interval: int) -> CandleSeries:

@@ -12,14 +12,14 @@ from pathlib import Path
 
 import click
 
-from .candles import FetchConfig, fetch_candles, parse_candles_csv, serialize_candles_csv, validate_series
+from .candles import FetchConfig, fetch_candles, serialize_candles_csv, validate_series
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from .metrics import ClassifierReport, RegressorReport
 from .models import ALL_KINDS, coerce_kind
 from .report import emit_table
-from .run import RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment
+from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment
 from .trading import CostModel
 from .tuner import TunerConfig, run_study
 
@@ -70,11 +70,7 @@ def _apply_overrides(config: RunConfig, seed, models, windows, fee_bps, mode, ou
 
 def _read_series(csv_path: str | None, interval: int, fetch_opts: dict | None):
     if csv_path is not None:
-        try:
-            text = Path(csv_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {csv_path}: {exc}") from None
-        return parse_candles_csv(text, interval)
+        return load_candles(RunConfig(DataSource(csv_path=csv_path), interval=interval))
     if not fetch_opts or not fetch_opts.get("base_url"):
         raise ConfigError("provide --csv or the fetch options (--base-url/--path-template/...)")
     fc = FetchConfig(

@@ -170,10 +170,9 @@ def build_features(series: CandleSeries, config: IndicatorConfig | None = None) 
     ad_warmup = max(1, config.bb_period - 1)
     if n > ad_warmup:
         vol_mean = sliding_window_view(series.volume, config.bb_period).mean(axis=1)
-        diff = ad.values[1:] - ad.values[:-1]
-        for t in range(ad_warmup, n):
-            denom = vol_mean[t - (config.bb_period - 1)]
-            ad_diff[t] = diff[t - 1] / denom if denom > 0 else 0.0
+        diff = ad.values[ad_warmup:] - ad.values[ad_warmup - 1 : -1]
+        denom = vol_mean[ad_warmup - (config.bb_period - 1) :]
+        ad_diff[ad_warmup:] = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), 0.0)
 
     band_span = bands.upper.values - bands.lower.values
     percent_b = np.where(

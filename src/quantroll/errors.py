@@ -83,10 +83,6 @@ class EmptyTraining(EngineError):
     pass
 
 
-class EmptyEnsemble(EngineError):
-    pass
-
-
 # --- dataset / walk-forward ---------------------------------------------------
 
 class EmptySegment(EngineError):

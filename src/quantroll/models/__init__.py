@@ -20,7 +20,6 @@ from .ensemble import (
     BaggingRegressor,
     RandomForestClassifier,
     RandomForestRegressor,
-    ensemble_aggregate,
 )
 from .linear import (
     ConstantClassifier,
@@ -69,54 +68,33 @@ class ModelKind(str, Enum):
     BAGGING_R = "bagging_r"
 
 
-_SEEDED = "seeded"
-_UNSEEDED = "unseeded"
-
-_REGISTRY: dict[ModelKind, tuple[str, type, str]] = {
-    ModelKind.LOGISTIC_C: (CLASSIFIER, LogisticClassifier, _SEEDED),
-    ModelKind.RIDGE_C: (CLASSIFIER, RidgeClassifier, _UNSEEDED),
-    ModelKind.PERCEPTRON_C: (CLASSIFIER, PerceptronClassifier, _UNSEEDED),
-    ModelKind.SGD_C: (CLASSIFIER, SGDClassifier, _SEEDED),
-    ModelKind.KNN_C: (CLASSIFIER, KNNClassifier, _UNSEEDED),
-    ModelKind.BERNOULLI_NB_C: (CLASSIFIER, BernoulliNBClassifier, _UNSEEDED),
-    ModelKind.DECISION_TREE_C: (CLASSIFIER, DecisionTreeClassifier, _SEEDED),
-    ModelKind.EXTRA_TREE_C: (CLASSIFIER, ExtraTreeClassifier, _SEEDED),
-    ModelKind.RANDOM_FOREST_C: (CLASSIFIER, RandomForestClassifier, _SEEDED),
-    ModelKind.BAGGING_C: (CLASSIFIER, BaggingClassifier, _SEEDED),
-    ModelKind.OLS_R: (REGRESSOR, OLSRegressor, _UNSEEDED),
-    ModelKind.RIDGE_R: (REGRESSOR, RidgeRegressor, _UNSEEDED),
-    ModelKind.SGD_R: (REGRESSOR, SGDRegressor, _SEEDED),
-    ModelKind.KNN_R: (REGRESSOR, KNNRegressor, _UNSEEDED),
-    ModelKind.DECISION_TREE_R: (REGRESSOR, DecisionTreeRegressor, _SEEDED),
-    ModelKind.EXTRA_TREE_R: (REGRESSOR, ExtraTreeRegressor, _SEEDED),
-    ModelKind.RANDOM_FOREST_R: (REGRESSOR, RandomForestRegressor, _SEEDED),
-    ModelKind.BAGGING_R: (REGRESSOR, BaggingRegressor, _SEEDED),
+# Only the estimator class is tabulated: task_of reads the kind's suffix,
+# display_name capitalizes its parts ("bernoulli_nb_c" -> "BernoulliNbC"), and
+# build_estimator passes the spec seed to every class whose constructor takes one.
+_REGISTRY: dict[ModelKind, type] = {
+    ModelKind.LOGISTIC_C: LogisticClassifier,
+    ModelKind.RIDGE_C: RidgeClassifier,
+    ModelKind.PERCEPTRON_C: PerceptronClassifier,
+    ModelKind.SGD_C: SGDClassifier,
+    ModelKind.KNN_C: KNNClassifier,
+    ModelKind.BERNOULLI_NB_C: BernoulliNBClassifier,
+    ModelKind.DECISION_TREE_C: DecisionTreeClassifier,
+    ModelKind.EXTRA_TREE_C: ExtraTreeClassifier,
+    ModelKind.RANDOM_FOREST_C: RandomForestClassifier,
+    ModelKind.BAGGING_C: BaggingClassifier,
+    ModelKind.OLS_R: OLSRegressor,
+    ModelKind.RIDGE_R: RidgeRegressor,
+    ModelKind.SGD_R: SGDRegressor,
+    ModelKind.KNN_R: KNNRegressor,
+    ModelKind.DECISION_TREE_R: DecisionTreeRegressor,
+    ModelKind.EXTRA_TREE_R: ExtraTreeRegressor,
+    ModelKind.RANDOM_FOREST_R: RandomForestRegressor,
+    ModelKind.BAGGING_R: BaggingRegressor,
 }
 
-CLASSIFIER_KINDS = tuple(k for k, (task, _, _) in _REGISTRY.items() if task == CLASSIFIER)
-REGRESSOR_KINDS = tuple(k for k, (task, _, _) in _REGISTRY.items() if task == REGRESSOR)
 ALL_KINDS = tuple(_REGISTRY)
-
-_DISPLAY = {
-    ModelKind.LOGISTIC_C: "LogisticC",
-    ModelKind.RIDGE_C: "RidgeC",
-    ModelKind.PERCEPTRON_C: "PerceptronC",
-    ModelKind.SGD_C: "SgdC",
-    ModelKind.KNN_C: "KnnC",
-    ModelKind.BERNOULLI_NB_C: "BernoulliNbC",
-    ModelKind.DECISION_TREE_C: "DecisionTreeC",
-    ModelKind.EXTRA_TREE_C: "ExtraTreeC",
-    ModelKind.RANDOM_FOREST_C: "RandomForestC",
-    ModelKind.BAGGING_C: "BaggingC",
-    ModelKind.OLS_R: "OlsR",
-    ModelKind.RIDGE_R: "RidgeR",
-    ModelKind.SGD_R: "SgdR",
-    ModelKind.KNN_R: "KnnR",
-    ModelKind.DECISION_TREE_R: "DecisionTreeR",
-    ModelKind.EXTRA_TREE_R: "ExtraTreeR",
-    ModelKind.RANDOM_FOREST_R: "RandomForestR",
-    ModelKind.BAGGING_R: "BaggingR",
-}
+CLASSIFIER_KINDS = tuple(k for k in ALL_KINDS if k.value.endswith("_c"))
+REGRESSOR_KINDS = tuple(k for k in ALL_KINDS if k.value.endswith("_r"))
 
 
 def coerce_kind(kind: str | ModelKind) -> ModelKind:
@@ -129,11 +107,11 @@ def coerce_kind(kind: str | ModelKind) -> ModelKind:
 
 
 def task_of(kind: str | ModelKind) -> str:
-    return _REGISTRY[coerce_kind(kind)][0]
+    return CLASSIFIER if coerce_kind(kind).value.endswith("_c") else REGRESSOR
 
 
 def display_name(kind: str | ModelKind) -> str:
-    return _DISPLAY[coerce_kind(kind)]
+    return "".join(part.capitalize() for part in coerce_kind(kind).value.split("_"))
 
 
 @dataclass(frozen=True)
@@ -164,9 +142,9 @@ class TrainedModel:
 
 
 def build_estimator(spec: ModelSpec) -> Estimator:
-    _, cls, seeding = _REGISTRY[spec.kind]
+    cls = _REGISTRY[spec.kind]
     kwargs = dict(spec.params)
-    if seeding == _SEEDED:
+    if "seed" in cls._param_names():
         kwargs["seed"] = spec.seed
     return cls(**kwargs)
 
@@ -242,7 +220,6 @@ __all__ = [
     "coerce_kind",
     "default_space",
     "display_name",
-    "ensemble_aggregate",
     "fit",
     "predict_class",
     "predict_value",

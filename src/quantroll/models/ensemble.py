@@ -3,23 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..direction import DOWN, UP
-from ..errors import EmptyEnsemble
 from .base import Estimator, check_fit_inputs, check_class_labels, classify_from_scores
-from .tree import _TreeClassifierBase, _TreeRegressorBase
-
-
-def ensemble_aggregate(member_outputs, mode: str):
-    """Combine member outputs: majority vote (ties resolve down) or mean."""
-    outputs = list(member_outputs)
-    if not outputs:
-        raise EmptyEnsemble("cannot aggregate an empty ensemble")
-    if mode == "majority":
-        total = int(np.sum(outputs))
-        return UP if total > 0 else DOWN
-    if mode == "mean":
-        return float(np.mean(outputs))
-    raise ValueError(f"unknown aggregation mode {mode!r}")
+from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 
 def _resolve_max_features(setting: str, width: int) -> int | None:
@@ -69,31 +54,21 @@ class _ForestBase(Estimator):
             else:
                 Xs, ys = X, y
             tree = self.member_cls(self.max_depth, self.min_samples_leaf, seed=self.seed + i)
-            tree.fit_with_rng(Xs, ys, rng=rng, max_features=m)
+            tree._fit_tree(Xs, ys, rng=rng, max_features=m)  # splits draw after the bootstrap
             self.members_.append(tree)
         return self
 
-    def _member_matrix(self, X, attr: str) -> np.ndarray:
+    def _member_predictions(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return np.stack([getattr(t, attr)(X) for t in self.members_])
-
-
-class _MemberTreeClassifier(_TreeClassifierBase):
-    def fit_with_rng(self, X, y, rng, max_features):
-        self.root_ = self._grow(X, y, 0, rng, max_features)
-
-
-class _MemberTreeRegressor(_TreeRegressorBase):
-    def fit_with_rng(self, X, y, rng, max_features):
-        self.root_ = self._grow(X, y, 0, rng, max_features)
+        return np.stack([t.predict(X) for t in self.members_])
 
 
 class _ForestClassifierBase(_ForestBase):
     task = "classifier"
-    member_cls = _MemberTreeClassifier
+    member_cls = DecisionTreeClassifier
 
     def decision_function(self, X) -> np.ndarray:
-        votes = self._member_matrix(X, "predict").astype(np.float64)
+        votes = self._member_predictions(X).astype(np.float64)
         return votes.mean(axis=0) / 2.0
 
     def predict(self, X) -> np.ndarray:
@@ -102,10 +77,10 @@ class _ForestClassifierBase(_ForestBase):
 
 class _ForestRegressorBase(_ForestBase):
     task = "regressor"
-    member_cls = _MemberTreeRegressor
+    member_cls = DecisionTreeRegressor
 
     def predict(self, X) -> np.ndarray:
-        return self._member_matrix(X, "predict").mean(axis=0)
+        return self._member_predictions(X).mean(axis=0)
 
 
 class BaggingClassifier(_ForestClassifierBase):

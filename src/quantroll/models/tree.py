@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..direction import DOWN, UP
-from .base import Estimator, check_fit_inputs, check_class_labels, classify_from_scores
+from .base import Estimator, check_fit_inputs, check_class_labels
 
 GINI = "gini"
 VARIANCE = "variance"
@@ -105,6 +105,21 @@ def _random_feature_split(x: np.ndarray, y: np.ndarray, criterion: str, parent: 
     return threshold, float(decrease)
 
 
+def _best_split(X, y, criterion: str, candidate_mode: str, rng, min_leaf: int, features, parent: float):
+    """cart_best_split on prepared inputs, given the node's impurity."""
+    if candidate_mode == "exhaustive":
+        found = _scan_exhaustive(X, y, criterion, parent, min_leaf, features)
+        return None if found is None else Split(*found)
+    if candidate_mode != "random":
+        raise ValueError(f"unknown candidate_mode {candidate_mode!r}")
+    best: Split | None = None
+    for f in features:
+        found = _random_feature_split(X[:, f], y, criterion, parent, min_leaf, rng)
+        if found is not None and (best is None or found[1] > best.decrease):
+            best = Split(int(f), found[0], found[1])
+    return best
+
+
 def cart_best_split(
     X,
     y,
@@ -127,23 +142,10 @@ def cart_best_split(
         X = X.reshape(-1, 1)
     if X.shape[0] < 2:
         return None
-
-    parent = _node_impurity(y, criterion)
-    features = np.arange(X.shape[1]) if feature_subset is None else np.asarray(feature_subset)
-    if candidate_mode == "exhaustive":
-        found = _scan_exhaustive(X, y, criterion, parent, min_leaf, features)
-        return None if found is None else Split(*found)
-    if candidate_mode != "random":
-        raise ValueError(f"unknown candidate_mode {candidate_mode!r}")
-
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.PCG64(0 if rng is None else rng))
-    best: Split | None = None
-    for f in features:
-        found = _random_feature_split(X[:, f], y, criterion, parent, min_leaf, rng)
-        if found is not None and (best is None or found[1] > best.decrease):
-            best = Split(int(f), found[0], found[1])
-    return best
+    features = np.arange(X.shape[1]) if feature_subset is None else np.asarray(feature_subset)
+    return _best_split(X, y, criterion, candidate_mode, rng, min_leaf, features, _node_impurity(y, criterion))
 
 
 @dataclass
@@ -162,7 +164,7 @@ class _Node:
 
 
 class _TreeBase(Estimator):
-    criterion = GINI
+    criterion: str
     candidate_mode = "exhaustive"
 
     def __init__(self, max_depth: int | None = None, min_samples_leaf: int = 1, seed: int = 0):
@@ -175,19 +177,15 @@ class _TreeBase(Estimator):
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng, max_features: int | None) -> _Node:
         n = X.shape[0]
-        if (
-            n < 2
-            or n < 2 * self.min_samples_leaf
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or _node_impurity(y, self.criterion) == 0.0
-        ):
+        if n < 2 or n < 2 * self.min_samples_leaf or (self.max_depth is not None and depth >= self.max_depth):
             return self._leaf(y)
-        subset = None
+        parent = _node_impurity(y, self.criterion)
+        if parent == 0.0:
+            return self._leaf(y)
+        features = np.arange(X.shape[1])
         if max_features is not None and max_features < X.shape[1]:
-            subset = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
-        split = cart_best_split(
-            X, y, self.criterion, self.candidate_mode, rng=rng, min_leaf=self.min_samples_leaf, feature_subset=subset
-        )
+            features = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
+        split = _best_split(X, y, self.criterion, self.candidate_mode, rng, self.min_samples_leaf, features, parent)
         if split is None:
             return self._leaf(y)
         mask = X[:, split.feature] <= split.threshold
@@ -196,8 +194,10 @@ class _TreeBase(Estimator):
         node.right = self._grow(X[~mask], y[~mask], depth + 1, rng, max_features)
         return node
 
-    def _fit_tree(self, X: np.ndarray, y: np.ndarray, max_features: int | None = None) -> None:
-        rng = np.random.default_rng(np.random.PCG64(self.seed))
+    def _fit_tree(self, X: np.ndarray, y: np.ndarray, rng=None, max_features: int | None = None) -> None:
+        """Grow from checked inputs; rng defaults to a fresh stream from self.seed."""
+        if rng is None:
+            rng = np.random.default_rng(np.random.PCG64(self.seed))
         self.root_ = self._grow(X, y, 0, rng, max_features)
 
     def _leaf_for(self, x: np.ndarray) -> _Node:
@@ -207,7 +207,9 @@ class _TreeBase(Estimator):
         return node
 
 
-class _TreeClassifierBase(_TreeBase):
+class DecisionTreeClassifier(_TreeBase):
+    """CART with exhaustive Gini splits."""
+
     criterion = GINI
 
     def _leaf(self, y: np.ndarray) -> _Node:
@@ -229,7 +231,9 @@ class _TreeClassifierBase(_TreeBase):
         return np.array([self._leaf_for(row).label for row in X], dtype=np.int8)
 
 
-class _TreeRegressorBase(_TreeBase):
+class DecisionTreeRegressor(_TreeBase):
+    """CART with exhaustive variance-reduction splits."""
+
     criterion = VARIANCE
 
     def _leaf(self, y: np.ndarray) -> _Node:
@@ -245,23 +249,11 @@ class _TreeRegressorBase(_TreeBase):
         return np.array([self._leaf_for(row).value for row in X])
 
 
-class DecisionTreeClassifier(_TreeClassifierBase):
-    """CART with exhaustive Gini splits."""
-
-    candidate_mode = "exhaustive"
-
-
-class DecisionTreeRegressor(_TreeRegressorBase):
-    """CART with exhaustive variance-reduction splits."""
-
-    candidate_mode = "exhaustive"
-
-
-class ExtraTreeClassifier(_TreeClassifierBase):
+class ExtraTreeClassifier(DecisionTreeClassifier):
     """One uniform random threshold per candidate feature instead of a scan."""
 
     candidate_mode = "random"
 
 
-class ExtraTreeRegressor(_TreeRegressorBase):
+class ExtraTreeRegressor(DecisionTreeRegressor):
     candidate_mode = "random"

@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import DatasetView
 from .direction import DOWN, UP, direction_name
 from .errors import InsufficientHistory
-from .models import CLASSIFIER, REGRESSOR, ModelSpec, fit, predict_class, predict_value, task_of
+from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
 from .trading import PositionSeries
 
 TRAILING = "trailing"
@@ -82,7 +82,8 @@ def run_walkforward(
 
     Trailing mode shifts the first evaluable index forward until a full
     window of history exists in the parent dataset; indices skipped by
-    retrain_stride reuse the most recent model.
+    retrain_stride reuse the most recent model. Only the current model is
+    held: each refit replaces it before the next prediction.
     """
     parent = view.parent
     X = parent.frame.rows
@@ -97,7 +98,6 @@ def run_walkforward(
         eval_indices = view.indices
         rows = train_view.indices
         model = fit(spec, X[rows], y_train[rows])
-        models = [model] * eval_indices.size
     else:
         min_start = parent.valid_from + config.window
         eval_indices = view.indices[view.indices >= min_start]
@@ -106,23 +106,19 @@ def run_walkforward(
                 f"window {config.window} leaves no evaluable index in segment "
                 f"{view.segment!r} (first usable row is {parent.valid_from})"
             )
-        models = []
-        model = None
-        for k, t in enumerate(eval_indices):
-            if k % config.retrain_stride == 0:
-                lo = int(t) - config.window
-                model = fit(spec, X[lo:t], y_train[lo:t])
-            models.append(model)
 
     n = eval_indices.size
     direction = np.zeros(n, dtype=np.int8)
     score = np.zeros(n)
     value = np.full(n, np.nan)
     for i, t in enumerate(eval_indices):
+        if config.mode == TRAILING and i % config.retrain_stride == 0:
+            lo = int(t) - config.window
+            model = fit(spec, X[lo:t], y_train[lo:t])
         if task == CLASSIFIER:
-            direction[i], score[i] = predict_class(models[i], X[t])
+            direction[i], score[i] = predict_class(model, X[t])
         else:
-            v = predict_value(models[i], X[t])
+            v = predict_value(model, X[t])
             value[i] = v
             score[i] = v
             direction[i] = UP if v > 0 else DOWN

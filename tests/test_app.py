@@ -308,6 +308,9 @@ class TestCli:
         path.write_text(serialize_candles_csv(gapped), encoding="utf-8")
         assert self.run_cli("ingest", "--csv", str(path), "--interval", str(DAY)) == 2
 
+    def test_ingest_missing_csv_exit_2(self, tmp_path):
+        assert self.run_cli("ingest", "--csv", str(tmp_path / "missing.csv"), "--interval", str(DAY)) == 2
+
     def test_missing_config_exit_1(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "missing.json")) == 1
 

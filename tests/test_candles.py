@@ -111,6 +111,18 @@ class TestValidate:
         assert (finding.prev_timestamp, finding.next_timestamp) == (int(ts[2]), int(ts[3]))
         assert finding.gap == 2 * DAY
 
+    def test_wide_and_narrow_gaps_reported_in_order(self):
+        series = bars_to_series(random_walk_bars(6, seed=3))
+        ts = series.timestamps.copy()
+        ts[2:] += 2 * DAY  # wide: three intervals between index 1 and 2
+        ts[4:] -= DAY // 2  # narrow: half an interval between index 3 and 4
+        gapped = CandleSeries(ts, series.open, series.high, series.low, series.close, series.volume, DAY)
+        findings = validate_series(gapped).findings
+        assert [(f.index, f.prev_timestamp, f.next_timestamp, f.gap) for f in findings] == [
+            (2, int(ts[1]), int(ts[2]), 3 * DAY),
+            (4, int(ts[3]), int(ts[4]), DAY // 2),
+        ]
+
 
 class TestSeriesInvariants:
     def test_rejects_unsorted(self):
@@ -201,6 +213,14 @@ class TestFetch:
         candle_stub.set_rows([[1700000000, 100, 110, 90]])  # 4 elements
         with pytest.raises(MalformedPayload):
             fetch_candles(_config(candle_stub), "BTC", DAY, 1700000000, 1700000000 + DAY)
+
+    def test_ohlc_violation_in_page(self, candle_stub):
+        rows = _rows(3)
+        rows[1][2] = rows[1][3] * 0.5  # high below low
+        candle_stub.reset()
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload):
+            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
 
     def test_deterministic(self, candle_stub):
         rows = _rows(5)

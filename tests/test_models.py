@@ -3,7 +3,6 @@ import pytest
 
 from quantroll.direction import DOWN, UP
 from quantroll.errors import (
-    EmptyEnsemble,
     EmptyTraining,
     KindMismatch,
     NonFiniteInput,
@@ -17,7 +16,7 @@ from quantroll.models import (
     build_estimator,
     cart_best_split,
     default_space,
-    ensemble_aggregate,
+    display_name,
     fit,
     predict_class,
     predict_value,
@@ -239,21 +238,6 @@ class TestCartSplit:
         assert gini_impurity(np.array([UP, DOWN], dtype=np.float64)) == pytest.approx(0.5)
 
 
-class TestEnsembleAggregate:
-    def test_majority(self):
-        assert ensemble_aggregate([UP, UP, DOWN], "majority") == UP
-
-    def test_tie_resolves_down(self):
-        assert ensemble_aggregate([UP, DOWN], "majority") == DOWN
-
-    def test_mean(self):
-        assert ensemble_aggregate([0.01, 0.02, 0.06], "mean") == pytest.approx(0.03, abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyEnsemble):
-            ensemble_aggregate([], "majority")
-
-
 class TestForests:
     def test_forest_of_one_equals_tree_regression(self):
         X, _, y_reg = blob_data(50, seed=10)
@@ -278,6 +262,15 @@ class TestForests:
         tree = fit(ModelSpec("decision_tree_r", {}, seed=3), X, y_reg)
         for xi in X:
             assert predict_value(forest, xi) == predict_value(tree, xi)
+
+    def test_split_vote_resolves_down(self):
+        X, y_class, _ = blob_data(40, seed=20)
+        model = fit(ModelSpec("bagging_c", {"n_members": 2, "max_depth": 1}, seed=8), X, y_class)
+        votes = np.stack([tree.predict(X) for tree in model.estimator.members_])
+        split = np.nonzero(votes.sum(axis=0) == 0)[0]
+        assert split.size > 0
+        for i in split:
+            assert predict_class(model, X[i]) == (DOWN, 0.0)
 
     def test_max_features_subsampling_runs(self):
         X, y_class, _ = blob_data(40, seed=13, width=7)
@@ -306,6 +299,37 @@ class TestForests:
         scores_a = [predict_class(a, xi)[1] for xi in X]
         scores_b = [predict_class(b, xi)[1] for xi in X]
         assert scores_a != scores_b
+
+
+class TestRegistry:
+    # (display name, task, takes the spec seed) for every kind.
+    ROSTER = {
+        "logistic_c": ("LogisticC", "classifier", True),
+        "ridge_c": ("RidgeC", "classifier", False),
+        "perceptron_c": ("PerceptronC", "classifier", False),
+        "sgd_c": ("SgdC", "classifier", True),
+        "knn_c": ("KnnC", "classifier", False),
+        "bernoulli_nb_c": ("BernoulliNbC", "classifier", False),
+        "decision_tree_c": ("DecisionTreeC", "classifier", True),
+        "extra_tree_c": ("ExtraTreeC", "classifier", True),
+        "random_forest_c": ("RandomForestC", "classifier", True),
+        "bagging_c": ("BaggingC", "classifier", True),
+        "ols_r": ("OlsR", "regressor", False),
+        "ridge_r": ("RidgeR", "regressor", False),
+        "sgd_r": ("SgdR", "regressor", True),
+        "knn_r": ("KnnR", "regressor", False),
+        "decision_tree_r": ("DecisionTreeR", "regressor", True),
+        "extra_tree_r": ("ExtraTreeR", "regressor", True),
+        "random_forest_r": ("RandomForestR", "regressor", True),
+        "bagging_r": ("BaggingR", "regressor", True),
+    }
+
+    def test_derived_columns_match_roster(self):
+        assert [k.value for k in ALL_KINDS] == list(self.ROSTER)
+        for kind, (name, task, seeded) in self.ROSTER.items():
+            est = build_estimator(ModelSpec(kind, seed=41))
+            assert (display_name(kind), task_of(kind)) == (name, task)
+            assert (est.get_params().get("seed") == 41) == seeded
 
 
 class TestSpecValidation:

@@ -1,5 +1,10 @@
+import math
+import weakref
+
 import numpy as np
 import pytest
+
+import quantroll.walkforward
 
 from quantroll.dataset import DatasetView, FeatureFrame, LabeledDataset, SegmentSplit, split
 from quantroll.direction import DOWN, UP
@@ -143,8 +148,56 @@ class TestNoLookahead:
         assert len(preds) == len(view.indices)
 
 
+class ModelProbe:
+    """Wraps the walk-forward's fit and predict lookups to count fits and live models."""
+
+    def __init__(self, monkeypatch):
+        self.fits = 0
+        self.live_at_predict = []
+        self._refs = []
+        real_fit = quantroll.walkforward.fit
+        real_class = quantroll.walkforward.predict_class
+        real_value = quantroll.walkforward.predict_value
+
+        def fit(*args):
+            model = real_fit(*args)
+            self.fits += 1
+            self._refs.append(weakref.ref(model))
+            return model
+
+        def predicting(real):
+            def predict(model, x):
+                self.live_at_predict.append(sum(ref() is not None for ref in self._refs))
+                return real(model, x)
+
+            return predict
+
+        monkeypatch.setattr(quantroll.walkforward, "fit", fit)
+        monkeypatch.setattr(quantroll.walkforward, "predict_class", predicting(real_class))
+        monkeypatch.setattr(quantroll.walkforward, "predict_value", predicting(real_value))
+
+
+class TestModelLifetime:
+    @pytest.mark.parametrize("stride", [1, 3, 4])
+    def test_trailing_fits_once_per_stride(self, monkeypatch, stride):
+        ds = make_dataset(60, seed=10)
+        view = view_of(ds, 20, 50)
+        probe = ModelProbe(monkeypatch)
+        preds = run_walkforward(view, ModelSpec("knn_c", {"k": 3}), WalkForwardConfig(window=7, retrain_stride=stride))
+        assert probe.fits == math.ceil(len(preds) / stride)
+
+    @pytest.mark.parametrize("kind, params", [("bagging_c", {"n_members": 3}), ("decision_tree_r", {})])
+    def test_at_most_one_model_alive_at_each_prediction(self, monkeypatch, kind, params):
+        ds = make_dataset(40, seed=11)
+        view = view_of(ds, 20, 34)
+        probe = ModelProbe(monkeypatch)
+        preds = run_walkforward(view, ModelSpec(kind, params), WalkForwardConfig(window=7))
+        assert probe.fits == len(preds) > 1
+        assert probe.live_at_predict == [1] * len(preds)
+
+
 class TestGlobalMode:
-    def test_global_fits_once_on_training_view(self):
+    def test_global_fits_once_on_training_view(self, monkeypatch):
         ds = make_dataset(60, seed=8)
         seg = SegmentSplit(
             train=(T0, T0 + 30 * DAY),
@@ -152,8 +205,11 @@ class TestGlobalMode:
             forward=(T0 + 45 * DAY, T0 + 60 * DAY),
         )
         train, back, _fwd = split(ds, seg)
+        probe = ModelProbe(monkeypatch)
         preds = run_walkforward(back, ModelSpec("knn_c", {"k": 5}), WalkForwardConfig(window=7, mode=GLOBAL), train_view=train)
         assert len(preds) == len(back)
+        assert probe.fits == 1
+        assert probe.live_at_predict == [1] * len(back)
 
     def test_global_requires_train_view(self):
         ds = make_dataset(60, seed=9)
