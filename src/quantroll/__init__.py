@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .candles import (  # noqa: E402
-    Candle,
     CandleSeries,
     FetchConfig,
     ValidationReport,

@@ -6,7 +6,7 @@ import io
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 import requests
@@ -26,27 +26,29 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 
 
-@dataclass(frozen=True)
-class Candle:
-    """One OHLCV observation; timestamp is epoch seconds UTC."""
+def _check_rows(o, h, l, c, v, where: Callable[[int], str]) -> None:
+    """Check candle columns against the candle rules; raise for the first bad row.
 
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def check(self, context: str = "") -> None:
-        where = f" ({context})" if context else ""
-        if not all(p > 0 for p in (self.open, self.high, self.low, self.close)):
-            raise NonPositivePrice(f"prices must be > 0{where}: {self}")
-        if self.volume < 0:
-            raise MalformedRow(f"volume must be >= 0{where}: {self}")
-        if self.low > self.high:
-            raise OhlcViolation(f"low > high{where}: {self}")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
-            raise OhlcViolation(f"open/close outside [low, high]{where}: {self}")
+    Rules, in order: every value is finite; every price is > 0; volume is
+    >= 0; low <= high; open and close lie inside [low, high]. The error is
+    the first rule broken by the first bad row, and where(i) names that row
+    (a file line, a series index, a timestamp). Every candle source, CSV,
+    HTTP or in-memory, passes through here.
+    """
+    rules = (
+        (~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v)),
+         MalformedRow, "values must be finite"),
+        (~((o > 0) & (h > 0) & (l > 0) & (c > 0)), NonPositivePrice, "prices must be > 0"),
+        (~(v >= 0), MalformedRow, "volume must be >= 0"),
+        (l > h, OhlcViolation, "low > high"),
+        ((o < l) | (o > h) | (c < l) | (c > h), OhlcViolation, "open/close outside [low, high]"),
+    )
+    bad = np.nonzero(np.logical_or.reduce([broken for broken, _, _ in rules]))[0]
+    if bad.size:
+        i = int(bad[0])
+        error, text = next((error, text) for broken, error, text in rules if broken[i])
+        values = ", ".join(f"{name}={float(col[i])!r}" for name, col in zip(CSV_HEADER[1:], (o, h, l, c, v)))
+        raise error(f"{text} ({where(i)}): {values}")
 
 
 @dataclass
@@ -84,16 +86,7 @@ class CandleSeries:
             raise DuplicateTimestamp(f"duplicate timestamp {ts}")
         if np.any(gaps < 0):
             raise ValueError("timestamps must be strictly increasing")
-        if np.any(self.open <= 0) or np.any(self.high <= 0) or np.any(self.low <= 0) or np.any(self.close <= 0):
-            raise NonPositivePrice("all prices must be > 0")
-        if np.any(self.volume < 0):
-            raise MalformedRow("volumes must be >= 0")
-        if np.any(self.low > self.high):
-            raise OhlcViolation("low > high")
-        body_low = np.minimum(self.open, self.close)
-        body_high = np.maximum(self.open, self.close)
-        if np.any(self.low > body_low) or np.any(self.high < body_high):
-            raise OhlcViolation("open/close outside [low, high]")
+        _check_rows(self.open, self.high, self.low, self.close, self.volume, lambda i: f"index {i}")
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
@@ -105,19 +98,6 @@ class CandleSeries:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("timestamps", "open", "high", "low", "close", "volume")
         )
-
-    def candle(self, i: int) -> Candle:
-        return Candle(
-            int(self.timestamps[i]),
-            float(self.open[i]),
-            float(self.high[i]),
-            float(self.low[i]),
-            float(self.close[i]),
-            float(self.volume[i]),
-        )
-
-    def __iter__(self) -> Iterator[Candle]:
-        return (self.candle(i) for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -162,12 +142,9 @@ class ValidationReport:
 
 def _parse_price(raw: str, line_no: int, column: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise MalformedRow(f"line {line_no}: {column} {raw!r} is not numeric") from None
-    if not np.isfinite(value):
-        raise MalformedRow(f"line {line_no}: {column} must be finite, got {raw!r}")
-    return value
 
 
 def _parse_timestamp(raw: str, line_no: int) -> int:
@@ -188,8 +165,8 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     """Parse `timestamp,open,high,low,close,volume` CSV into a sorted series.
 
     Rows may arrive in any order; the result is ascending by timestamp.
-    Every row is validated before sorting so error messages carry the
-    original line number.
+    Every row is checked in file order before sorting, so error messages
+    carry the original line number.
     """
     reader = csv.reader(io.StringIO(text.lstrip("﻿")))
     try:
@@ -199,25 +176,25 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     if tuple(h.strip().lower() for h in header) != CSV_HEADER:
         raise MalformedRow(f"header must be {','.join(CSV_HEADER)}, got {','.join(header)!r}")
 
-    rows: list[Candle] = []
+    lines: list[int] = []
+    stamps: list[int] = []
+    values: list[float] = []  # o, h, l, c, v of each row, flat
     for line_no, fields in enumerate(reader, start=2):
         if not fields or (len(fields) == 1 and not fields[0].strip()):
             continue  # tolerate trailing blank line
         if len(fields) != 6:
             raise MalformedRow(f"line {line_no}: expected 6 fields, got {len(fields)}")
-        ts = _parse_timestamp(fields[0].strip(), line_no)
-        o, h, l, c, v = (_parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6))
-        candle = Candle(ts, o, h, l, c, v)
-        candle.check(context=f"line {line_no}")
-        rows.append(candle)
+        lines.append(line_no)
+        stamps.append(_parse_timestamp(fields[0].strip(), line_no))
+        values.extend([_parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6)])
 
-    if not rows:
+    if not stamps:
         raise MalformedRow("document contains a header but no data rows")
-    rows.sort(key=lambda r: r.timestamp)
-    for prev, cur in zip(rows, rows[1:]):
-        if prev.timestamp == cur.timestamp:
-            raise DuplicateTimestamp(f"duplicate timestamp {cur.timestamp}")
-    return _series_from_candles(rows, interval)
+    columns = np.ascontiguousarray(np.array(values, dtype=np.float64).reshape(-1, 5).T)
+    _check_rows(*columns, lambda i: f"line {lines[i]}")
+    ts = np.array(stamps, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    return CandleSeries(ts[order], *columns.take(order, axis=1), interval=interval)
 
 
 def serialize_candles_csv(series: CandleSeries) -> str:
@@ -225,8 +202,8 @@ def serialize_candles_csv(series: CandleSeries) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for c in series:
-        writer.writerow([c.timestamp, repr(c.open), repr(c.high), repr(c.low), repr(c.close), repr(c.volume)])
+    prices = (map(repr, getattr(series, name).tolist()) for name in CSV_HEADER[1:])
+    writer.writerows(zip(series.timestamps.tolist(), *prices))
     return out.getvalue()
 
 
@@ -236,18 +213,6 @@ def validate_series(series: CandleSeries) -> ValidationReport:
     gaps = np.diff(ts)
     bad = np.nonzero(gaps != series.interval)[0]
     return ValidationReport([GapFinding(int(i) + 1, int(ts[i]), int(ts[i + 1]), int(gaps[i])) for i in bad])
-
-
-def _series_from_candles(rows: list[Candle], interval: int) -> CandleSeries:
-    return CandleSeries(
-        timestamps=np.array([r.timestamp for r in rows], dtype=np.int64),
-        open=np.array([r.open for r in rows]),
-        high=np.array([r.high for r in rows]),
-        low=np.array([r.low for r in rows]),
-        close=np.array([r.close for r in rows]),
-        volume=np.array([r.volume for r in rows]),
-        interval=interval,
-    )
 
 
 def _get_page(session: requests.Session, url: str, config: FetchConfig) -> list:
@@ -275,6 +240,21 @@ def _get_page(session: requests.Session, url: str, config: FetchConfig) -> list:
     raise NetworkError(f"giving up on {url} after {config.max_retries + 1} attempts: {last_error}")
 
 
+def _page_columns(page: list) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and the (5, n) open/high/low/close/volume columns of JSON rows."""
+    stamps: list[int] = []
+    values: list[list[float]] = []
+    for row in page:
+        if not isinstance(row, (list, tuple)) or len(row) != 6:
+            raise MalformedPayload(f"candle row must have 6 elements, got {row!r}")
+        try:
+            stamps.append(int(row[0]))
+            values.append([float(x) for x in row[1:]])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedPayload(f"non-numeric candle row {row!r}: {exc}") from None
+    return np.array(stamps, dtype=np.int64), np.array(values, dtype=np.float64).T
+
+
 def fetch_candles(
     config: FetchConfig,
     symbol: str,
@@ -285,45 +265,39 @@ def fetch_candles(
     """Fetch candles for [start, end) by walking pages of at most page_limit.
 
     Pages are JSON arrays of [timestamp, open, high, low, close, volume]
-    rows. Overlapping pages are deduplicated on timestamp; the merged result
-    is validated exactly like CSV input.
+    rows. Every row of every page, in range or not, passes the same candle
+    checks as CSV input; a violation is raised as MalformedPayload naming
+    the row's timestamp. Overlapping pages are deduplicated on timestamp.
     """
     if start >= end:
         raise EmptyRange(f"start {start} must precede end {end}")
 
-    session = requests.Session()
-    seen: dict[int, Candle] = {}
+    stamps = [np.empty(0, dtype=np.int64)]
+    columns = [np.empty((5, 0))]
     cursor = start
-    while cursor < end:
-        url = config.base_url + config.path_template.format(
-            symbol=symbol, interval=interval, start=cursor, end=end, limit=config.page_limit
-        )
-        payload = _get_page(session, url, config)
-        if not payload:
-            break
-        page_max = cursor
-        for row in payload[: config.page_limit]:
-            if not isinstance(row, (list, tuple)) or len(row) != 6:
-                raise MalformedPayload(f"candle row must have 6 elements, got {row!r}")
+    with requests.Session() as session:
+        while cursor < end:
+            url = config.base_url + config.path_template.format(
+                symbol=symbol, interval=interval, start=cursor, end=end, limit=config.page_limit
+            )
+            payload = _get_page(session, url, config)
+            if not payload:
+                break
+            ts, cols = _page_columns(payload[: config.page_limit])
             try:
-                candle = Candle(int(row[0]), *(float(x) for x in row[1:]))
-            except (TypeError, ValueError) as exc:
-                raise MalformedPayload(f"non-numeric candle row {row!r}: {exc}") from None
-            try:
-                candle.check(context=f"timestamp {candle.timestamp}")
+                _check_rows(*cols, lambda i: f"timestamp {ts[i]}")
             except (NonPositivePrice, OhlcViolation, MalformedRow) as exc:
                 raise MalformedPayload(str(exc)) from None
-            page_max = max(page_max, candle.timestamp)
-            if candle.timestamp < start or candle.timestamp >= end:
-                continue
-            seen.setdefault(candle.timestamp, candle)
-        next_cursor = page_max + interval
-        if next_cursor <= cursor:
-            break  # server made no progress; stop rather than loop forever
-        cursor = next_cursor
+            keep = (ts >= start) & (ts < end)
+            stamps.append(ts[keep])
+            columns.append(cols[:, keep])
+            next_cursor = max(cursor, int(ts.max())) + interval
+            if next_cursor <= cursor:
+                break  # server made no progress; stop rather than loop forever
+            cursor = next_cursor
 
-    if not seen:
+    ts, first = np.unique(np.concatenate(stamps), return_index=True)  # first copy of a timestamp wins
+    if ts.size == 0:
         raise EmptyRange(f"no candles returned for [{start}, {end})")
-    rows = [seen[ts] for ts in sorted(seen)]
-    logger.info("fetched %d candles for %s", len(rows), symbol)
-    return _series_from_candles(rows, interval)
+    logger.info("fetched %d candles for %s", ts.size, symbol)
+    return CandleSeries(ts, *np.concatenate(columns, axis=1).take(first, axis=1), interval=interval)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .candles import FetchConfig, fetch_candles, serialize_candles_csv, validate_series
+from .candles import FetchConfig, serialize_candles_csv, validate_series
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
@@ -68,19 +68,8 @@ def _apply_overrides(config: RunConfig, seed, models, windows, fee_bps, mode, ou
     return dataclasses.replace(config, **changes) if changes else config
 
 
-def _read_series(csv_path: str | None, interval: int, fetch_opts: dict | None):
-    if csv_path is not None:
-        return load_candles(RunConfig(DataSource(csv_path=csv_path), interval=interval))
-    if not fetch_opts or not fetch_opts.get("base_url"):
-        raise ConfigError("provide --csv or the fetch options (--base-url/--path-template/...)")
-    fc = FetchConfig(
-        base_url=fetch_opts["base_url"],
-        path_template=fetch_opts["path_template"],
-        page_limit=fetch_opts["page_limit"],
-        max_retries=fetch_opts["max_retries"],
-        retry_backoff=fetch_opts["retry_backoff"],
-    )
-    return fetch_candles(fc, fetch_opts["symbol"], interval, fetch_opts["start"], fetch_opts["end"])
+def _read_series(source: DataSource, interval: int):
+    return load_candles(RunConfig(source, interval=interval))
 
 
 @cli.command()
@@ -97,19 +86,14 @@ def _read_series(csv_path: str | None, interval: int, fetch_opts: dict | None):
 @click.option("--out", "out_path", default=None, help="Write the validated, normalized CSV here.")
 def ingest(csv_path, base_url, path_template, symbol, start, end, page_limit, max_retries, retry_backoff, interval, out_path):
     """Parse or fetch candles, validate spacing, and store a normalized CSV."""
-    fetch_opts = None
+    fetch, span = None, (0, 0)
     if base_url is not None:
-        fetch_opts = {
-            "base_url": base_url,
-            "path_template": path_template,
-            "symbol": symbol,
-            "start": parse_instant(start),
-            "end": parse_instant(end),
-            "page_limit": page_limit,
-            "max_retries": max_retries,
-            "retry_backoff": retry_backoff,
-        }
-    series = _read_series(csv_path, interval, fetch_opts)
+        try:
+            fetch = FetchConfig(base_url, path_template, page_limit, max_retries, retry_backoff)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        span = (parse_instant(start), parse_instant(end))
+    series = _read_series(DataSource(csv_path, fetch, symbol, *span), interval)
     report = validate_series(series)
     if not report.is_clean:
         for finding in report.findings[:10]:
@@ -135,7 +119,7 @@ _INDICATORS = ("acc_dist", "mfi", "bb_bandwidth", "kc_width", "parabolic_sar")
 def features(csv_path, interval, config_path, indicator, out_path):
     """Dump the labeled feature frame (or one raw indicator) as CSV."""
     ind_config = _load_config(config_path).indicators if config_path else IndicatorConfig()
-    series = _read_series(csv_path, interval, None)
+    series = _read_series(DataSource(csv_path=csv_path), interval)
     if indicator is None:
         text = label(build_features(series, ind_config), log_diff(series)).to_csv()
     else:

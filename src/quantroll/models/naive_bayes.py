@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..direction import DOWN, UP
+from ..direction import UP
 from .base import Estimator, check_fit_inputs, check_class_labels, classify_from_scores
 
 

@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import ConfigError, DataError, EngineError, QuantrollError, UnknownSelector
+from .errors import ConfigError, DataError, UnknownSelector
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
 from .metrics import ClassifierReport
-from .models import ALL_KINDS, CLASSIFIER, ModelKind, ModelSpec, coerce_kind, task_of
+from .models import ALL_KINDS, CLASSIFIER, ModelKind, ModelSpec, coerce_kind
 from .trading import CostModel, EquityCurve
 from .tuner import TunerConfig, TunerResult, run_study
 from .walkforward import WalkForwardConfig

@@ -311,6 +311,26 @@ class TestCli:
     def test_ingest_missing_csv_exit_2(self, tmp_path):
         assert self.run_cli("ingest", "--csv", str(tmp_path / "missing.csv"), "--interval", str(DAY)) == 2
 
+    def test_ingest_csv_and_base_url_exit_1(self, csv_path, candle_stub, capsys):
+        code = self.run_cli(
+            "ingest", "--csv", str(csv_path), "--base-url", candle_stub.base_url,
+            "--start", str(T0), "--end", str(T0 + DAY), "--interval", str(DAY),
+        )
+        assert code == 1
+        assert "exactly one of csv_path or fetch" in capsys.readouterr().err
+
+    def test_ingest_empty_fetch_range_exit_1(self, candle_stub, capsys):
+        code = self.run_cli("ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0))
+        assert code == 1
+        assert "configuration error: fetch range requires start < end" in capsys.readouterr().err
+
+    def test_ingest_bad_page_limit_exit_1(self, candle_stub, capsys):
+        code = self.run_cli(
+            "ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0 + DAY), "--page-limit", "0",
+        )
+        assert code == 1
+        assert "configuration error: page_limit must be >= 1" in capsys.readouterr().err
+
     def test_missing_config_exit_1(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "missing.json")) == 1
 

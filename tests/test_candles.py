@@ -72,6 +72,49 @@ class TestParseCsv:
         text = HEADER.replace("\n", "\r\n") + "1700000000,100,110,90,105,5\r\n"
         assert len(parse_candles_csv(text, DAY)) == 1
 
+    def test_error_names_file_line_not_sorted_position(self):
+        # Line 4 holds the earliest timestamp, so it sorts first; line 5 breaks a rule too.
+        text = HEADER + (
+            "1700086400,100,110,90,105,5\n"
+            "1700172800,100,110,90,105,5\n"
+            "1700000000,95,90,100,95,5\n"
+            "1700259200,100,110,90,105,-1\n"
+        )
+        with pytest.raises(OhlcViolation, match=r"^low > high \(line 4\)"):
+            parse_candles_csv(text, DAY)
+
+    @pytest.mark.parametrize(
+        "row, error, rule",
+        [
+            ("0,110,90,105,nan", MalformedRow, "values must be finite"),
+            ("0,90,100,95,5", NonPositivePrice, "prices must be > 0"),
+            ("95,90,100,95,-1", MalformedRow, "volume must be >= 0"),
+            ("95,90,100,120,5", OhlcViolation, "low > high"),
+        ],
+        ids=["finite-before-price", "price-before-ohlc", "volume-before-ohlc", "low-high-before-body"],
+    )
+    def test_row_with_two_violations_reports_first_rule(self, row, error, rule):
+        text = HEADER + "1700000000,100,110,90,105,5\n" + f"1700086400,{row}\n"
+        with pytest.raises(error) as raised:
+            parse_candles_csv(text, DAY)
+        assert str(raised.value).startswith(f"{rule} (line 3): ")
+
+    def test_serialize_literal_bytes(self):
+        series = CandleSeries(
+            np.array([1700000000, 1700086400]),
+            np.array([100.0, 0.1]),
+            np.array([110.5, 0.30000000000000004]),
+            np.array([90.0, 0.1]),
+            np.array([105.25, 0.2]),
+            np.array([0.0, 1e-07]),
+            DAY,
+        )
+        assert serialize_candles_csv(series) == (
+            "timestamp,open,high,low,close,volume\n"
+            "1700000000,100.0,110.5,90.0,105.25,0.0\n"
+            "1700086400,0.1,0.30000000000000004,0.1,0.2,1e-07\n"
+        )
+
     def test_round_trip_identity(self, fixture_40):
         again = parse_candles_csv(serialize_candles_csv(fixture_40), fixture_40.interval)
         assert again == fixture_40
@@ -131,6 +174,13 @@ class TestSeriesInvariants:
             series = bars_to_series(bars)
             CandleSeries(series.timestamps[::-1].copy(), series.open, series.high,
                          series.low, series.close, series.volume, DAY)
+
+    @pytest.mark.parametrize("column, value", [(4, float("nan")), (1, float("inf"))], ids=["nan-volume", "inf-high"])
+    def test_rejects_non_finite_value(self, column, value):
+        cols = np.array(random_walk_bars(3, seed=2)).T
+        cols[column, 1] = value
+        with pytest.raises(MalformedRow, match=r"^values must be finite \(index 1\)"):
+            CandleSeries(np.arange(3) * DAY, *cols, DAY)
 
     def test_rejects_empty(self):
         with pytest.raises(EmptyRange):
@@ -222,6 +272,31 @@ class TestFetch:
         with pytest.raises(MalformedPayload):
             fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
 
+    @pytest.mark.parametrize("column, value", [(5, float("nan")), (2, float("inf"))], ids=["nan-volume", "inf-high"])
+    def test_non_finite_value_in_page(self, candle_stub, column, value):
+        rows = _rows(3)
+        rows[1][column] = value
+        candle_stub.reset()
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload, match=rf"^values must be finite \(timestamp {rows[1][0]}\)"):
+            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
+
+    def test_violation_outside_range_rejected(self, candle_stub):
+        rows = _rows(4)
+        rows[0][5] = -1.0  # before start; the stub repeats it at the head of the first page
+        candle_stub.reset(overlap=True)
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload, match=rf"^volume must be >= 0 \(timestamp {rows[0][0]}\)"):
+            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
+
+    def test_infinite_timestamp_in_page(self, candle_stub):
+        rows = _rows(3)
+        rows[0][0] = float("-inf")  # sorts before start; the stub repeats it at the head of the first page
+        candle_stub.reset(overlap=True)
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload, match="non-numeric candle row"):
+            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
+
     def test_deterministic(self, candle_stub):
         rows = _rows(5)
         candle_stub.reset()
@@ -229,3 +304,40 @@ class TestFetch:
         a = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
         b = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
         assert a == b
+
+
+def _csv(rows):
+    return HEADER + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+class TestSourceParity:
+    """CSV text and HTTP pages carrying the same rows give the same series and the same errors."""
+
+    def test_same_rows_same_series(self, candle_stub):
+        rows = _rows(6)
+        candle_stub.reset()
+        candle_stub.set_rows(rows)
+        fetched = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
+        assert fetched == parse_candles_csv(_csv(rows), DAY)
+
+    @pytest.mark.parametrize(
+        "column, value_of, error",
+        [
+            (5, lambda row: float("nan"), MalformedRow),
+            (1, lambda row: 0.0, NonPositivePrice),
+            (5, lambda row: -1.0, MalformedRow),
+            (2, lambda row: row[3] * 0.5, OhlcViolation),
+            (4, lambda row: row[2] * 2.0, OhlcViolation),
+        ],
+        ids=["non-finite", "non-positive", "negative-volume", "low-above-high", "close-outside"],
+    )
+    def test_broken_rule_named_alike(self, candle_stub, column, value_of, error):
+        rows = _rows(4)
+        rows[2][column] = value_of(rows[2])
+        with pytest.raises(error, match=r" \(line 4\): ") as from_csv:
+            parse_candles_csv(_csv(rows), DAY)
+        candle_stub.reset()
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload) as from_http:
+            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
+        assert str(from_http.value) == str(from_csv.value).replace("(line 4)", f"(timestamp {rows[2][0]})")
