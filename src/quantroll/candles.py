@@ -24,6 +24,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
+_INT64 = range(-(1 << 63), 1 << 63)  # timestamps are stored as int64
 
 
 def _check_rows(o, h, l, c, v, where: Callable[[int], str]) -> None:
@@ -149,16 +150,18 @@ def _parse_price(raw: str, line_no: int, column: str) -> float:
 
 def _parse_timestamp(raw: str, line_no: int) -> int:
     try:
-        return int(raw)
+        stamp = int(raw)
     except ValueError:
-        pass
-    try:
-        value = float(raw)
-    except ValueError:
-        raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not numeric") from None
-    if not np.isfinite(value) or value != int(value):
-        raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not a whole number of seconds")
-    return int(value)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not numeric") from None
+        if not np.isfinite(value) or value != int(value):
+            raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not a whole number of seconds")
+        stamp = int(value)
+    if stamp not in _INT64:
+        raise MalformedRow(f"line {line_no}: timestamp {raw!r} is outside the int64 range")
+    return stamp
 
 
 def parse_candles_csv(text: str, interval: int) -> CandleSeries:
@@ -252,6 +255,8 @@ def _page_columns(page: list) -> tuple[np.ndarray, np.ndarray]:
             values.append([float(x) for x in row[1:]])
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedPayload(f"non-numeric candle row {row!r}: {exc}") from None
+        if stamps[-1] not in _INT64:
+            raise MalformedPayload(f"candle row {row!r}: timestamp is outside the int64 range")
     return np.array(stamps, dtype=np.int64), np.array(values, dtype=np.float64).T
 
 

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 engine error.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import sys
@@ -17,11 +16,9 @@ from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from .metrics import ClassifierReport, RegressorReport
-from .models import ALL_KINDS, coerce_kind
+from .models import coerce_kind
 from .report import emit_table
-from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment
-from .trading import CostModel
-from .tuner import TunerConfig, run_study
+from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment, tune_job
 
 logger = logging.getLogger(__name__)
 
@@ -35,37 +32,16 @@ def cli(verbose: bool) -> None:
     )
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str, **overrides) -> RunConfig:
+    """The config at path, with each override that is not None put in its
+    top-level key and the result parsed again by RunConfig.from_dict."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return RunConfig.from_json(text)
-
-
-def _apply_overrides(config: RunConfig, seed, models, windows, fee_bps, mode, out, jobs, tuner_trials) -> RunConfig:
-    changes = {}
-    if seed is not None:
-        changes["seed"] = seed
-    if models is not None:
-        names = [m.strip() for m in models.split(",") if m.strip()]
-        changes["models"] = ALL_KINDS if names in ([], ["all"]) else tuple(coerce_kind(n) for n in names)
-    if windows is not None:
-        try:
-            changes["windows"] = tuple(int(w) for w in windows.split(",") if w.strip())
-        except ValueError:
-            raise ConfigError(f"bad windows list {windows!r}") from None
-    if fee_bps is not None:
-        changes["fee_bps"] = fee_bps
-    if mode is not None:
-        changes["mode"] = mode
-    if out is not None:
-        changes["out_dir"] = out
-    if jobs is not None:
-        changes["jobs"] = jobs
-    if tuner_trials is not None:
-        changes["tuner_trials"] = tuner_trials
-    return dataclasses.replace(config, **changes) if changes else config
+    config = RunConfig.from_json(text)
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return RunConfig.from_dict({**config.to_dict(), **given}) if given else config
 
 
 def _read_series(source: DataSource, interval: int):
@@ -144,6 +120,13 @@ def features(csv_path, interval, config_path, indicator, out_path):
         click.echo(text, nl=False)
 
 
+def _echo_tables(reports, tasks=("classifier", "regressor")) -> None:
+    for task in tasks:
+        rows = [r for r in reports if isinstance(r, ClassifierReport) == (task == "classifier")]
+        if rows:
+            click.echo(emit_table(rows, task))
+
+
 @cli.command()
 @click.option("--config", "config_path", required=True, help="JSON run config.")
 @click.option("--seed", type=int, default=None)
@@ -151,20 +134,24 @@ def features(csv_path, interval, config_path, indicator, out_path):
 @click.option("--windows", default=None, help="Comma-separated window sizes.")
 @click.option("--fee-bps", type=float, default=None)
 @click.option("--mode", type=click.Choice(["trailing", "global"]), default=None)
-@click.option("--out", default=None, help="Output directory for runs.")
+@click.option("--out", "out_dir", default=None, help="Output directory for runs.")
 @click.option("--jobs", type=int, default=None)
 @click.option("--tuner-trials", type=int, default=None)
 @click.option("--run-id", default=None, help="Fix the run directory name (default: timestamp + config hash).")
-def run(config_path, seed, models, windows, fee_bps, mode, out, jobs, tuner_trials, run_id):
+def run(config_path, models, windows, run_id, **overrides):
     """Run the full experiment and persist reports, curves and trial logs."""
-    config = _apply_overrides(_load_config(config_path), seed, models, windows, fee_bps, mode, out, jobs, tuner_trials)
+    if models is not None:
+        overrides["models"] = [m.strip() for m in models.split(",") if m.strip()]
+    if windows is not None:
+        try:
+            overrides["windows"] = [int(w) for w in windows.split(",") if w.strip()]
+        except ValueError:
+            raise ConfigError(f"bad windows list {windows!r}") from None
+    config = _load_config(config_path, **overrides)
     run_id = run_id or make_run_id(config)
     artifact = run_experiment(config, run_id=run_id)
     click.echo(f"run {run_id}: {len(artifact.reports)} reports under {Path(config.out_dir) / run_id}")
-    for task in ("classifier", "regressor"):
-        rows = [r for r in artifact.reports if (isinstance(r, ClassifierReport)) == (task == "classifier")]
-        if rows:
-            click.echo(emit_table(rows, task))
+    _echo_tables(artifact.reports)
 
 
 @cli.command()
@@ -172,26 +159,15 @@ def run(config_path, seed, models, windows, fee_bps, mode, out, jobs, tuner_tria
 @click.option("--model", "model_name", required=True, help="Model kind to tune (e.g. knn_c).")
 @click.option("--window", type=int, required=True)
 @click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None, help="Study seed (default: the config's seed).")
 @click.option("--out", "out_path", default=None, help="Write the trial log (trials.jsonl) here.")
 def tune(config_path, model_name, window, trials, seed, out_path):
     """Random-search one model's hyperparameters for best backtest PNL."""
-    config = _load_config(config_path)
+    config = _load_config(config_path, tuner_trials=trials, seed=seed)
     kind = coerce_kind(model_name)
     series = load_candles(config)
     dataset = prepare_dataset(series, config.indicators)
-    result = run_study(
-        kind,
-        window,
-        dataset,
-        config.segment_split(series),
-        CostModel(config.fee_bps),
-        TunerConfig(trials, seed=seed if seed is not None else config.seed),
-        mode=config.mode,
-        retrain_stride=config.retrain_stride,
-        dead_band=config.dead_band,
-        periods_per_year=config.periods_per_year,
-    )
+    result = tune_job(config, dataset, config.segment_split(series), kind, window, config.seed)
     if out_path:
         Path(out_path).write_text(result.to_jsonl(), encoding="utf-8")
     click.echo(json.dumps({"best_index": result.best.index, "objective": result.best.objective, "params": result.best.params}, sort_keys=True))
@@ -219,12 +195,7 @@ def report_cmd(run_dir, task):
         raise DataError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
-    reports = _reports_from_rows(payload["reports"])
-    tasks = ("classifier", "regressor") if task == "both" else (task,)
-    for t in tasks:
-        rows = [r for r in reports if (isinstance(r, ClassifierReport)) == (t == "classifier")]
-        if rows:
-            click.echo(emit_table(rows, t))
+    _echo_tables(_reports_from_rows(payload["reports"]), ("classifier", "regressor") if task == "both" else (task,))
 
 
 @cli.command("export-equity")

@@ -32,7 +32,6 @@ def evaluate_segment(
     cost: CostModel = CostModel(),
     dead_band: float = 0.0,
     periods_per_year: float = 365.0,
-    risk_free_rate: float = 0.0,
     train_view: DatasetView | None = None,
 ) -> SegmentEvaluation:
     preds = run_walkforward(view, spec, wf_config, train_view=train_view)
@@ -49,6 +48,5 @@ def evaluate_segment(
         curve,
         ledger,
         periods_per_year=periods_per_year,
-        risk_free_rate=risk_free_rate,
     )
     return SegmentEvaluation(preds, curve, ledger, report)

@@ -128,9 +128,9 @@ def equity_trend_r2(curve: EquityCurve) -> float:
     return sxy * sxy / (sx * sy)
 
 
-def _maybe(fn, *args):
+def _maybe(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ZeroVolatility, ConstantTruth, ConstantCurve, TooFewObservations):
         return None
 
@@ -143,7 +143,6 @@ def build_classifier_report(
     curve: EquityCurve,
     ledger: TradeLedger,
     periods_per_year: float = 365.0,
-    risk_free_rate: float = 0.0,
 ) -> ClassifierReport:
     accuracy, precision, recall, f1 = classification_metrics(preds.realized_class, preds.direction)
     return ClassifierReport(
@@ -151,7 +150,7 @@ def build_classifier_report(
         window=window,
         segment=segment,
         pnl_percent=pnl_percent(curve),
-        sharpe=_maybe(sharpe, curve.step_returns, risk_free_rate, periods_per_year),
+        sharpe=_maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year),
         r2=_maybe(equity_trend_r2, curve),
         accuracy=accuracy,
         f1=f1,
@@ -169,7 +168,6 @@ def build_regressor_report(
     curve: EquityCurve,
     ledger: TradeLedger,
     periods_per_year: float = 365.0,
-    risk_free_rate: float = 0.0,
 ) -> RegressorReport:
     mae, mse, rmse = regression_errors(preds.realized_return, preds.value)
     return RegressorReport(
@@ -177,7 +175,7 @@ def build_regressor_report(
         window=window,
         segment=segment,
         pnl_percent=pnl_percent(curve),
-        sharpe=_maybe(sharpe, curve.step_returns, risk_free_rate, periods_per_year),
+        sharpe=_maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year),
         r2=_maybe(r_squared, preds.realized_return, preds.value),
         mae=mae,
         mse=mse,

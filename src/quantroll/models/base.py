@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 
 from ..direction import DOWN, UP
-from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput, WidthMismatch
+from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput
 
 
 class Estimator:
@@ -67,13 +67,6 @@ def check_class_labels(y: np.ndarray) -> np.ndarray:
     if not labels <= {float(UP), float(DOWN)}:
         raise ValueError(f"classification targets must be +1/-1, got {sorted(labels)}")
     return y.astype(np.int8)
-
-
-def check_predict_input(X, width: int) -> np.ndarray:
-    X = check_matrix(X)
-    if X.shape[1] != width:
-        raise WidthMismatch(f"expected {width} features, got {X.shape[1]}")
-    return X
 
 
 class StandardizerMixin:

@@ -69,8 +69,7 @@ class RidgeClassifier(Estimator):
 class _GradientDescent(Estimator, StandardizerMixin):
     """Mini-batch gradient descent over standardized features.
 
-    Subclasses define the per-margin loss and its derivative. loss_history_
-    records the full-training-set loss after each epoch.
+    Subclasses define the derivative of the per-margin loss.
     """
 
     def __init__(self, learning_rate: float = 0.01, epochs: int = 100, batch_size: int = 32, seed: int = 0):
@@ -78,9 +77,6 @@ class _GradientDescent(Estimator, StandardizerMixin):
         self.epochs = epochs
         self.batch_size = batch_size
         self.seed = seed
-
-    def _loss(self, margins: np.ndarray, y: np.ndarray) -> float:
-        raise NotImplementedError
 
     def _dloss_dmargin(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -96,7 +92,6 @@ class _GradientDescent(Estimator, StandardizerMixin):
         w = np.zeros(width)
         rng = np.random.default_rng(np.random.PCG64(self.seed))
         batch = min(self.batch_size, n)
-        history = []
         for _ in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch):
@@ -104,9 +99,7 @@ class _GradientDescent(Estimator, StandardizerMixin):
                 margins = Xz[rows] @ w
                 grad = Xz[rows].T @ self._dloss_dmargin(margins, y[rows]) / rows.size
                 w = w - self.learning_rate * grad
-            history.append(self._loss(Xz @ w, y))
         self.weights_ = w
-        self.loss_history_ = np.array(history)
         return self
 
     def _margins(self, X) -> np.ndarray:
@@ -121,9 +114,6 @@ class LogisticClassifier(_GradientDescent):
 
     def _check_targets(self, y):
         return check_class_labels(y)
-
-    def _loss(self, margins, y):
-        return float(np.logaddexp(0.0, -y * margins).mean())
 
     def _dloss_dmargin(self, margins, y):
         # d/dm log(1 + exp(-y m)) = -y * sigmoid(-y m); tanh form avoids overflow
@@ -145,9 +135,6 @@ class SGDClassifier(_GradientDescent):
     def _check_targets(self, y):
         return check_class_labels(y)
 
-    def _loss(self, margins, y):
-        return float(np.maximum(0.0, 1.0 - y * margins).mean())
-
     def _dloss_dmargin(self, margins, y):
         return np.where(y * margins < 1.0, -y, 0.0)
 
@@ -160,9 +147,6 @@ class SGDClassifier(_GradientDescent):
 
 class SGDRegressor(_GradientDescent):
     """Squared-loss linear regressor trained with mini-batch gradient descent."""
-
-    def _loss(self, margins, y):
-        return float(0.5 * np.mean((margins - y) ** 2))
 
     def _dloss_dmargin(self, margins, y):
         return margins - y

@@ -27,7 +27,7 @@ from .metrics import ClassifierReport
 from .models import ALL_KINDS, CLASSIFIER, ModelKind, ModelSpec, coerce_kind
 from .trading import CostModel, EquityCurve
 from .tuner import TunerConfig, TunerResult, run_study
-from .walkforward import WalkForwardConfig
+from .walkforward import WalkForwardConfig, check_threshold
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +76,35 @@ class DataSource:
             raise ConfigError("fetch range requires start < end")
 
 
+_SPLIT_KEYS = ("train_start", "backtest_start", "forward_start", "forward_end")
+_OPEN_ENDS = ("train_start", "forward_end")  # null stretches the segment to the data's edge
+
+
+def _reject_unknown(block: str, raw: dict, known) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+
+
+def _source_from_dict(raw: dict) -> DataSource:
+    _reject_unknown("data", raw, [f.name for f in dataclasses.fields(DataSource)])
+    if "fetch" not in raw:
+        return DataSource(csv_path=raw.get("csv_path"))
+    return DataSource(
+        csv_path=raw.get("csv_path"),
+        fetch=FetchConfig(**raw["fetch"]),
+        symbol=raw.get("symbol", ""),
+        start=parse_instant(raw["start"]),
+        end=parse_instant(raw["end"]),
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One run. The fields are the config schema: each one is a top-level key
+    of the same name, except the four split bounds, which sit under "split".
+    """
+
     data: DataSource
     interval: int = 86400
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
@@ -97,16 +124,24 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.models:
-            raise ConfigError("at least one model is required")
-        if not self.windows or any(w < 1 for w in self.windows):
-            raise ConfigError("windows must be positive integers")
+        if not self.models or not self.windows:
+            raise ConfigError("at least one model and one window are required")
+        for name in ("models", "windows"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} has duplicate entries")
         if self.interval < 1:
             raise ConfigError("interval must be >= 1 second")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.tuner_trials is not None and self.tuner_trials < 1:
-            raise ConfigError("tuner trials must be >= 1")
+        try:  # the rules of the objects each job builds from these fields
+            for window in self.windows:
+                WalkForwardConfig(window, self.mode, self.retrain_stride)
+            CostModel(self.fee_bps)
+            check_threshold(self.dead_band)
+            if self.tuner_trials is not None:
+                TunerConfig(self.tuner_trials)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def periods_per_year(self) -> float:
@@ -125,34 +160,15 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        data: dict = {"interval": self.interval}
-        if self.data.csv_path is not None:
-            data["data"] = {"csv_path": self.data.csv_path}
+        out = dataclasses.asdict(self)
+        out["split"] = {name: out.pop(name) for name in _SPLIT_KEYS}
+        out["models"] = [k.value for k in self.models]
+        out["windows"] = list(self.windows)
+        if self.data.fetch is None:
+            out["data"] = {"csv_path": self.data.csv_path}
         else:
-            data["data"] = {
-                "fetch": dataclasses.asdict(self.data.fetch),
-                "symbol": self.data.symbol,
-                "start": self.data.start,
-                "end": self.data.end,
-            }
-        data["indicators"] = dataclasses.asdict(self.indicators)
-        data["split"] = {
-            "train_start": self.train_start,
-            "backtest_start": self.backtest_start,
-            "forward_start": self.forward_start,
-            "forward_end": self.forward_end,
-        }
-        data["models"] = [k.value for k in self.models]
-        data["windows"] = list(self.windows)
-        data["mode"] = self.mode
-        data["retrain_stride"] = self.retrain_stride
-        data["fee_bps"] = self.fee_bps
-        data["dead_band"] = self.dead_band
-        data["tuner_trials"] = self.tuner_trials
-        data["seed"] = self.seed
-        data["out_dir"] = self.out_dir
-        data["jobs"] = self.jobs
-        return data
+            del out["data"]["csv_path"]
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -163,52 +179,20 @@ class RunConfig:
 
     @classmethod
     def _from_dict(cls, raw: dict) -> "RunConfig":
-        known = {
-            "data", "interval", "indicators", "split", "models", "windows", "mode",
-            "retrain_stride", "fee_bps", "dead_band", "tuner_trials", "seed", "out_dir", "jobs",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data_raw = raw.get("data") or {}
-        if "fetch" in data_raw:
-            source = DataSource(
-                fetch=FetchConfig(**data_raw["fetch"]),
-                symbol=data_raw.get("symbol", ""),
-                start=parse_instant(data_raw["start"]),
-                end=parse_instant(data_raw["end"]),
-            )
-        else:
-            source = DataSource(csv_path=data_raw.get("csv_path"))
+        flat = {f.name for f in dataclasses.fields(cls)} - set(_SPLIT_KEYS)
+        _reject_unknown("config", raw, flat | {"split"})
         split_raw = raw.get("split") or {}
-        models_raw = raw.get("models", "all")
-        if models_raw == "all" or models_raw == ["all"]:
-            models = ALL_KINDS
-        else:
-            models = tuple(coerce_kind(m) for m in models_raw)
-        kwargs = dict(
-            data=source,
-            interval=raw.get("interval", 86400),
-            indicators=IndicatorConfig(**(raw.get("indicators") or {})),
-            models=models,
-            windows=tuple(raw.get("windows", DEFAULT_WINDOWS)),
-            mode=raw.get("mode", "trailing"),
-            retrain_stride=raw.get("retrain_stride", 1),
-            fee_bps=raw.get("fee_bps", 0.0),
-            dead_band=raw.get("dead_band", 0.0),
-            tuner_trials=raw.get("tuner_trials"),
-            seed=raw.get("seed", 0),
-            out_dir=raw.get("out_dir", "runs"),
-            jobs=raw.get("jobs", 1),
-        )
-        for name in ("train_start", "forward_end"):
-            if split_raw.get(name) is not None:
-                kwargs[name] = parse_instant(split_raw[name])
-            elif name in split_raw:
-                kwargs[name] = None
-        for name in ("backtest_start", "forward_start"):
-            if name in split_raw:
-                kwargs[name] = parse_instant(split_raw[name])
+        _reject_unknown("split", split_raw, _SPLIT_KEYS)
+        kwargs = {name: value for name, value in raw.items() if name != "split"}
+        kwargs["data"] = _source_from_dict(raw.get("data") or {})
+        kwargs["indicators"] = IndicatorConfig(**(raw.get("indicators") or {}))
+        for name, value in split_raw.items():
+            kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
+        if "models" in raw:
+            models = raw["models"]
+            kwargs["models"] = ALL_KINDS if models in ("all", ["all"]) else tuple(coerce_kind(m) for m in models)
+        if "windows" in raw:
+            kwargs["windows"] = tuple(raw["windows"])
         return cls(**kwargs)
 
     @classmethod
@@ -286,6 +270,30 @@ def _job_seed(master: int, kind: ModelKind, window: int, salt: int) -> int:
     return _derive_seed(master, ALL_KINDS.index(kind), window, salt)
 
 
+def tune_job(
+    config: RunConfig,
+    dataset: LabeledDataset,
+    seg: SegmentSplit,
+    kind: ModelKind,
+    window: int,
+    seed: int,
+) -> TunerResult:
+    """The study of one (model, window): config.tuner_trials trials from the
+    study seed, under the run's fee, mode, retrain stride, dead band and interval."""
+    return run_study(
+        kind,
+        window,
+        dataset,
+        seg,
+        CostModel(config.fee_bps),
+        TunerConfig(config.tuner_trials, seed=seed),
+        mode=config.mode,
+        retrain_stride=config.retrain_stride,
+        dead_band=config.dead_band,
+        periods_per_year=config.periods_per_year,
+    )
+
+
 def _evaluate_job(
     config: RunConfig,
     dataset: LabeledDataset,
@@ -300,18 +308,7 @@ def _evaluate_job(
 
     params: dict = {}
     if config.tuner_trials is not None:
-        study = run_study(
-            kind,
-            window,
-            dataset,
-            seg,
-            cost,
-            TunerConfig(config.tuner_trials, seed=_job_seed(config.seed, kind, window, 0)),
-            mode=config.mode,
-            retrain_stride=config.retrain_stride,
-            dead_band=config.dead_band,
-            periods_per_year=config.periods_per_year,
-        )
+        study = tune_job(config, dataset, seg, kind, window, _job_seed(config.seed, kind, window, 0))
         params = study.best.params
         result["trials"] = study
 

@@ -31,10 +31,10 @@ class WalkForwardConfig:
     retrain_stride: int = 1
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.retrain_stride < 1:
-            raise ValueError("retrain_stride must be >= 1")
+        for name in ("window", "retrain_stride"):  # both index rows
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.mode not in (TRAILING, GLOBAL):
             raise ValueError(f"mode must be {TRAILING!r} or {GLOBAL!r}")
 
@@ -134,6 +134,12 @@ def run_walkforward(
     )
 
 
+def check_threshold(threshold: float) -> None:
+    """The regressor dead band must be >= 0."""
+    if threshold < 0:
+        raise ValueError(f"dead-band threshold must be >= 0, got {threshold}")
+
+
 def signal_from_predictions(
     preds: PredictionSeries,
     task: str | None = None,
@@ -149,8 +155,7 @@ def signal_from_predictions(
         task = preds.task
     if task != preds.task:
         raise ValueError(f"prediction series is {preds.task}, not {task}")
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    check_threshold(threshold)
 
     if task == CLASSIFIER:
         if threshold != 0.0:

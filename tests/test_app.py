@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantroll.candles import serialize_candles_csv
-from quantroll.errors import MixedTasks, UnknownSelector
+from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
 from quantroll.metrics import ClassifierReport, RegressorReport
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
 from quantroll.run import RunConfig, export_equity, parse_instant, run_experiment
@@ -66,6 +66,73 @@ class TestRunConfig:
     def test_model_all_expansion(self, csv_path, tmp_path):
         raw = config_dict(csv_path, tmp_path, models="all")
         assert len(RunConfig.from_dict(raw).models) == 18
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"split": {**SPLIT, "forward_strat": T0}}, r"unknown split keys: \['forward_strat'\]"),
+            ({"data": {"csv_path": "c.csv", "path": "c.csv"}}, r"unknown data keys: \['path'\]"),
+            ({"indicators": {"mfi_periods": 14}}, "mfi_periods"),
+            ({"mode": "bogus"}, "mode must be"),
+            ({"retrain_stride": 0}, "retrain_stride must be an integer >= 1"),
+            ({"fee_bps": -1.0}, "fee_bps must be >= 0"),
+            ({"dead_band": -0.001}, "dead-band threshold must be >= 0"),
+            ({"tuner_trials": 0}, "n_trials must be >= 1"),
+            ({"models": ["knn_c", "knn_c"]}, "models has duplicate entries"),
+            ({"windows": [7, 7]}, "windows has duplicate entries"),
+            ({"windows": [0]}, "window must be an integer >= 1"),
+            ({"windows": [7.5]}, "window must be an integer >= 1, got 7.5"),
+        ],
+        ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
+             "duplicate-model", "duplicate-window", "window", "fractional-window"],
+    )
+    def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(config_dict(csv_path, tmp_path, **overrides))
+
+    def test_snapshot_literal(self):
+        raw = {
+            "data": {"csv_path": "clean.csv"},
+            "split": {"train_start": None, "backtest_start": "2023-02-01",
+                      "forward_start": "2023-08-01", "forward_end": "2023-11-01"},
+            "seed": 7,
+        }
+        assert RunConfig.from_dict(raw).to_dict() == {
+            "data": {"csv_path": "clean.csv"},
+            "interval": 86400,
+            "indicators": {"mfi_period": 14, "bb_period": 20, "bb_k": 2.0, "kc_ema_period": 20,
+                           "kc_atr_period": 10, "kc_mult": 2.0, "sar_af_start": 0.02,
+                           "sar_af_step": 0.02, "sar_af_max": 0.2},
+            "split": {"train_start": None, "backtest_start": 1675209600,
+                      "forward_start": 1690848000, "forward_end": 1698796800},
+            "models": ["logistic_c", "ridge_c", "perceptron_c", "sgd_c", "knn_c", "bernoulli_nb_c",
+                       "decision_tree_c", "extra_tree_c", "random_forest_c", "bagging_c",
+                       "ols_r", "ridge_r", "sgd_r", "knn_r", "decision_tree_r", "extra_tree_r",
+                       "random_forest_r", "bagging_r"],
+            "windows": [1, 7, 14, 21, 28],
+            "mode": "trailing",
+            "retrain_stride": 1,
+            "fee_bps": 0.0,
+            "dead_band": 0.0,
+            "tuner_trials": None,
+            "seed": 7,
+            "out_dir": "runs",
+            "jobs": 1,
+        }
+
+    def test_fetch_snapshot_round_trip(self):
+        raw = {
+            "data": {"fetch": {"base_url": "http://localhost:1", "path_template": "/c?s={start}"},
+                     "symbol": "BTCUSD", "start": "2013-01-01", "end": "2023-11-01"},
+            "models": ["knn_c"],
+        }
+        config = RunConfig.from_dict(raw)
+        assert config.to_dict()["data"] == {
+            "fetch": {"base_url": "http://localhost:1", "path_template": "/c?s={start}", "page_limit": 1000,
+                      "max_retries": 3, "retry_backoff": 1.0},
+            "symbol": "BTCUSD", "start": 1356998400, "end": 1698796800,
+        }
+        assert RunConfig.from_dict(config.to_dict()) == config
 
 
 class TestRunExperiment:
@@ -308,6 +375,12 @@ class TestCli:
         path.write_text(serialize_candles_csv(gapped), encoding="utf-8")
         assert self.run_cli("ingest", "--csv", str(path), "--interval", str(DAY)) == 2
 
+    def test_ingest_timestamp_overflow_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("timestamp,open,high,low,close,volume\n99999999999999999999,1,2,1,2,5\n", encoding="utf-8")
+        assert self.run_cli("ingest", "--csv", str(path), "--interval", str(DAY)) == 2
+        assert "line 2: timestamp '99999999999999999999' is outside the int64 range" in capsys.readouterr().err
+
     def test_ingest_missing_csv_exit_2(self, tmp_path):
         assert self.run_cli("ingest", "--csv", str(tmp_path / "missing.csv"), "--interval", str(DAY)) == 2
 
@@ -333,6 +406,26 @@ class TestCli:
 
     def test_missing_config_exit_1(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "missing.json")) == 1
+
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({"split": {**SPLIT, "forward_strat": T0}}, []),
+            ({"data": {"csv_path": "c.csv", "path": "c.csv"}}, []),
+            ({"mode": "bogus"}, []),
+            ({"fee_bps": -1.0}, []),
+            ({"windows": [7, 7]}, []),
+            ({}, ["--fee-bps", "-1"]),
+            ({}, ["--windows", "7,14,7"]),
+        ],
+        ids=["split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag"],
+    )
+    def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, overrides, flags):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(csv_path, tmp_path / "runs", **overrides)), encoding="utf-8")
+        assert self.run_cli("run", "--config", str(cfg), *flags) == 1
+        assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_model_override_exit_1(self, csv_path, tmp_path):
         cfg = tmp_path / "config.json"

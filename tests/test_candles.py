@@ -72,6 +72,12 @@ class TestParseCsv:
         text = HEADER.replace("\n", "\r\n") + "1700000000,100,110,90,105,5\r\n"
         assert len(parse_candles_csv(text, DAY)) == 1
 
+    @pytest.mark.parametrize("stamp", ["99999999999999999999", "-9223372036854775809", "1e20"], ids=["int-above", "int-below", "float-above"])
+    def test_timestamp_outside_int64(self, stamp):
+        text = HEADER + "1700000000,100,110,90,105,5\n" + f"{stamp},100,110,90,105,5\n"
+        with pytest.raises(MalformedRow, match=rf"^line 3: timestamp '{stamp}' is outside the int64 range"):
+            parse_candles_csv(text, DAY)
+
     def test_error_names_file_line_not_sorted_position(self):
         # Line 4 holds the earliest timestamp, so it sorts first; line 5 breaks a rule too.
         text = HEADER + (
@@ -295,6 +301,15 @@ class TestFetch:
         candle_stub.reset(overlap=True)
         candle_stub.set_rows(rows)
         with pytest.raises(MalformedPayload, match="non-numeric candle row"):
+            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
+
+    @pytest.mark.parametrize("stamp", [-(1 << 63) - 1, -1e20], ids=["int-below", "float-below"])
+    def test_timestamp_outside_int64_in_page(self, candle_stub, stamp):
+        rows = _rows(3)
+        rows[0][0] = stamp  # sorts before start; the stub repeats it at the head of the first page
+        candle_stub.reset(overlap=True)
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload, match="timestamp is outside the int64 range"):
             fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
 
     def test_deterministic(self, candle_stub):

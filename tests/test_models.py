@@ -84,19 +84,32 @@ class TestLinear:
 
 
 class TestGradientDescent:
+    @staticmethod
+    def epoch_losses(cls, loss, X, y, epochs=60):
+        """Full-set loss after each epoch: the fit with epochs=k draws the same
+        first k permutations as a longer fit, so its weights are epoch k's."""
+        losses = []
+        for k in range(1, epochs + 1):
+            est = cls(learning_rate=0.05, epochs=k, batch_size=2, seed=0).fit(X, y)
+            losses.append(loss(est._margins(X), y))
+        return np.array(losses)
+
     @pytest.mark.parametrize("cls", [LogisticClassifier, SGDClassifier])
     def test_monotone_loss_classifiers(self, cls):
         X = np.array([[0.0], [1.0]])
         y = np.array([DOWN, UP], dtype=np.float64)
-        est = cls(learning_rate=0.05, epochs=60, batch_size=2, seed=0).fit(X, y)
-        diffs = np.diff(est.loss_history_)
+        loss = {
+            LogisticClassifier: lambda m, y: float(np.logaddexp(0.0, -y * m).mean()),
+            SGDClassifier: lambda m, y: float(np.maximum(0.0, 1.0 - y * m).mean()),
+        }[cls]
+        diffs = np.diff(self.epoch_losses(cls, loss, X, y))
         assert (diffs <= 1e-12).all()
 
     def test_monotone_loss_regressor(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([-0.01, 0.02])
-        est = SGDRegressor(learning_rate=0.05, epochs=60, batch_size=2, seed=0).fit(X, y)
-        assert (np.diff(est.loss_history_) <= 1e-12).all()
+        losses = self.epoch_losses(SGDRegressor, lambda m, y: float(0.5 * np.mean((m - y) ** 2)), X, y)
+        assert (np.diff(losses) <= 1e-12).all()
 
     def test_logistic_learns_separable(self):
         X, y_class, _ = blob_data(40, seed=3)
