@@ -142,14 +142,19 @@ class RunConfig:
                 TunerConfig(self.tuner_trials)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        self._segments(self.backtest_start - 1, self.forward_start + 1)  # the bounds' order, before any data is read
 
     @property
     def periods_per_year(self) -> float:
         return SECONDS_PER_YEAR / self.interval
 
     def segment_split(self, series: CandleSeries) -> SegmentSplit:
-        t0 = self.train_start if self.train_start is not None else int(series.timestamps[0])
-        t_end = self.forward_end if self.forward_end is not None else int(series.timestamps[-1]) + 1
+        return self._segments(int(series.timestamps[0]), int(series.timestamps[-1]) + 1)
+
+    def _segments(self, first: int, end: int) -> SegmentSplit:
+        """The split, with an open train start or forward end taken as first or end."""
+        t0 = self.train_start if self.train_start is not None else first
+        t_end = self.forward_end if self.forward_end is not None else end
         try:
             return SegmentSplit(
                 train=(t0, self.backtest_start),

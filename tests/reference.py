@@ -6,6 +6,8 @@ hide in a shared helper.
 """
 import math
 
+import numpy as np
+
 NAN = float("nan")
 
 
@@ -223,3 +225,171 @@ def ref_simulate(positions, simple_returns, fee_bps):
         equity.append(total)
         prev = pos
     return equity, trades
+
+
+# --- CART trees and forests -------------------------------------------------
+#
+# A recursive, one-node-at-a-time CART grower: the oracle for the batched
+# flat-array forests. Unlike the references above it uses numpy, because the
+# property it pins is bit identity: plain Python sums would round differently
+# from the numpy reductions both sides share.
+
+UP, DOWN = 1, -1
+
+
+def ref_impurity(y, criterion):
+    if y.size == 0:
+        return 0.0
+    if criterion == "gini":
+        p_up = float(np.count_nonzero(y == UP)) / y.size
+        return 1.0 - p_up * p_up - (1.0 - p_up) * (1.0 - p_up)
+    return float(np.var(y))
+
+
+def ref_scan_exhaustive(X, y, criterion, parent, min_leaf, features):
+    n = X.shape[0]
+    Xf = X[:, features]
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    ys = y[order]
+    boundary = xs[1:] != xs[:-1]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    valid = boundary & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    if criterion == "gini":
+        up_left = np.cumsum(ys == UP, axis=0)[:-1].astype(np.float64)
+        p_l = up_left / n_left
+        p_r = (float(np.count_nonzero(y == UP)) - up_left) / n_right
+        child = n_left * (2.0 * p_l * (1.0 - p_l)) + n_right * (2.0 * p_r * (1.0 - p_r))
+    else:
+        yc = ys - y.mean()
+        s = np.cumsum(yc, axis=0)
+        s2 = np.cumsum(yc * yc, axis=0)
+        s_tot, s2_tot = s[-1], s2[-1]
+        s, s2 = s[:-1], s2[:-1]
+        var_l = np.maximum(s2 / n_left - (s / n_left) ** 2, 0.0)
+        var_r = np.maximum((s2_tot - s2) / n_right - ((s_tot - s) / n_right) ** 2, 0.0)
+        child = n_left * var_l + n_right * var_r
+    decrease = parent - child / n
+    decrease[~valid] = -np.inf
+    flat = int(np.argmax(decrease.T))
+    col, pos = divmod(flat, n - 1)
+    best = float(decrease[pos, col])
+    if best <= 0.0:
+        return None
+    lo, hi = xs[pos, col], xs[pos + 1, col]
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:
+        threshold = lo
+    return int(features[col]), float(threshold)
+
+
+def ref_random_split(X, y, criterion, parent, min_leaf, rng, features):
+    best = None
+    for f in features:
+        x = X[:, f]
+        lo, hi = x.min(), x.max()
+        if lo == hi:
+            continue
+        threshold = float(rng.uniform(lo, hi))
+        mask = x <= threshold
+        n_l = int(np.count_nonzero(mask))
+        n_r = x.size - n_l
+        if n_l < min_leaf or n_r < min_leaf:
+            continue
+        child = n_l * ref_impurity(y[mask], criterion) + n_r * ref_impurity(y[~mask], criterion)
+        decrease = parent - child / x.size
+        if decrease > 0.0 and (best is None or decrease > best[2]):
+            best = (int(f), threshold, float(decrease))
+    return None if best is None else best[:2]
+
+
+class RefNode:
+    def __init__(self, feature=-1, threshold=0.0, left=None, right=None, value=0.0, label=0):
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+        self.value, self.label = value, label
+
+
+def _ref_leaf(y, criterion):
+    if criterion == "gini":
+        up_share = float(np.count_nonzero(y == UP)) / y.size
+        return RefNode(value=up_share, label=UP if up_share > 0.5 else DOWN)
+    return RefNode(value=float(y.mean()))
+
+
+def ref_grow(X, y, depth, rng, criterion, random_split, max_depth, min_leaf, max_features):
+    """Recursive left-first CART growth; returns the root RefNode."""
+    n = X.shape[0]
+    if n < 2 or n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
+        return _ref_leaf(y, criterion)
+    parent = ref_impurity(y, criterion)
+    if parent == 0.0:
+        return _ref_leaf(y, criterion)
+    features = np.arange(X.shape[1])
+    if max_features is not None and max_features < X.shape[1]:
+        features = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
+    if random_split:
+        found = ref_random_split(X, y, criterion, parent, min_leaf, rng, features)
+    else:
+        found = ref_scan_exhaustive(X, y, criterion, parent, min_leaf, features)
+    if found is None:
+        return _ref_leaf(y, criterion)
+    feature, threshold = found
+    mask = X[:, feature] <= threshold
+    args = (depth + 1, rng, criterion, random_split, max_depth, min_leaf, max_features)
+    return RefNode(feature, threshold, ref_grow(X[mask], y[mask], *args), ref_grow(X[~mask], y[~mask], *args))
+
+
+def ref_leaf_for(root, x):
+    node = root
+    while node.left is not None:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node
+
+
+def ref_tree_kind(kind, X, y, Xq, params, seed):
+    """(predict, decision_function or None) of one tree or forest kind, fitted the recursive way.
+
+    y holds +1/-1 labels for the _c kinds. params are the kind's
+    hyperparameters as the estimators take them.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    Xq = np.asarray(Xq, dtype=np.float64)
+    criterion = "gini" if kind.endswith("_c") else "variance"
+    max_depth = params.get("max_depth")
+    min_leaf = params.get("min_samples_leaf", 1)
+    if kind.startswith(("decision_tree", "extra_tree")):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        roots = [ref_grow(X, y, 0, rng, criterion, kind.startswith("extra"), max_depth, min_leaf, None)]
+    else:
+        setting = params.get("max_features", "all")
+        width = X.shape[1]
+        max_features = {
+            "all": None, "sqrt": max(1, int(np.sqrt(width))), "log2": max(1, int(np.log2(width))),
+        }[setting]
+        roots = []
+        for i in range(params.get("n_members", 25)):
+            rng = np.random.default_rng(np.random.PCG64(seed + i))
+            if params.get("bootstrap", True):
+                idx = rng.integers(0, X.shape[0], size=X.shape[0])
+                Xs, ys = X[idx], y[idx]
+            else:
+                Xs, ys = X, y
+            roots.append(ref_grow(Xs, ys, 0, rng, criterion, False, max_depth, min_leaf, max_features))
+    if len(roots) == 1 and kind.startswith(("decision_tree", "extra_tree")):
+        leaves = [ref_leaf_for(roots[0], row) for row in Xq]
+        if criterion == "gini":
+            return (
+                np.array([leaf.label for leaf in leaves], dtype=np.int8),
+                np.array([leaf.value - 0.5 for leaf in leaves]),
+            )
+        return np.array([leaf.value for leaf in leaves]), None
+    if criterion == "gini":
+        votes = np.stack([np.array([ref_leaf_for(r, row).label for row in Xq], dtype=np.int8) for r in roots])
+        scores = votes.astype(np.float64).mean(axis=0) / 2.0
+        return np.where(scores > 0, UP, DOWN).astype(np.int8), scores
+    values = np.stack([np.array([ref_leaf_for(r, row).value for row in Xq]) for r in roots])
+    return values.mean(axis=0), None

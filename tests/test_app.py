@@ -427,6 +427,14 @@ class TestCli:
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_split_order_checked_before_data(self, tmp_path, capsys):
+        split = {**SPLIT, "backtest_start": SPLIT["forward_start"] + DAY}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(tmp_path / "missing.csv", tmp_path / "runs", split=split)), encoding="utf-8")
+        assert self.run_cli("run", "--config", str(cfg)) == 1
+        assert "configuration error: backtest range" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_bad_model_override_exit_1(self, csv_path, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config_dict(csv_path, tmp_path)), encoding="utf-8")

@@ -279,7 +279,7 @@ class TestForests:
     def test_split_vote_resolves_down(self):
         X, y_class, _ = blob_data(40, seed=20)
         model = fit(ModelSpec("bagging_c", {"n_members": 2, "max_depth": 1}, seed=8), X, y_class)
-        votes = np.stack([tree.predict(X) for tree in model.estimator.members_])
+        votes = model.estimator.member_predictions(X)
         split = np.nonzero(votes.sum(axis=0) == 0)[0]
         assert split.size > 0
         for i in split:
