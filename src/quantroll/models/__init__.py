@@ -7,6 +7,7 @@ top of numpy; stochastic ones draw every random number from the spec seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from ..direction import DOWN, UP
 from ..errors import KindMismatch, NonFiniteInput, ParamError, WidthMismatch
-from .base import Estimator, check_fit_inputs, check_class_labels
+from .base import Estimator, check_fit_inputs, class_label_set
 from .ensemble import (
     BaggingClassifier,
     BaggingRegressor,
@@ -157,8 +158,7 @@ def fit(spec: ModelSpec, X, y) -> TrainedModel:
     """
     X, y = check_fit_inputs(X, y)
     task = spec.task
-    if task == CLASSIFIER:
-        y = check_class_labels(y).astype(np.float64)
+    labels = class_label_set(y) if task == CLASSIFIER else set()
 
     estimator: Estimator
     if X.shape[0] < 2:
@@ -166,7 +166,7 @@ def fit(spec: ModelSpec, X, y) -> TrainedModel:
             estimator = ConstantClassifier(int(y[0])).fit(X, y)
         else:
             estimator = ConstantRegressor(float(y.mean())).fit(X, y)
-    elif task == CLASSIFIER and np.unique(y).size == 1:
+    elif len(labels) == 1:
         estimator = ConstantClassifier(int(y[0])).fit(X, y)
     else:
         estimator = build_estimator(spec).fit(X, y)
@@ -179,7 +179,7 @@ def _check_vector(model: TrainedModel, x) -> np.ndarray:
         raise WidthMismatch(f"expected a feature vector, got shape {x.shape}")
     if x.size != model.feature_width:
         raise WidthMismatch(f"expected {model.feature_width} features, got {x.size}")
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x.tolist())):
         raise NonFiniteInput("feature vector contains non-finite entries")
     return x
 

@@ -7,6 +7,7 @@ pulling that library in as a dependency.
 """
 from __future__ import annotations
 
+import functools
 import inspect
 
 import numpy as np
@@ -19,9 +20,10 @@ class Estimator:
     """Base class exposing hyperparameters via get_params/set_params."""
 
     @classmethod
-    def _param_names(cls) -> list[str]:
+    @functools.cache
+    def _param_names(cls) -> tuple[str, ...]:
         sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+        return tuple(name for name in sig.parameters if name != "self")
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -62,10 +64,16 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_class_labels(y: np.ndarray) -> np.ndarray:
+def class_label_set(y: np.ndarray) -> set[float]:
+    """The distinct labels of y, which must all be +1/-1."""
     labels = set(np.unique(y).tolist())
     if not labels <= {float(UP), float(DOWN)}:
         raise ValueError(f"classification targets must be +1/-1, got {sorted(labels)}")
+    return labels
+
+
+def check_class_labels(y: np.ndarray) -> np.ndarray:
+    class_label_set(y)
     return y.astype(np.int8)
 
 

@@ -8,7 +8,10 @@ from .base import Estimator, StandardizerMixin, check_fit_inputs, check_class_la
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(X.shape[0]), X])
+    Xa = np.empty((X.shape[0], X.shape[1] + 1))
+    Xa[:, 0] = 1.0
+    Xa[:, 1:] = X
+    return Xa
 
 
 def _solve_normal_equations(X_aug: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -69,7 +72,9 @@ class RidgeClassifier(Estimator):
 class _GradientDescent(Estimator, StandardizerMixin):
     """Mini-batch gradient descent over standardized features.
 
-    Subclasses define the derivative of the per-margin loss.
+    Each epoch draws one seeded permutation of the rows; the mini-batches are
+    consecutive slices of it. Subclasses define the derivative of the
+    per-margin loss in terms of a per-row target factor.
     """
 
     def __init__(self, learning_rate: float = 0.01, epochs: int = 100, batch_size: int = 32, seed: int = 0):
@@ -78,27 +83,32 @@ class _GradientDescent(Estimator, StandardizerMixin):
         self.batch_size = batch_size
         self.seed = seed
 
-    def _dloss_dmargin(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _check_targets(self, y: np.ndarray) -> np.ndarray:
+    def _target_factor(self, y: np.ndarray) -> np.ndarray:
+        """Check the targets; return the per-row factor `_dloss_dmargin` reads."""
         return y
+
+    def _dloss_dmargin(self, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def fit(self, X, y) -> "_GradientDescent":
         X, y = check_fit_inputs(X, y)
-        self._check_targets(y)
+        t = self._target_factor(y)
         Xz = _augment(self._fit_scaler(X))
         n, width = Xz.shape
         w = np.zeros(width)
         rng = np.random.default_rng(np.random.PCG64(self.seed))
         batch = min(self.batch_size, n)
+        # Each epoch gathers its permutation into Xo/to once; the batch views
+        # into them are made once per fit.
+        Xo, to = np.empty_like(Xz), np.empty_like(t)
+        batches = [(Xo[s : s + batch], to[s : s + batch], float(min(batch, n - s))) for s in range(0, n, batch)]
+        dloss, lr = self._dloss_dmargin, self.learning_rate
         for _ in range(self.epochs):
             order = rng.permutation(n)
-            for start in range(0, n, batch):
-                rows = order[start : start + batch]
-                margins = Xz[rows] @ w
-                grad = Xz[rows].T @ self._dloss_dmargin(margins, y[rows]) / rows.size
-                w = w - self.learning_rate * grad
+            np.take(Xz, order, axis=0, out=Xo)
+            np.take(t, order, out=to)
+            for Xb, tb, size in batches:
+                w = w - lr * (Xb.T @ dloss(Xb @ w, tb) / size)
         self.weights_ = w
         return self
 
@@ -112,12 +122,13 @@ class LogisticClassifier(_GradientDescent):
     def __init__(self, learning_rate: float = 0.1, epochs: int = 100, batch_size: int = 32, seed: int = 0):
         super().__init__(learning_rate, epochs, batch_size, seed)
 
-    def _check_targets(self, y):
-        return check_class_labels(y)
+    def _target_factor(self, y):
+        check_class_labels(y)
+        return 0.5 * y
 
-    def _dloss_dmargin(self, margins, y):
+    def _dloss_dmargin(self, margins, half_y):
         # d/dm log(1 + exp(-y m)) = -y * sigmoid(-y m); tanh form avoids overflow
-        return -y * 0.5 * (1.0 - np.tanh(0.5 * y * margins))
+        return -half_y * (1.0 - np.tanh(half_y * margins))
 
     def predict_proba_up(self, X) -> np.ndarray:
         return 0.5 * (1.0 + np.tanh(0.5 * self._margins(X)))
@@ -132,11 +143,13 @@ class LogisticClassifier(_GradientDescent):
 class SGDClassifier(_GradientDescent):
     """Hinge-loss linear classifier trained with mini-batch gradient descent."""
 
-    def _check_targets(self, y):
-        return check_class_labels(y)
+    def _target_factor(self, y):
+        check_class_labels(y)
+        return -y
 
-    def _dloss_dmargin(self, margins, y):
-        return np.where(y * margins < 1.0, -y, 0.0)
+    def _dloss_dmargin(self, margins, neg_y):
+        # hinge: -y where y * m < 1, written on -y (negation is exact)
+        return np.where(neg_y * margins > -1.0, neg_y, 0.0)
 
     def decision_function(self, X) -> np.ndarray:
         return self._margins(X)
@@ -167,11 +180,12 @@ class PerceptronClassifier(Estimator):
         check_class_labels(y)
         Xa = _augment(X)
         w = np.zeros(Xa.shape[1])
+        rows = [(yi, xi, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]
         for _ in range(self.epochs):
             mistakes = 0
-            for i in range(Xa.shape[0]):
-                if y[i] * (Xa[i] @ w) <= 0:
-                    w = w + self.learning_rate * y[i] * Xa[i]
+            for yi, xi, update in rows:
+                if yi * (xi @ w) <= 0:
+                    w = w + update
                     mistakes += 1
             if mistakes == 0:
                 break

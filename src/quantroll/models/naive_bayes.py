@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..direction import UP
-from .base import Estimator, check_fit_inputs, check_class_labels, classify_from_scores
+from .base import Estimator, check_fit_inputs, class_label_set, classify_from_scores
 
 
 class BernoulliNBClassifier(Estimator):
@@ -20,10 +20,12 @@ class BernoulliNBClassifier(Estimator):
 
     def fit(self, X, y) -> "BernoulliNBClassifier":
         X, y = check_fit_inputs(X, y)
-        y = check_class_labels(y)
+        labels = class_label_set(y)
+        y = y.astype(np.int8)
         self.medians_ = np.median(X, axis=0)
         B = self._binarize(X)
-        self.classes_ = np.array(sorted(np.unique(y), reverse=True), dtype=np.int8)  # UP first
+        self.classes_ = np.array(sorted(labels, reverse=True), dtype=np.int8)  # UP first
+        self.up_column_ = list(self.classes_).index(UP) if UP in self.classes_ else None
         log_prior, log_p1, log_p0 = [], [], []
         for cls in self.classes_:
             rows = B[y == cls]
@@ -51,7 +53,7 @@ class BernoulliNBClassifier(Estimator):
         shifted = log_post - log_post.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, list(self.classes_).index(UP)] if UP in self.classes_ else np.zeros(log_post.shape[0])
+        return probs[:, self.up_column_] if self.up_column_ is not None else np.zeros(log_post.shape[0])
 
     def decision_function(self, X) -> np.ndarray:
         return self.predict_proba_up(X) - 0.5

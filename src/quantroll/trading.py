@@ -7,8 +7,6 @@ and one fee.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +56,8 @@ class EquityCurve:
         return int(self.equity.size)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("timestamp", "equity_fraction"))
-        for ts, eq in zip(self.timestamps, self.equity):
-            writer.writerow((int(ts), repr(float(eq))))
-        return out.getvalue()
+        rows = zip(self.timestamps.tolist(), self.equity.tolist())
+        return "timestamp,equity_fraction\n" + "".join("%d,%r\n" % row for row in rows)
 
 
 @dataclass(frozen=True)

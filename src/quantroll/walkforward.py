@@ -162,12 +162,10 @@ def signal_from_predictions(
             raise ValueError("dead-band threshold applies to regressors only")
         positions = preds.direction.astype(np.int8)
     else:
-        positions = np.zeros(len(preds), dtype=np.int8)
-        current = 0
-        for i, v in enumerate(preds.value):
-            if v > threshold:
-                current = 1
-            elif v < -threshold:
-                current = -1
-            positions[i] = current
+        # Forward-fill the sign of the last out-of-band value; row 0 stands in
+        # for "none yet", and its sign is 0 whenever it is in band.
+        value = preds.value
+        sign = (value > threshold).astype(np.int8) - (value < -threshold).astype(np.int8)
+        last = np.maximum.accumulate(np.where(sign != 0, np.arange(sign.size), 0))
+        positions = sign[last]
     return PositionSeries(preds.timestamps.copy(), positions)

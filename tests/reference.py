@@ -393,3 +393,89 @@ def ref_tree_kind(kind, X, y, Xq, params, seed):
         return np.where(scores > 0, UP, DOWN).astype(np.int8), scores
     values = np.stack([np.array([ref_leaf_for(r, row).value for row in Xq]) for r in roots])
     return values.mean(axis=0), None
+
+
+def ref_augment(X):
+    """Intercept column first, as np.column_stack builds it."""
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def ref_standardize_fit(X):
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    scale = np.where(std > 0, std, 1.0)
+    return (X - mean) / scale
+
+
+def ref_gd_weights(kind, X, y, learning_rate, epochs, batch_size, seed):
+    """Mini-batch GD as one gather of Xz[rows] and y[rows] per batch."""
+    dloss = {
+        "logistic_c": lambda m, y: -y * 0.5 * (1.0 - np.tanh(0.5 * y * m)),
+        "sgd_c": lambda m, y: np.where(y * m < 1.0, -y, 0.0),
+        "sgd_r": lambda m, y: m - y,
+    }[kind]
+    Xz = ref_augment(ref_standardize_fit(np.asarray(X, dtype=np.float64)))
+    y = np.asarray(y, dtype=np.float64)
+    n = Xz.shape[0]
+    w = np.zeros(Xz.shape[1])
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    batch = min(batch_size, n)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            rows = order[start : start + batch]
+            margins = Xz[rows] @ w
+            grad = Xz[rows].T @ dloss(margins, y[rows]) / rows.size
+            w = w - learning_rate * grad
+    return w
+
+
+def ref_perceptron_weights(X, y, learning_rate, epochs):
+    """Rosenblatt updates indexing Xa[i] and y[i] row by row."""
+    Xa = ref_augment(np.asarray(X, dtype=np.float64))
+    y = np.asarray(y, dtype=np.float64)
+    w = np.zeros(Xa.shape[1])
+    for _ in range(epochs):
+        mistakes = 0
+        for i in range(Xa.shape[0]):
+            if y[i] * (Xa[i] @ w) <= 0:
+                w = w + learning_rate * y[i] * Xa[i]
+                mistakes += 1
+        if mistakes == 0:
+            break
+    return w
+
+
+def ref_row_score(kind, est, x):
+    """One-row decision score (classifiers) or value (regressors) of a fitted
+    linear, GD or naive-Bayes estimator; None for the other kinds."""
+    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    if kind in ("ols_r", "ridge_r", "ridge_c", "perceptron_c"):
+        return float((ref_augment(row) @ est.weights_)[0])
+    if kind in ("logistic_c", "sgd_c", "sgd_r"):
+        m = ref_augment((row - est.scaler_mean_) / est.scaler_scale_) @ est.weights_
+        if kind == "logistic_c":
+            return float((0.5 * (1.0 + np.tanh(0.5 * m)) - 0.5)[0])
+        return float(m[0])
+    if kind == "bernoulli_nb_c":
+        B = (row > est.medians_).astype(np.float64)
+        log_post = est.log_prior_ + B @ est.log_p1_.T + (1.0 - B) @ est.log_p0_.T
+        if est.classes_.size == 1:
+            return (1.0 if est.classes_[0] == UP else 0.0) - 0.5
+        probs = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        return float(probs[0, list(est.classes_).index(UP)]) - 0.5
+    return None
+
+
+def ref_dead_band(values, threshold):
+    """Regressor positions: the sign of the last value outside the band, else 0."""
+    out = []
+    current = 0
+    for v in values:
+        if v > threshold:
+            current = 1
+        elif v < -threshold:
+            current = -1
+        out.append(current)
+    return out

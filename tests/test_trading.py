@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.errors import LengthMismatch
-from quantroll.trading import CostModel, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate
+from quantroll.trading import CostModel, EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate
 
 from .conftest import DAY, T0
 from .reference import ref_simulate
@@ -143,3 +143,17 @@ class TestTypes:
         lines = curve.to_csv().strip().split("\n")
         assert lines[0] == "timestamp,equity_fraction"
         assert len(lines) == 3
+
+    def test_equity_csv_literal_bytes(self):
+        equity = np.array([-0.0, 0.1 + 0.2, 1e-05, -1234.5, 1e16, 2.0 / 3.0])
+        ts = np.arange(equity.size, dtype=np.int64) * DAY + T0
+        curve = EquityCurve(ts, equity, np.zeros(equity.size))
+        expected = "timestamp,equity_fraction\n" + "".join(
+            f"{t},{text}\n"
+            for t, text in zip(
+                ts.tolist(),
+                ["-0.0", "0.30000000000000004", "1e-05", "-1234.5", "1e+16", "0.6666666666666666"],
+            )
+        )
+        assert curve.to_csv().encode("utf-8") == expected.encode("utf-8")
+        assert EquityCurve(ts[:0], equity[:0], equity[:0]).to_csv() == "timestamp,equity_fraction\n"

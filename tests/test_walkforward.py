@@ -20,6 +20,7 @@ from quantroll.walkforward import (
 )
 
 from .conftest import DAY, T0
+from .reference import ref_dead_band
 
 
 def make_dataset(n, class_target=None, reg_target=None, valid_from=0, seed=0):
@@ -260,6 +261,25 @@ class TestSignals:
         preds = preds_fixture("regressor", values=[0.02, 0.001, -0.001, -0.02, 0.002])
         positions = signal_from_predictions(preds, threshold=0.005)
         np.testing.assert_array_equal(positions.positions, [1, 1, 1, -1, -1])
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.005])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dead_band_matches_row_loop(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        values = rng.normal(0.0, 0.006, n)
+        edges = np.array([threshold, -threshold, np.nan, 0.0, -0.0])
+        picks = rng.random(n) < 0.3
+        values[picks] = rng.choice(edges, size=int(picks.sum()))
+        values[: int(rng.integers(0, 4))] = threshold / 2  # leading in-band rows
+        positions = signal_from_predictions(preds_fixture("regressor", values=values), threshold=threshold)
+        assert positions.positions.dtype == np.int8
+        assert positions.positions.tolist() == ref_dead_band(values.tolist(), threshold)
+
+    def test_dead_band_holds_at_edges_and_nan(self):
+        preds = preds_fixture("regressor", values=[0.005, 0.006, 0.005, np.nan, -0.005, -0.006, np.nan, 0.0])
+        positions = signal_from_predictions(preds, threshold=0.005)
+        np.testing.assert_array_equal(positions.positions, [0, 1, 1, 1, 1, -1, -1, -1])
 
     def test_threshold_rejected_for_classifiers(self):
         preds = preds_fixture("classifier", directions=[UP])
