@@ -12,10 +12,3 @@ _NAMES = {UP: "up", DOWN: "down"}
 
 def direction_name(d: int) -> str:
     return _NAMES[int(d)]
-
-
-def direction_from_name(name: str) -> int:
-    for value, label in _NAMES.items():
-        if label == name:
-            return value
-    raise ValueError(f"unknown direction {name!r}")

@@ -35,7 +35,7 @@ from .linear import (
 )
 from .naive_bayes import BernoulliNBClassifier
 from .neighbors import KNNClassifier, KNNRegressor
-from .spaces import Categorical, HyperParamSpace, IntRange, LogUniform, Uniform, default_space, validate_params
+from .spaces import RANGES, RULES, Categorical, HyperParamSpace, IntRange, LogUniform, Uniform
 from .tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -48,52 +48,35 @@ CLASSIFIER = "classifier"
 REGRESSOR = "regressor"
 
 
-class ModelKind(str, Enum):
-    LOGISTIC_C = "logistic_c"
-    RIDGE_C = "ridge_c"
-    PERCEPTRON_C = "perceptron_c"
-    SGD_C = "sgd_c"
-    KNN_C = "knn_c"
-    BERNOULLI_NB_C = "bernoulli_nb_c"
-    DECISION_TREE_C = "decision_tree_c"
-    EXTRA_TREE_C = "extra_tree_c"
-    RANDOM_FOREST_C = "random_forest_c"
-    BAGGING_C = "bagging_c"
-    OLS_R = "ols_r"
-    RIDGE_R = "ridge_r"
-    SGD_R = "sgd_r"
-    KNN_R = "knn_r"
-    DECISION_TREE_R = "decision_tree_r"
-    EXTRA_TREE_R = "extra_tree_r"
-    RANDOM_FOREST_R = "random_forest_r"
-    BAGGING_R = "bagging_r"
-
-
-# Only the estimator class is tabulated: task_of reads the kind's suffix,
-# display_name capitalizes its parts ("bernoulli_nb_c" -> "BernoulliNbC"), and
-# build_estimator passes the spec seed to every class whose constructor takes one.
-_REGISTRY: dict[ModelKind, type] = {
-    ModelKind.LOGISTIC_C: LogisticClassifier,
-    ModelKind.RIDGE_C: RidgeClassifier,
-    ModelKind.PERCEPTRON_C: PerceptronClassifier,
-    ModelKind.SGD_C: SGDClassifier,
-    ModelKind.KNN_C: KNNClassifier,
-    ModelKind.BERNOULLI_NB_C: BernoulliNBClassifier,
-    ModelKind.DECISION_TREE_C: DecisionTreeClassifier,
-    ModelKind.EXTRA_TREE_C: ExtraTreeClassifier,
-    ModelKind.RANDOM_FOREST_C: RandomForestClassifier,
-    ModelKind.BAGGING_C: BaggingClassifier,
-    ModelKind.OLS_R: OLSRegressor,
-    ModelKind.RIDGE_R: RidgeRegressor,
-    ModelKind.SGD_R: SGDRegressor,
-    ModelKind.KNN_R: KNNRegressor,
-    ModelKind.DECISION_TREE_R: DecisionTreeRegressor,
-    ModelKind.EXTRA_TREE_R: ExtraTreeRegressor,
-    ModelKind.RANDOM_FOREST_R: RandomForestRegressor,
-    ModelKind.BAGGING_R: BaggingRegressor,
+# The one per-kind table. Everything else is derived from it: ModelKind
+# enumerates its names; task_of reads the suffix; display_name capitalizes
+# the parts ("bernoulli_nb_c" -> "BernoulliNbC"); a kind's hyperparameters are
+# its class's constructor arguments less the seed, which build_estimator
+# passes from the spec to every class that takes one.
+_REGISTRY: dict[str, type] = {
+    "logistic_c": LogisticClassifier,
+    "ridge_c": RidgeClassifier,
+    "perceptron_c": PerceptronClassifier,
+    "sgd_c": SGDClassifier,
+    "knn_c": KNNClassifier,
+    "bernoulli_nb_c": BernoulliNBClassifier,
+    "decision_tree_c": DecisionTreeClassifier,
+    "extra_tree_c": ExtraTreeClassifier,
+    "random_forest_c": RandomForestClassifier,
+    "bagging_c": BaggingClassifier,
+    "ols_r": OLSRegressor,
+    "ridge_r": RidgeRegressor,
+    "sgd_r": SGDRegressor,
+    "knn_r": KNNRegressor,
+    "decision_tree_r": DecisionTreeRegressor,
+    "extra_tree_r": ExtraTreeRegressor,
+    "random_forest_r": RandomForestRegressor,
+    "bagging_r": BaggingRegressor,
 }
 
-ALL_KINDS = tuple(_REGISTRY)
+ModelKind = Enum("ModelKind", [(name.upper(), name) for name in _REGISTRY], type=str, module=__name__)
+
+ALL_KINDS = tuple(ModelKind)
 CLASSIFIER_KINDS = tuple(k for k in ALL_KINDS if k.value.endswith("_c"))
 REGRESSOR_KINDS = tuple(k for k in ALL_KINDS if k.value.endswith("_r"))
 
@@ -115,6 +98,30 @@ def display_name(kind: str | ModelKind) -> str:
     return "".join(part.capitalize() for part in coerce_kind(kind).value.split("_"))
 
 
+def hyperparameters(kind: str | ModelKind) -> tuple[str, ...]:
+    """The names a spec of this kind may set: its constructor's, less the seed."""
+    return tuple(name for name in _REGISTRY[coerce_kind(kind)]._param_names() if name != "seed")
+
+
+def default_space(kind: str | ModelKind) -> HyperParamSpace:
+    """The tuning space a search samples for one model kind."""
+    kind = coerce_kind(kind)
+    names = hyperparameters(kind)
+    return HyperParamSpace(kind.value, tuple((n, d) for n, d in RANGES.items() if n in names))
+
+
+def validate_params(kind: str | ModelKind, params: dict) -> None:
+    """Reject unknown names and out-of-domain values for this kind."""
+    key = coerce_kind(kind).value
+    names = hyperparameters(kind)
+    for name, value in params.items():
+        if name not in names:
+            raise ParamError(f"{key} has no hyperparameter {name!r}")
+        check, description = RULES[name]
+        if not check(value):
+            raise ParamError(f"{key}.{name} must be {description}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model kind, its hyperparameters, and the seed driving its randomness."""
@@ -125,7 +132,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", coerce_kind(self.kind))
-        validate_params(self.kind.value, self.params)
+        validate_params(self.kind, self.params)
 
     @property
     def task(self) -> str:
@@ -221,6 +228,7 @@ __all__ = [
     "default_space",
     "display_name",
     "fit",
+    "hyperparameters",
     "predict_class",
     "predict_value",
     "task_of",

@@ -1,9 +1,7 @@
-"""Declared hyperparameter spaces and parameter validation per model kind."""
+"""Hyperparameter distributions, validation rules and tuning ranges by parameter name."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ..errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class HyperParamSpace:
     kind: str
     dims: tuple[tuple[str, Distribution], ...]
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.dims)
-
 
 def _pos_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
@@ -83,92 +78,31 @@ def _choice(*allowed):
     return lambda v: v in allowed
 
 
-_GD_PARAMS = {
+# Keyed by parameter name: every kind that takes a parameter shares its rule
+# and range. RULES bound the legal values; RANGES are the (narrower) tuning
+# ranges, in draw order, since the tuner keys each draw by its dimension index.
+RULES = {
     "learning_rate": (_pos_float, "positive real"),
     "epochs": (_pos_int, "positive integer"),
     "batch_size": (_pos_int, "positive integer"),
-}
-_TREE_PARAMS = {
+    "lam": (_nonneg_float, "non-negative real"),
+    "k": (_pos_int, "positive integer"),
+    "alpha": (_pos_float, "positive real"),
     "max_depth": (_pos_int_or_none, "positive integer or None"),
     "min_samples_leaf": (_pos_int, "positive integer"),
-}
-_FOREST_PARAMS = {
-    **_TREE_PARAMS,
     "n_members": (_pos_int, "positive integer"),
     "bootstrap": (_bool, "boolean"),
+    "max_features": (_choice("all", "sqrt", "log2"), "all|sqrt|log2"),
 }
 
-# Validation schemas bound the legal values; the sampled spaces below are the
-# (narrower) tuning ranges drawn from during search.
-PARAM_SCHEMAS: dict[str, dict] = {
-    "logistic_c": _GD_PARAMS,
-    "sgd_c": _GD_PARAMS,
-    "sgd_r": _GD_PARAMS,
-    "perceptron_c": {
-        "learning_rate": (_pos_float, "positive real"),
-        "epochs": (_pos_int, "positive integer"),
-    },
-    "ridge_c": {"lam": (_nonneg_float, "non-negative real")},
-    "ridge_r": {"lam": (_nonneg_float, "non-negative real")},
-    "ols_r": {},
-    "knn_c": {"k": (_pos_int, "positive integer")},
-    "knn_r": {"k": (_pos_int, "positive integer")},
-    "bernoulli_nb_c": {"alpha": (_pos_float, "positive real")},
-    "decision_tree_c": _TREE_PARAMS,
-    "decision_tree_r": _TREE_PARAMS,
-    "extra_tree_c": _TREE_PARAMS,
-    "extra_tree_r": _TREE_PARAMS,
-    "bagging_c": _FOREST_PARAMS,
-    "bagging_r": _FOREST_PARAMS,
-    "random_forest_c": {**_FOREST_PARAMS, "max_features": (_choice("all", "sqrt", "log2"), "all|sqrt|log2")},
-    "random_forest_r": {**_FOREST_PARAMS, "max_features": (_choice("all", "sqrt", "log2"), "all|sqrt|log2")},
+RANGES: dict[str, Distribution] = {
+    "learning_rate": LogUniform(1e-4, 1.0),
+    "epochs": IntRange(5, 200),
+    "lam": LogUniform(1e-6, 1e3),
+    "k": IntRange(1, 25),
+    "alpha": LogUniform(1e-2, 1e1),
+    "max_depth": IntRange(1, 12),
+    "min_samples_leaf": IntRange(1, 20),
+    "n_members": IntRange(5, 200),
+    "max_features": Categorical(("all", "sqrt", "log2")),
 }
-
-_LEARNING_RATE = LogUniform(1e-4, 1.0)
-_EPOCHS = IntRange(5, 200)
-_LAMBDA = LogUniform(1e-6, 1e3)
-_TREE_DIMS = (("max_depth", IntRange(1, 12)), ("min_samples_leaf", IntRange(1, 20)))
-_FOREST_DIMS = (*_TREE_DIMS, ("n_members", IntRange(5, 200)))
-
-_SPACES: dict[str, tuple] = {
-    "logistic_c": (("learning_rate", _LEARNING_RATE), ("epochs", _EPOCHS)),
-    "sgd_c": (("learning_rate", _LEARNING_RATE), ("epochs", _EPOCHS)),
-    "sgd_r": (("learning_rate", _LEARNING_RATE), ("epochs", _EPOCHS)),
-    "perceptron_c": (("learning_rate", _LEARNING_RATE), ("epochs", _EPOCHS)),
-    "ridge_c": (("lam", _LAMBDA),),
-    "ridge_r": (("lam", _LAMBDA),),
-    "ols_r": (),
-    "knn_c": (("k", IntRange(1, 25)),),
-    "knn_r": (("k", IntRange(1, 25)),),
-    "bernoulli_nb_c": (("alpha", LogUniform(1e-2, 1e1)),),
-    "decision_tree_c": _TREE_DIMS,
-    "decision_tree_r": _TREE_DIMS,
-    "extra_tree_c": _TREE_DIMS,
-    "extra_tree_r": _TREE_DIMS,
-    "bagging_c": _FOREST_DIMS,
-    "bagging_r": _FOREST_DIMS,
-    "random_forest_c": (*_FOREST_DIMS, ("max_features", Categorical(("all", "sqrt", "log2")))),
-    "random_forest_r": (*_FOREST_DIMS, ("max_features", Categorical(("all", "sqrt", "log2")))),
-}
-
-
-def default_space(kind: str) -> HyperParamSpace:
-    """The tuning space a search samples for one model kind."""
-    key = getattr(kind, "value", kind)
-    if key not in _SPACES:
-        raise ParamError(f"unknown model kind {key!r}")
-    return HyperParamSpace(key, tuple(_SPACES[key]))
-
-
-def validate_params(kind: str, params: dict) -> None:
-    """Reject unknown names and out-of-domain values for this kind."""
-    key = getattr(kind, "value", kind)
-    schema = PARAM_SCHEMAS.get(key)
-    if schema is None:
-        raise ParamError(f"unknown model kind {key!r}")
-    for name, value in params.items():
-        if name not in schema:
-            raise ParamError(f"{key} has no hyperparameter {name!r}")
-        check, description = schema[name]
-        if not check(value):
-            raise ParamError(f"{key}.{name} must be {description}, got {value!r}")

@@ -2,6 +2,8 @@
 with backtest and forwardtest metric blocks side by side."""
 from __future__ import annotations
 
+import dataclasses
+
 from .errors import MixedTasks
 from .metrics import ClassifierReport, RegressorReport
 from .models import display_name
@@ -11,8 +13,11 @@ REGRESSOR_COLUMNS = ("PNL (%)", "Sharpe", "R2", "MAE", "MSE", "RMSE", "No. of Tr
 
 _SEGMENTS = ("backtest", "forwardtest")
 
-_CLASSIFIER_FIELDS = ("pnl_percent", "sharpe", "r2", "accuracy", "f1", "precision", "recall", "n_trades")
-_REGRESSOR_FIELDS = ("pnl_percent", "sharpe", "r2", "mae", "mse", "rmse", "n_trades")
+# A report's metric fields in declaration order, one per column above.
+_CLASSIFIER_FIELDS, _REGRESSOR_FIELDS = (
+    tuple(f.name for f in dataclasses.fields(report) if f.name not in ("model", "window", "segment"))
+    for report in (ClassifierReport, RegressorReport)
+)
 _FOUR_DP = {"mae", "mse", "rmse"}
 
 

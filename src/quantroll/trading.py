@@ -60,20 +60,17 @@ class EquityCurve:
         return "timestamp,equity_fraction\n" + "".join("%d,%r\n" % row for row in rows)
 
 
-@dataclass(frozen=True)
-class TradeEvent:
-    timestamp: int
-    old_position: int
-    new_position: int
-
-
 @dataclass
 class TradeLedger:
-    entries: list[TradeEvent] = field(default_factory=list)
+    """One entry per position change: when, and from which position to which."""
+
+    timestamps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    old_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
+    new_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return int(self.timestamps.size)
 
 
 def simulate(
@@ -101,10 +98,7 @@ def simulate(
     equity = np.cumsum(step)
 
     ledger = TradeLedger(
-        [
-            TradeEvent(int(positions.timestamps[i]), int(prev[i]), int(pos[i]))
-            for i in np.nonzero(changed)[0]
-        ]
+        positions.timestamps[changed], prev[changed].astype(np.int8), positions.positions[changed]
     )
     return EquityCurve(positions.timestamps.copy(), equity, step), ledger
 

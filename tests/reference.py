@@ -479,3 +479,69 @@ def ref_dead_band(values, threshold):
             current = -1
         out.append(current)
     return out
+
+
+# Per-kind hyperparameter tables as they stood when each kind kept its own:
+# every name a kind accepts with the rule's description, and its tuning
+# space as (name, distribution, bounds) in draw order.
+_GD = {"learning_rate": "positive real", "epochs": "positive integer", "batch_size": "positive integer"}
+_TREE = {"max_depth": "positive integer or None", "min_samples_leaf": "positive integer"}
+_FOREST = {**_TREE, "n_members": "positive integer", "bootstrap": "boolean"}
+_RF = {**_FOREST, "max_features": "all|sqrt|log2"}
+
+REF_PARAM_SCHEMAS = {
+    "logistic_c": _GD,
+    "sgd_c": _GD,
+    "sgd_r": _GD,
+    "perceptron_c": {"learning_rate": "positive real", "epochs": "positive integer"},
+    "ridge_c": {"lam": "non-negative real"},
+    "ridge_r": {"lam": "non-negative real"},
+    "ols_r": {},
+    "knn_c": {"k": "positive integer"},
+    "knn_r": {"k": "positive integer"},
+    "bernoulli_nb_c": {"alpha": "positive real"},
+    "decision_tree_c": _TREE,
+    "decision_tree_r": _TREE,
+    "extra_tree_c": _TREE,
+    "extra_tree_r": _TREE,
+    "bagging_c": _FOREST,
+    "bagging_r": _FOREST,
+    "random_forest_c": _RF,
+    "random_forest_r": _RF,
+}
+
+_GD_DIMS = (("learning_rate", "LogUniform", 1e-4, 1.0), ("epochs", "IntRange", 5, 200))
+_TREE_DIMS = (("max_depth", "IntRange", 1, 12), ("min_samples_leaf", "IntRange", 1, 20))
+_FOREST_DIMS = (*_TREE_DIMS, ("n_members", "IntRange", 5, 200))
+_RF_DIMS = (*_FOREST_DIMS, ("max_features", "Categorical", ("all", "sqrt", "log2")))
+
+REF_SPACES = {
+    "logistic_c": _GD_DIMS,
+    "sgd_c": _GD_DIMS,
+    "sgd_r": _GD_DIMS,
+    "perceptron_c": _GD_DIMS,
+    "ridge_c": (("lam", "LogUniform", 1e-6, 1e3),),
+    "ridge_r": (("lam", "LogUniform", 1e-6, 1e3),),
+    "ols_r": (),
+    "knn_c": (("k", "IntRange", 1, 25),),
+    "knn_r": (("k", "IntRange", 1, 25),),
+    "bernoulli_nb_c": (("alpha", "LogUniform", 1e-2, 1e1),),
+    "decision_tree_c": _TREE_DIMS,
+    "decision_tree_r": _TREE_DIMS,
+    "extra_tree_c": _TREE_DIMS,
+    "extra_tree_r": _TREE_DIMS,
+    "bagging_c": _FOREST_DIMS,
+    "bagging_r": _FOREST_DIMS,
+    "random_forest_c": _RF_DIMS,
+    "random_forest_r": _RF_DIMS,
+}
+
+# Values each rule rejects, and one it accepts.
+REF_RULE_VALUES = {
+    "positive real": ((0, -0.5, 0.0, True, "1", None), 0.25),
+    "positive integer": ((0, -3, 2.0, True, "4", None), 3),
+    "non-negative real": ((-1e-9, -1, False, "0", None), 0.0),
+    "positive integer or None": ((0, -1, 1.5, True), None),
+    "boolean": ((1, 0, "yes", None), False),
+    "all|sqrt|log2": (("half", None, 1), "log2"),
+}

@@ -42,3 +42,31 @@ def test_traced_name_resolves(module_name, attr):
 def test_workload_config_parses_and_round_trips(name, tmp_path):
     config = RunConfig.from_dict(workloads.WORKLOADS[name].config(str(tmp_path / "c.csv"), str(tmp_path / "runs")))
     assert RunConfig.from_dict(config.to_dict()) == config
+
+
+def test_traced_counts_match_reports_and_closed_forms(tmp_path):
+    """The tracer's info callbacks read quantroll's return values (the trade
+    ledger's count, the fitted model's kind and estimator); a change there
+    must keep the layer counts the benchmark checks."""
+    workload = workloads.Workload(
+        name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("knn_c", "sgd_r"), windows=(7,),
+        mode="trailing", backtest_rows=20, forward_rows=10, tuner_trials=2, retrain_stride=3,
+    )
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text(workloads.random_walk_csv(workload, seed=1))
+    config = RunConfig.from_dict(workload.config(str(csv_path), str(tmp_path / "runs")))
+    run = importlib.import_module("quantroll.run")
+    with tracing.Tracer() as tracer:
+        artifact = run.run_experiment(config, persist=False)
+    layers = tracing.layer_metrics(tracer.spans)
+    expected = workload.expected()
+    assert len(artifact.reports) == expected["reports"]
+    assert layers["tuner.trials_failed"] == 0
+    assert layers["trading.trades"] > 0
+    assert layers["trading.trades"] == sum(r.n_trades for r in artifact.reports) + sum(
+        t.report.n_trades for result in artifact.trials.values() for t in result.trials
+    )
+    assert layers["models.fit_calls"] == expected["fits"]
+    assert layers["models.predict_calls"] == layers["walkforward.steps"] == expected["steps"]
+    assert layers["tuner.trials"] == expected["trials"]
+    assert layers["models.fit_s.knn"] > 0 and layers["models.fit_s.gd"] > 0

@@ -18,14 +18,18 @@ from quantroll.models import (
     default_space,
     display_name,
     fit,
+    hyperparameters,
     predict_class,
     predict_value,
     task_of,
+    validate_params,
 )
 from quantroll.models.linear import LogisticClassifier, SGDClassifier, SGDRegressor
 from quantroll.models.neighbors import KNNClassifier
 from quantroll.models.tree import gini_impurity, variance_impurity
 from quantroll.tuner import sample_params
+
+from .reference import REF_PARAM_SCHEMAS, REF_RULE_VALUES, REF_SPACES
 
 
 def linear_data(n=5, intercept=3.0, slope=2.0):
@@ -357,6 +361,32 @@ class TestSpecValidation:
     def test_bad_value(self):
         with pytest.raises(ParamError):
             ModelSpec("knn_c", {"k": 0})
+
+    @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+    def test_derived_tables_match_reference(self, kind):
+        assert set(REF_SPACES) == set(REF_PARAM_SCHEMAS) == {k.value for k in ALL_KINDS}
+        dims = tuple(
+            (name, type(dist).__name__, dist.choices) if hasattr(dist, "choices")
+            else (name, type(dist).__name__, dist.lo, dist.hi)
+            for name, dist in default_space(ModelKind(kind)).dims
+        )
+        assert dims == REF_SPACES[kind]
+        assert default_space(kind).kind == kind
+        schema = REF_PARAM_SCHEMAS[kind]
+        assert set(hyperparameters(kind)) == set(schema)
+        for name, description in schema.items():
+            bad_values, good = REF_RULE_VALUES[description]
+            ModelSpec(kind, {name: good})
+            for value in bad_values:
+                with pytest.raises(ParamError) as err:
+                    validate_params(kind, {name: value})
+                assert str(err.value) == f"{kind}.{name} must be {description}, got {value!r}"
+        with pytest.raises(ParamError, match=f"^{kind} has no hyperparameter 'seed'$"):
+            ModelSpec(kind, {"seed": 3})
+        with pytest.raises(ParamError, match="^unknown model kind 'svm_c'$"):
+            ModelSpec("svm_c")
+        with pytest.raises(ParamError, match="^unknown model kind 'svm_c'$"):
+            default_space("svm_c")
 
     def test_none_depth_means_unlimited(self):
         ModelSpec("decision_tree_c", {"max_depth": None})

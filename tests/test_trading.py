@@ -38,8 +38,8 @@ class TestSimulate:
     def test_flip_is_one_fee(self):
         _, ledger = simulate(positions_of([1, -1]), np.zeros(2), CostModel(fee_bps=10.0))
         assert ledger.count == 2  # entry + one flip
-        assert ledger.entries[1].old_position == 1
-        assert ledger.entries[1].new_position == -1
+        assert ledger.old_positions[1] == 1
+        assert ledger.new_positions[1] == -1
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
