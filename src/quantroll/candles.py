@@ -6,10 +6,9 @@ import io
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import requests
 
 from .errors import (
     DuplicateTimestamp,
@@ -21,10 +20,14 @@ from .errors import (
     OhlcViolation,
 )
 
+if TYPE_CHECKING:
+    import requests
+
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 _INT64 = range(-(1 << 63), 1 << 63)  # timestamps are stored as int64
+_CHUNK_ROWS = 2048  # CSV rows converted per batch; bounds the field strings alive at once
 
 
 def _check_rows(o, h, l, c, v, where: Callable[[int], str]) -> None:
@@ -164,6 +167,32 @@ def _parse_timestamp(raw: str, line_no: int) -> int:
     return stamp
 
 
+def _convert_rows(rows: list[list[str]], lines: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and (5, n) open/high/low/close/volume columns of 6-field rows.
+
+    Each column is converted whole by int or float. Those accept every
+    integer timestamp and price string that _parse_timestamp and
+    _parse_price accept, with the same value, since int(s) == int(s.strip())
+    and float(s) == float(s.strip()). If a column fails, the rows are read
+    again field by field in file order through those parsers, so the first
+    bad field raises their error and float-form timestamps still parse.
+    """
+    n = len(rows)
+    columns = list(zip(*rows))
+    try:
+        stamps = np.fromiter(map(int, columns[0]), dtype=np.int64, count=n)
+        values = np.array([np.fromiter(map(float, col), dtype=np.float64, count=n) for col in columns[1:]])
+    except (ValueError, OverflowError):
+        stamp_list: list[int] = []
+        value_list: list[list[float]] = []
+        for fields, line_no in zip(rows, lines):
+            stamp_list.append(_parse_timestamp(fields[0].strip(), line_no))
+            value_list.append([_parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6)])
+        stamps = np.array(stamp_list, dtype=np.int64)
+        values = np.array(value_list, dtype=np.float64).T
+    return stamps, values
+
+
 def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     """Parse `timestamp,open,high,low,close,volume` CSV into a sorted series.
 
@@ -171,7 +200,7 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     Every row is checked in file order before sorting, so error messages
     carry the original line number.
     """
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:
@@ -179,23 +208,32 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     if tuple(h.strip().lower() for h in header) != CSV_HEADER:
         raise MalformedRow(f"header must be {','.join(CSV_HEADER)}, got {','.join(header)!r}")
 
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (lines, stamps, values)
+    rows: list[list[str]] = []
     lines: list[int] = []
-    stamps: list[int] = []
-    values: list[float] = []  # o, h, l, c, v of each row, flat
+
+    def convert() -> None:
+        if rows:
+            chunks.append((np.array(lines, dtype=np.int64), *_convert_rows(rows, lines)))
+            rows.clear()
+            lines.clear()
+
     for line_no, fields in enumerate(reader, start=2):
         if not fields or (len(fields) == 1 and not fields[0].strip()):
             continue  # tolerate trailing blank line
         if len(fields) != 6:
+            convert()  # a bad field on an earlier row is reported first
             raise MalformedRow(f"line {line_no}: expected 6 fields, got {len(fields)}")
+        rows.append(fields)
         lines.append(line_no)
-        stamps.append(_parse_timestamp(fields[0].strip(), line_no))
-        values.extend([_parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6)])
+        if len(rows) == _CHUNK_ROWS:
+            convert()
+    convert()
 
-    if not stamps:
+    if not chunks:
         raise MalformedRow("document contains a header but no data rows")
-    columns = np.ascontiguousarray(np.array(values, dtype=np.float64).reshape(-1, 5).T)
-    _check_rows(*columns, lambda i: f"line {lines[i]}")
-    ts = np.array(stamps, dtype=np.int64)
+    line_col, ts, columns = (np.concatenate(parts, axis=-1) for parts in zip(*chunks))
+    _check_rows(*columns, lambda i: f"line {line_col[i]}")
     order = np.argsort(ts, kind="stable")
     return CandleSeries(ts[order], *columns.take(order, axis=1), interval=interval)
 
@@ -219,6 +257,8 @@ def validate_series(series: CandleSeries) -> ValidationReport:
 
 
 def _get_page(session: requests.Session, url: str, config: FetchConfig) -> list:
+    import requests
+
     last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         if attempt:
@@ -280,6 +320,8 @@ def fetch_candles(
     stamps = [np.empty(0, dtype=np.int64)]
     columns = [np.empty((5, 0))]
     cursor = start
+    import requests  # only HTTP fetching needs it, and importing it is slow
+
     with requests.Session() as session:
         while cursor < end:
             url = config.base_url + config.path_template.format(

@@ -7,7 +7,6 @@ including with concurrent job execution.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -373,6 +372,8 @@ def run_experiment(
 
 
 def make_run_id(config: RunConfig) -> str:
+    import hashlib  # only run ids use it; a run's start-up need not load it
+
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     digest = hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True).encode()).hexdigest()[:8]
     return f"{stamp}-{digest}"

@@ -4,9 +4,14 @@ These stay deliberately independent of the package internals: plain lists,
 plain loops, no numpy vectorization, so a bug in the production path cannot
 hide in a shared helper.
 """
+import csv
+import io
 import math
 
 import numpy as np
+
+from quantroll.candles import CSV_HEADER, CandleSeries, _check_rows
+from quantroll.errors import MalformedRow
 
 NAN = float("nan")
 
@@ -545,3 +550,62 @@ REF_RULE_VALUES = {
     "boolean": ((1, 0, "yes", None), False),
     "all|sqrt|log2": (("half", None, 1), "log2"),
 }
+
+
+def ref_parse_candles_csv(text, interval):
+    """The row-at-a-time CSV parser: every field of a row is converted before
+    the next row is read, so the first bad field in file order raises.
+
+    The rule check and the series constructor run after conversion and are
+    the package's own (`_check_rows`, `CandleSeries`); only the conversion
+    is restated here.
+    """
+
+    def parse_price(raw, line_no, column):
+        try:
+            return float(raw)
+        except ValueError:
+            raise MalformedRow(f"line {line_no}: {column} {raw!r} is not numeric") from None
+
+    def parse_timestamp(raw, line_no):
+        try:
+            stamp = int(raw)
+        except ValueError:
+            try:
+                value = float(raw)
+            except ValueError:
+                raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not numeric") from None
+            if not math.isfinite(value) or value != int(value):
+                raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not a whole number of seconds")
+            stamp = int(value)
+        if not -(1 << 63) <= stamp < 1 << 63:
+            raise MalformedRow(f"line {line_no}: timestamp {raw!r} is outside the int64 range")
+        return stamp
+
+    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRow("empty document: missing header") from None
+    if tuple(h.strip().lower() for h in header) != CSV_HEADER:
+        raise MalformedRow(f"header must be {','.join(CSV_HEADER)}, got {','.join(header)!r}")
+
+    lines = []
+    stamps = []
+    values = []
+    for line_no, fields in enumerate(reader, start=2):
+        if not fields or (len(fields) == 1 and not fields[0].strip()):
+            continue
+        if len(fields) != 6:
+            raise MalformedRow(f"line {line_no}: expected 6 fields, got {len(fields)}")
+        lines.append(line_no)
+        stamps.append(parse_timestamp(fields[0].strip(), line_no))
+        values.extend([parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6)])
+
+    if not stamps:
+        raise MalformedRow("document contains a header but no data rows")
+    columns = np.ascontiguousarray(np.array(values, dtype=np.float64).reshape(-1, 5).T)
+    _check_rows(*columns, lambda i: f"line {lines[i]}")
+    ts = np.array(stamps, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    return CandleSeries(ts[order], *columns.take(order, axis=1), interval=interval)

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,7 @@ from quantroll.candles import serialize_candles_csv
 from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
 from quantroll.metrics import ClassifierReport, RegressorReport
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import RunConfig, export_equity, parse_instant, run_experiment
+from quantroll.run import RunConfig, export_equity, make_run_id, parse_instant, run_experiment
 from quantroll import cli
 
 from .conftest import DAY, T0, bars_to_series, random_walk_bars
@@ -208,6 +212,39 @@ class TestRunExperiment:
 
         with pytest.raises(DataError):
             run_experiment(config, persist=False)
+
+
+STARTUP_PROBE = """
+import json, sys
+import quantroll.run
+unused = [name for name in ("requests", "urllib3", "ssl", "hashlib") if name in sys.modules]
+import quantroll
+config = quantroll.run.RunConfig.from_dict(json.loads(sys.argv[3]))
+fetch = quantroll.FetchConfig(sys.argv[1], "/candles?start={start}&end={end}&limit={limit}", page_limit=2, retry_backoff=0.0)
+series = quantroll.fetch_candles(fetch, "BTCUSD", 86400, int(sys.argv[2]), int(sys.argv[2]) + 5 * 86400)
+print(json.dumps({"unused": unused, "candles": len(series), "run_id": quantroll.run.make_run_id(config)}))
+"""
+
+
+def test_run_import_loads_no_http_or_hash_module(csv_path, tmp_path, candle_stub):
+    """`import quantroll.run` leaves requests, its TLS stack and hashlib
+    unloaded; HTTP fetching and run ids import them when called."""
+    t0 = 1700000000
+    candle_stub.reset()
+    candle_stub.set_rows([[t0 + i * DAY, 100.0, 101.0, 99.0, 100.5, 1.0] for i in range(5)])
+    raw = config_dict(csv_path, tmp_path)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, candle_stub.base_url, str(t0), json.dumps(raw)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["unused"] == []
+    assert out["candles"] == 5
+    assert re.fullmatch(r"\d{8}T\d{6}Z-[0-9a-f]{8}", out["run_id"])
+    assert out["run_id"].split("-")[1] == make_run_id(RunConfig.from_dict(raw)).split("-")[1]
 
 
 class TestExportEquity:

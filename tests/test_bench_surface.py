@@ -7,6 +7,7 @@ path, so nothing under perfbench/ needs to be importable as a package.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -44,17 +45,42 @@ def test_workload_config_parses_and_round_trips(name, tmp_path):
     assert RunConfig.from_dict(config.to_dict()) == config
 
 
-def test_traced_counts_match_reports_and_closed_forms(tmp_path):
-    """The tracer's info callbacks read quantroll's return values (the trade
-    ledger's count, the fitted model's kind and estimator); a change there
-    must keep the layer counts the benchmark checks."""
+def small_workload(tmp_path):
+    """A 2-model x 1-window trailing workload with 2 tuner trials, its CSV written, and its run config."""
     workload = workloads.Workload(
         name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("knn_c", "sgd_r"), windows=(7,),
         mode="trailing", backtest_rows=20, forward_rows=10, tuner_trials=2, retrain_stride=3,
     )
     csv_path = tmp_path / "c.csv"
     csv_path.write_text(workloads.random_walk_csv(workload, seed=1))
-    config = RunConfig.from_dict(workload.config(str(csv_path), str(tmp_path / "runs")))
+    return workload, RunConfig.from_dict(workload.config(str(csv_path), str(tmp_path / "runs")))
+
+
+def test_worker_setup_and_timed_calls(tmp_path):
+    """The calls perfbench/worker.py makes: its set-up steps, then a
+    persisted run under an explicit run id."""
+    workload, config = small_workload(tmp_path)
+    run = importlib.import_module("quantroll.run")
+    series = run.load_candles(config)
+    assert len(series) == workload.bars
+    dataset = run.prepare_dataset(series, config.indicators)
+    assert len(dataset.class_target) == workload.bars
+    split = config.segment_split(series)
+    bounds = config.to_dict()["split"]
+    assert split.forward == (bounds["forward_start"], bounds["forward_end"])
+    artifact = run.run_experiment(config, run_id="run0")
+    root = Path(config.out_dir) / "run0"
+    assert len(artifact.reports) == workload.expected()["reports"]
+    assert len(json.loads((root / "report.json").read_text(encoding="utf-8"))["reports"]) == len(artifact.reports)
+    assert len(list((root / "equity").glob("*.csv"))) == len(artifact.reports)
+    assert (root / "trials.jsonl").read_text(encoding="utf-8").count("\n") == workload.expected()["trials"]
+
+
+def test_traced_counts_match_reports_and_closed_forms(tmp_path):
+    """The tracer's info callbacks read quantroll's return values (the trade
+    ledger's count, the fitted model's kind and estimator); a change there
+    must keep the layer counts the benchmark checks."""
+    workload, config = small_workload(tmp_path)
     run = importlib.import_module("quantroll.run")
     with tracing.Tracer() as tracer:
         artifact = run.run_experiment(config, persist=False)

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.candles import (
+    _CHUNK_ROWS,
     CandleSeries,
     FetchConfig,
     fetch_candles,
@@ -12,6 +15,7 @@ from quantroll.candles import (
     validate_series,
 )
 from quantroll.errors import (
+    DataError,
     DuplicateTimestamp,
     EmptyRange,
     MalformedPayload,
@@ -22,6 +26,7 @@ from quantroll.errors import (
 )
 
 from .conftest import DAY, bars_to_series, random_walk_bars
+from .reference import ref_parse_candles_csv
 
 HEADER = "timestamp,open,high,low,close,volume\n"
 
@@ -138,6 +143,122 @@ def test_round_trip_property(closes, rnd):
         bars.append((o, h, l, c, rnd.uniform(0, 10)))
     series = bars_to_series(bars)
     assert parse_candles_csv(serialize_candles_csv(series), series.interval) == series
+
+
+def messy_records(seed, n_rows):
+    """CSV records (no header) of a seeded random walk, in shuffled order.
+
+    Fields are spelled as bare, quoted, whitespace-padded or quoted and
+    padded; about one timestamp in fifty is written in float form; blank
+    and whitespace-only records are scattered in. Returns the records and
+    the indices of the data records among them.
+    """
+    records, data = _messy_records(seed, n_rows)
+    return list(records), data
+
+
+@functools.lru_cache(maxsize=4)
+def _messy_records(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    series = bars_to_series(random_walk_bars(n_rows, seed=seed))
+    columns = [series.timestamps.tolist()] + [getattr(series, c).tolist() for c in ("open", "high", "low", "close", "volume")]
+    spellings = ("{}", '"{}"', " {}\t", '" {} "', "{} ")
+    records, data = [], []
+    for i in rng.permutation(n_rows).tolist():
+        stamp = columns[0][i]
+        fields = [str(stamp) if rng.random() >= 0.02 else (f"{stamp}.0", f"{stamp:.9e}", repr(float(stamp)))[rng.integers(3)]]
+        fields += [repr(col[i]) for col in columns[1:]]
+        data.append(len(records))
+        records.append(",".join(spellings[rng.integers(len(spellings))].format(f) for f in fields))
+        if rng.random() < 0.01:
+            records.append(("", "   ", "\t")[rng.integers(3)])
+    return tuple(records), tuple(data)
+
+
+def csv_document(records, crlf=False, bom=False):
+    newline = "\r\n" if crlf else "\n"
+    return ("\ufeff" if bom else "") + newline.join(["timestamp,open,high,low,close,volume", *records]) + newline
+
+
+def set_field(records, data, row, column, raw):
+    fields = records[data[row]].split(",")
+    fields[column] = raw
+    records[data[row]] = ",".join(fields)
+
+
+def assert_parse_parity(text):
+    """The parser and the row-wise reference agree: byte-equal columns, or
+    the same error type and message. Returns the reference's outcome."""
+    outcomes = []
+    for parse in (parse_candles_csv, ref_parse_candles_csv):
+        try:
+            outcomes.append(parse(text, DAY))
+        except DataError as exc:
+            outcomes.append(exc)
+    got, want = outcomes
+    if isinstance(want, DataError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, CandleSeries) and got.interval == want.interval
+        for name in ("timestamps", "open", "high", "low", "close", "volume"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    return want
+
+
+class TestParseMatchesRowWiseReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_messy_documents_longer_than_a_chunk(self, seed):
+        records, _ = messy_records(seed, 2 * _CHUNK_ROWS + 37 * seed + 1)
+        text = csv_document(records, crlf=seed % 2 == 1, bom=seed >= 2)
+        assert len(assert_parse_parity(text)) == 2 * _CHUNK_ROWS + 37 * seed + 1
+
+    def test_float_form_timestamps(self):
+        text = HEADER + (
+            "1356998400.0,100,110,90,105,5\n"
+            "1.3570848e9,100,110,90,105,5\n"
+            "1_357_171_200,100,110,90,105,5\n"
+            '" 1.3572576E+09 ",100,110,90,105,5\n'
+        )
+        series = assert_parse_parity(text)
+        assert series.timestamps.tolist() == [1356998400 + i * DAY for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "column, raw",
+        [
+            (0, "abc"), (0, ""), (0, "1356998400.5"), (0, "nan"), (0, "inf"), (0, "9223372036854775808"),
+            (0, "-9223372036854775809"), (0, "1e19"), (0, "1_0"), (0, "0x10"),
+            (1, "abc"), (2, ""), (3, "nan"), (4, "inf"), (5, "-inf"), (4, "1_0"), (5, "1e400"), (1, "0x10"),
+            (3, "1,5"), (3, "1,2,3,4"), (0, '" 1356998400.5 "'), (2, " abc\t"), (5, '"nan "'),
+        ],
+    )
+    @pytest.mark.parametrize("row", [_CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 5])
+    def test_bad_field(self, column, raw, row):
+        records, data = messy_records(5, 2 * _CHUNK_ROWS + 40)
+        set_field(records, data, row, column, raw)
+        outcome = assert_parse_parity(csv_document(records))
+        if raw not in ("1_0", "1,5"):
+            assert isinstance(outcome, DataError)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((10, 5, "x"), (11, 0, "x")),
+            ((10, 4, "x"), (12, 1, "x")),
+            ((10, 3, "1.5.5"), (_CHUNK_ROWS + 3, 0, "1.5")),
+            ((_CHUNK_ROWS - 1, 5, "x"), (_CHUNK_ROWS, 0, "99999999999999999999")),
+            ((20, 2, "x"), (30, 2, "x,x")),
+            ((20, 2, "x,x"), (30, 1, "x")),
+            ((_CHUNK_ROWS + 7, 0, "1e99"), (2 * _CHUNK_ROWS, 5, "nan,")),
+        ],
+    )
+    def test_first_bad_field_in_file_order_wins(self, first, second):
+        records, data = messy_records(6, 2 * _CHUNK_ROWS + 40)
+        for row, column, raw in (first, second):
+            set_field(records, data, row, column, raw)
+        outcome = assert_parse_parity(csv_document(records))
+        assert isinstance(outcome, MalformedRow)
+        assert str(outcome).startswith(f"line {data[first[0]] + 2}: ")
 
 
 class TestValidate:

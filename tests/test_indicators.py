@@ -184,6 +184,14 @@ class TestParabolicSar:
         assert (trend[1:] == 1).all()
         assert (sar.values[1:] < series.low[1:]).all()
 
+    @staticmethod
+    def assert_matches_reference_bytes(bars, min_flips):
+        sar, trend = parabolic_sar(bars_to_series(bars), 0.02, 0.02, 0.2)
+        ref_sar, ref_trend, flips = ref_parabolic_sar(bars, 0.02, 0.02, 0.2)
+        assert len(flips) >= min_flips
+        assert sar.values.dtype == np.float64 and sar.values.tobytes() == np.array(ref_sar).tobytes()
+        assert trend.dtype == np.int8 and trend.tobytes() == np.array(ref_trend, dtype=np.int8).tobytes()
+
     def test_reversal_fixture_matches_reference(self):
         # six rising bars, then a crash through every prior low, then recovery
         closes = [100, 103, 106, 109, 112, 115, 96, 93, 95, 97, 99, 101]
@@ -195,12 +203,13 @@ class TestParabolicSar:
             l = min(o, c) - 1.0
             bars.append((float(o), float(h), float(l), float(c), 5.0))
             prev = c
-        series = bars_to_series(bars)
-        sar, trend = parabolic_sar(series, 0.02, 0.02, 0.2)
-        ref_sar, ref_trend, flips = ref_parabolic_sar(bars, 0.02, 0.02, 0.2)
-        assert len(flips) >= 1
-        np.testing.assert_allclose(sar.values[1:], np.array(ref_sar)[1:], rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(trend, np.array(ref_trend))
+        self.assert_matches_reference_bytes(bars, min_flips=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_walk_matches_reference(self, seed):
+        bars = random_walk_bars(500, seed=seed)
+        assert any(o == h == l == c for o, h, l, c, _v in bars)  # doji bars
+        self.assert_matches_reference_bytes(bars, min_flips=10)
 
     def test_tie_on_first_move_is_up(self):
         series = bars_to_series([(100, 101, 99, 100, 5.0), (100, 101, 99, 100, 5.0), (100, 101, 99, 100, 5.0)])
