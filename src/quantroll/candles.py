@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 _INT64 = range(-(1 << 63), 1 << 63)  # timestamps are stored as int64
 _CHUNK_ROWS = 2048  # CSV rows converted per batch; bounds the field strings alive at once
+_SLICE_CHARS = 1 << 16  # text per io.StringIO fed to csv.reader; bounds the line buffer alive at once
 
 
 def _check_rows(o, h, l, c, v, where: Callable[[int], str]) -> None:
@@ -193,6 +194,16 @@ def _convert_rows(rows: list[list[str]], lines: list[int]) -> tuple[np.ndarray, 
     return stamps, values
 
 
+def _lines(text: str):
+    """The lines io.StringIO(text) yields, read through slices of about
+    _SLICE_CHARS that each end just after a newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     """Parse `timestamp,open,high,low,close,volume` CSV into a sorted series.
 
@@ -200,7 +211,7 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     Every row is checked in file order before sorting, so error messages
     carry the original line number.
     """
-    reader = csv.reader(io.StringIO(text.lstrip("\ufeff")))
+    reader = csv.reader(_lines(text.lstrip("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

@@ -180,8 +180,12 @@ def fit(spec: ModelSpec, X, y) -> TrainedModel:
     return TrainedModel(spec.kind, task, estimator, X.shape[1])
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _check_vector(model: TrainedModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise WidthMismatch(f"expected a feature vector, got shape {x.shape}")
     if x.size != model.feature_width:
@@ -195,8 +199,7 @@ def predict_class(model: TrainedModel, x) -> tuple[int, float]:
     """Direction plus decision score; score > 0 iff up, ties resolve down."""
     if model.task != CLASSIFIER:
         raise KindMismatch(f"{model.kind.value} is not a classifier")
-    x = _check_vector(model, x)
-    score = float(model.estimator.decision_function(x.reshape(1, -1))[0])
+    score = model.estimator.score_row(_check_vector(model, x))
     return (UP if score > 0 else DOWN), score
 
 
@@ -204,8 +207,7 @@ def predict_value(model: TrainedModel, x) -> float:
     """Predicted next-interval log return."""
     if model.task != REGRESSOR:
         raise KindMismatch(f"{model.kind.value} is not a regressor")
-    x = _check_vector(model, x)
-    return float(model.estimator.predict(x.reshape(1, -1))[0])
+    return model.estimator.score_row(_check_vector(model, x))
 
 
 __all__ = [

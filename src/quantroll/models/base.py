@@ -40,6 +40,13 @@ class Estimator:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
 
+    def score_row(self, x: np.ndarray) -> float:
+        """Score of one checked float64 feature vector: a classifier's decision
+        score, a regressor's prediction. This default runs the batch method on
+        a one-row view; overrides must return the same float bit for bit."""
+        batch = getattr(self, "decision_function", None) or self.predict
+        return float(batch(x.reshape(1, -1))[0])
+
 
 def check_matrix(X, name: str = "X") -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)

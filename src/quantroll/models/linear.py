@@ -14,6 +14,20 @@ def _augment(X: np.ndarray) -> np.ndarray:
     return Xa
 
 
+def _augmented_row(x: np.ndarray, mean: np.ndarray | None = None, scale: np.ndarray | None = None) -> np.ndarray:
+    """One feature vector as a fresh (1, d + 1) row, intercept first; standardized
+    as (x - mean) / scale when a scaler is given."""
+    row = np.empty((1, x.size + 1))
+    row[0, 0] = 1.0
+    body = row[0, 1:]
+    if mean is None:
+        body[:] = x
+    else:
+        np.subtract(x, mean, body)
+        np.divide(body, scale, body)
+    return row
+
+
 def _solve_normal_equations(X_aug: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     # lstsq keeps the solve total when X'X is singular (constant features are
     # routine inside tiny rolling windows); with lam > 0 the system is definite.
@@ -22,7 +36,21 @@ def _solve_normal_equations(X_aug: np.ndarray, y: np.ndarray, lam: float) -> np.
     return weights
 
 
-class OLSRegressor(Estimator):
+class _Linear(Estimator):
+    """Margins are intercept-augmented rows times weights_."""
+
+    def _margins(self, X) -> np.ndarray:
+        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+
+    def _row_margin(self, x: np.ndarray) -> np.ndarray:
+        """The (1,) margin of one checked row, bit for bit `_margins` of it as a one-row X."""
+        return _augmented_row(x).dot(self.weights_)
+
+    def score_row(self, x: np.ndarray) -> float:
+        return self._row_margin(x).item()
+
+
+class OLSRegressor(_Linear):
     """Ordinary least squares on an intercept-augmented design."""
 
     def __init__(self):
@@ -34,10 +62,10 @@ class OLSRegressor(Estimator):
         return self
 
     def predict(self, X) -> np.ndarray:
-        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+        return self._margins(X)
 
 
-class RidgeRegressor(Estimator):
+class RidgeRegressor(_Linear):
     def __init__(self, lam: float = 1.0):
         self.lam = lam
 
@@ -47,10 +75,10 @@ class RidgeRegressor(Estimator):
         return self
 
     def predict(self, X) -> np.ndarray:
-        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+        return self._margins(X)
 
 
-class RidgeClassifier(Estimator):
+class RidgeClassifier(_Linear):
     """Ridge regression on +1/-1 targets; the fitted value is the margin."""
 
     def __init__(self, lam: float = 1.0):
@@ -63,13 +91,13 @@ class RidgeClassifier(Estimator):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+        return self._margins(X)
 
     def predict(self, X) -> np.ndarray:
         return classify_from_scores(self.decision_function(X))
 
 
-class _GradientDescent(Estimator, StandardizerMixin):
+class _GradientDescent(_Linear, StandardizerMixin):
     """Mini-batch gradient descent over standardized features.
 
     Each epoch draws one seeded permutation of the rows; the mini-batches are
@@ -99,21 +127,26 @@ class _GradientDescent(Estimator, StandardizerMixin):
         rng = np.random.default_rng(np.random.PCG64(self.seed))
         batch = min(self.batch_size, n)
         # Each epoch gathers its permutation into Xo/to once; the batch views
-        # into them are made once per fit.
+        # into them are made once per fit. The batch size and the rate are 0-d
+        # arrays, which numpy dispatches faster than Python floats, and the rate
+        # multiplies from the right (exact: multiplication commutes).
         Xo, to = np.empty_like(Xz), np.empty_like(t)
-        batches = [(Xo[s : s + batch], to[s : s + batch], float(min(batch, n - s))) for s in range(0, n, batch)]
-        dloss, lr = self._dloss_dmargin, self.learning_rate
+        batches = [(Xo[s : s + batch], to[s : s + batch], np.array(float(min(batch, n - s)))) for s in range(0, n, batch)]
+        dloss, lr = self._dloss_dmargin, np.array(float(self.learning_rate))
         for _ in range(self.epochs):
             order = rng.permutation(n)
             np.take(Xz, order, axis=0, out=Xo)
             np.take(t, order, out=to)
             for Xb, tb, size in batches:
-                w = w - lr * (Xb.T @ dloss(Xb @ w, tb) / size)
+                w = w - Xb.T.dot(dloss(Xb.dot(w), tb)) / size * lr
         self.weights_ = w
         return self
 
     def _margins(self, X) -> np.ndarray:
         return _augment(self.standardize(np.asarray(X, dtype=np.float64))) @ self.weights_
+
+    def _row_margin(self, x: np.ndarray) -> np.ndarray:
+        return _augmented_row(x, self.scaler_mean_, self.scaler_scale_).dot(self.weights_)
 
 
 class LogisticClassifier(_GradientDescent):
@@ -135,6 +168,11 @@ class LogisticClassifier(_GradientDescent):
 
     def decision_function(self, X) -> np.ndarray:
         return self.predict_proba_up(X) - 0.5
+
+    def score_row(self, x: np.ndarray) -> float:
+        # tanh stays numpy's; the affine tail after it is exact in Python floats
+        t = np.tanh(0.5 * self._row_margin(x)).item()
+        return 0.5 * (1.0 + t) - 0.5
 
     def predict(self, X) -> np.ndarray:
         return classify_from_scores(self.decision_function(X))
@@ -168,7 +206,7 @@ class SGDRegressor(_GradientDescent):
         return self._margins(X)
 
 
-class PerceptronClassifier(Estimator):
+class PerceptronClassifier(_Linear):
     """Rosenblatt's mistake-driven updates, swept in row order each epoch."""
 
     def __init__(self, learning_rate: float = 1.0, epochs: int = 100):
@@ -184,7 +222,7 @@ class PerceptronClassifier(Estimator):
         for _ in range(self.epochs):
             mistakes = 0
             for yi, xi, update in rows:
-                if yi * (xi @ w) <= 0:
+                if yi * xi.dot(w) <= 0:
                     w = w + update
                     mistakes += 1
             if mistakes == 0:
@@ -193,7 +231,7 @@ class PerceptronClassifier(Estimator):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+        return self._margins(X)
 
     def predict(self, X) -> np.ndarray:
         return classify_from_scores(self.decision_function(X))

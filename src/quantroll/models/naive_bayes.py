@@ -12,7 +12,9 @@ class BernoulliNBClassifier(Estimator):
 
     Likelihoods are Laplace-smoothed with `alpha`; priors are empirical.
     Only classes present in training are scored, so a single-class window
-    degenerates gracefully to a constant predictor.
+    degenerates gracefully to a constant predictor. A row's score depends on
+    its binarized pattern alone, so `score_row` memoizes it per pattern: at
+    most 2**width entries per fit.
     """
 
     def __init__(self, alpha: float = 1.0):
@@ -37,6 +39,7 @@ class BernoulliNBClassifier(Estimator):
         self.log_prior_ = np.array(log_prior)
         self.log_p1_ = np.array(log_p1)
         self.log_p0_ = np.array(log_p0)
+        self.pattern_scores_: dict[bytes, float] = {}
         return self
 
     def _binarize(self, X: np.ndarray) -> np.ndarray:
@@ -60,3 +63,10 @@ class BernoulliNBClassifier(Estimator):
 
     def predict(self, X) -> np.ndarray:
         return classify_from_scores(self.decision_function(X))
+
+    def score_row(self, x: np.ndarray) -> float:
+        pattern = (x > self.medians_).tobytes()
+        score = self.pattern_scores_.get(pattern)
+        if score is None:
+            score = self.pattern_scores_[pattern] = super().score_row(x)
+        return score

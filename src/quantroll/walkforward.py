@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetView
-from .direction import DOWN, UP, direction_name
+from .direction import direction_name
 from .errors import InsufficientHistory
 from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
+from .models.base import classify_from_scores
 from .trading import PositionSeries
 
 TRAILING = "trailing"
@@ -107,28 +108,26 @@ def run_walkforward(
                 f"{view.segment!r} (first usable row is {parent.valid_from})"
             )
 
-    n = eval_indices.size
-    direction = np.zeros(n, dtype=np.int8)
-    score = np.zeros(n)
-    value = np.full(n, np.nan)
-    for i, t in enumerate(eval_indices):
-        if config.mode == TRAILING and i % config.retrain_stride == 0:
-            lo = int(t) - config.window
+    trailing = config.mode == TRAILING
+    scores = []
+    for i, t in enumerate(eval_indices.tolist()):
+        if trailing and i % config.retrain_stride == 0:
+            lo = t - config.window
             model = fit(spec, X[lo:t], y_train[lo:t])
         if task == CLASSIFIER:
-            direction[i], score[i] = predict_class(model, X[t])
+            scores.append(predict_class(model, X[t])[1])
         else:
-            v = predict_value(model, X[t])
-            value[i] = v
-            score[i] = v
-            direction[i] = UP if v > 0 else DOWN
+            scores.append(predict_value(model, X[t]))
+    # A classifier's direction is its score's sign, ties down; a regressor's
+    # value is its score.
+    score = np.array(scores, dtype=np.float64)
 
     return PredictionSeries(
         task=task,
         timestamps=parent.timestamps[eval_indices].copy(),
-        direction=direction,
+        direction=classify_from_scores(score),
         score=score,
-        value=value,
+        value=np.full(score.size, np.nan) if task == CLASSIFIER else score.copy(),
         realized_class=y_class[eval_indices].copy(),
         realized_return=y_reg[eval_indices].copy(),
     )

@@ -12,6 +12,8 @@ import numpy as np
 
 from quantroll.candles import CSV_HEADER, CandleSeries, _check_rows
 from quantroll.errors import MalformedRow
+from quantroll.models import CLASSIFIER, fit, predict_class, predict_value, task_of
+from quantroll.walkforward import GLOBAL, TRAILING, PredictionSeries
 
 NAN = float("nan")
 
@@ -471,6 +473,39 @@ def ref_row_score(kind, est, x):
         probs /= probs.sum(axis=1, keepdims=True)
         return float(probs[0, list(est.classes_).index(UP)]) - 0.5
     return None
+
+
+def ref_run_walkforward(view, spec, config, train_view=None):
+    """The walk-forward loop storing each step's direction, score and value
+    into preallocated numpy arrays; fits and predicts through the package."""
+    parent = view.parent
+    X = parent.frame.rows
+    task = task_of(spec.kind)
+    y_train = parent.class_target if task == CLASSIFIER else parent.reg_target
+    if config.mode == GLOBAL:
+        eval_indices = view.indices
+        model = fit(spec, X[train_view.indices], y_train[train_view.indices])
+    else:
+        eval_indices = view.indices[view.indices >= parent.valid_from + config.window]
+    n = eval_indices.size
+    direction = np.zeros(n, dtype=np.int8)
+    score = np.zeros(n)
+    value = np.full(n, np.nan)
+    for i, t in enumerate(eval_indices):
+        if config.mode == TRAILING and i % config.retrain_stride == 0:
+            lo = int(t) - config.window
+            model = fit(spec, X[lo:t], y_train[lo:t])
+        if task == CLASSIFIER:
+            direction[i], score[i] = predict_class(model, X[t])
+        else:
+            v = predict_value(model, X[t])
+            value[i] = v
+            score[i] = v
+            direction[i] = UP if v > 0 else DOWN
+    return PredictionSeries(
+        task, parent.timestamps[eval_indices].copy(), direction, score, value,
+        parent.class_target[eval_indices].copy(), parent.reg_target[eval_indices].copy(),
+    )
 
 
 def ref_dead_band(values, threshold):

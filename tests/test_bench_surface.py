@@ -45,21 +45,32 @@ def test_workload_config_parses_and_round_trips(name, tmp_path):
     assert RunConfig.from_dict(config.to_dict()) == config
 
 
-def small_workload(tmp_path):
-    """A 2-model x 1-window trailing workload with 2 tuner trials, its CSV written, and its run config."""
-    workload = workloads.Workload(
+SMALL_WORKLOADS = {
+    "trailing": workloads.Workload(
         name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("knn_c", "sgd_r"), windows=(7,),
         mode="trailing", backtest_rows=20, forward_rows=10, tuner_trials=2, retrain_stride=3,
-    )
+    ),
+    # one fit per segment, then one one-row prediction per step
+    "global": workloads.Workload(
+        name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("logistic_c", "bernoulli_nb_c", "ols_r"),
+        windows=(7,), mode="global", train_rows=40, backtest_rows=20, forward_rows=10, tuner_trials=2,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(SMALL_WORKLOADS))
+def small_workload(request, tmp_path):
+    """A small workload with 2 tuner trials, its CSV written, and its run config."""
+    workload = SMALL_WORKLOADS[request.param]
     csv_path = tmp_path / "c.csv"
     csv_path.write_text(workloads.random_walk_csv(workload, seed=1))
     return workload, RunConfig.from_dict(workload.config(str(csv_path), str(tmp_path / "runs")))
 
 
-def test_worker_setup_and_timed_calls(tmp_path):
+def test_worker_setup_and_timed_calls(small_workload):
     """The calls perfbench/worker.py makes: its set-up steps, then a
     persisted run under an explicit run id."""
-    workload, config = small_workload(tmp_path)
+    workload, config = small_workload
     run = importlib.import_module("quantroll.run")
     series = run.load_candles(config)
     assert len(series) == workload.bars
@@ -76,11 +87,13 @@ def test_worker_setup_and_timed_calls(tmp_path):
     assert (root / "trials.jsonl").read_text(encoding="utf-8").count("\n") == workload.expected()["trials"]
 
 
-def test_traced_counts_match_reports_and_closed_forms(tmp_path):
+def test_traced_counts_match_reports_and_closed_forms(small_workload):
     """The tracer's info callbacks read quantroll's return values (the trade
     ledger's count, the fitted model's kind and estimator); a change there
-    must keep the layer counts the benchmark checks."""
-    workload, config = small_workload(tmp_path)
+    must keep the layer counts the benchmark checks. In global mode that is
+    one fit per segment and one predict call per step, which batching the
+    predictions or sharing the two segments' fit would change."""
+    workload, config = small_workload
     run = importlib.import_module("quantroll.run")
     with tracing.Tracer() as tracer:
         artifact = run.run_experiment(config, persist=False)
@@ -95,4 +108,5 @@ def test_traced_counts_match_reports_and_closed_forms(tmp_path):
     assert layers["models.fit_calls"] == expected["fits"]
     assert layers["models.predict_calls"] == layers["walkforward.steps"] == expected["steps"]
     assert layers["tuner.trials"] == expected["trials"]
-    assert layers["models.fit_s.knn"] > 0 and layers["models.fit_s.gd"] > 0
+    families = {tracing.FAMILIES[kind] for kind in workload.models}
+    assert all(layers[f"models.fit_s.{family}"] > 0 for family in families)

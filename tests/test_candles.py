@@ -1,12 +1,16 @@
 import functools
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantroll.candles
 from quantroll.candles import (
     _CHUNK_ROWS,
+    _SLICE_CHARS,
+    _lines,
     CandleSeries,
     FetchConfig,
     fetch_candles,
@@ -259,6 +263,62 @@ class TestParseMatchesRowWiseReference:
         outcome = assert_parse_parity(csv_document(records))
         assert isinstance(outcome, MalformedRow)
         assert str(outcome).startswith(f"line {data[first[0]] + 2}: ")
+
+
+EDGE_ROWS = 2 * _SLICE_CHARS // 60  # records of about 60-110 characters: two slices or more
+
+
+def document_with_newline_at(target, quoted, crlf, seed=7):
+    """A CSV document of messy records whose first newline at or after index
+    _SLICE_CHARS - 1, where the first slice's edge search starts, is at index
+    `target`. That newline ends a record or lies inside a quoted timestamp
+    field; spaces inside the field put it in place."""
+    newline = "\r\n" if crlf else "\n"
+    records, _ = messy_records(seed, EDGE_ROWS)
+    text = "timestamp,open,high,low,close,volume" + newline
+    i = 0
+    while len(text) + 300 < target:
+        text += records[i] + newline
+        i += 1
+    record = records[i].split(",", 1)
+    stamp = record[0].strip().strip('"').strip()
+    if quoted:  # '"' + pad + newline + stamp + '"' + "," + rest
+        pad = target - len(text) - 1 - (len(newline) - 1)
+        text += '"' + " " * pad + newline + stamp + '",' + record[1] + newline
+    else:  # pad + stamp + "," + rest + newline
+        row = stamp + "," + record[1]
+        text += " " * (target - len(text) - len(row) - (len(newline) - 1)) + row + newline
+    assert text[target] == "\n" and "\n" not in text[_SLICE_CHARS - 1 : target]
+    return text + newline.join(records[i + 1 :]) + newline
+
+
+class TestSliceEdges:
+    """parse_candles_csv reads through slices that end just after a newline;
+    the records must be those of one io.StringIO over the whole document."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 2, 57])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["record-end", "quoted-field"])
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    def test_edge_at_a_newline(self, offset, quoted, crlf):
+        text = document_with_newline_at(_SLICE_CHARS - 1 + offset, quoted, crlf)
+        assert len(text) > 2 * _SLICE_CHARS
+        assert list(_lines(text)) == list(io.StringIO(text))
+        assert len(assert_parse_parity(text)) == EDGE_ROWS
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lines_match_one_stringio(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        text = "".join(rng.choice(["a", ",", '"', "\n", "\r", "\r\n", "\x0b", "\x85", "\u2028"], size=int(rng.integers(0, 200))))
+        monkeypatch.setattr(quantroll.candles, "_SLICE_CHARS", int(rng.integers(1, 12)))
+        assert list(_lines(text)) == list(io.StringIO(text))
+
+    @pytest.mark.parametrize("slice_chars", [1, 2, 3, 7, 64, 1000])
+    def test_small_slices_parse_like_the_reference(self, monkeypatch, slice_chars):
+        records, _ = messy_records(3, 300)
+        records[5] = '"' + records[5].replace(",", '\n",', 1)  # a newline inside a quoted timestamp
+        monkeypatch.setattr(quantroll.candles, "_SLICE_CHARS", slice_chars)
+        for crlf in (False, True):
+            assert len(assert_parse_parity(csv_document(records, crlf=crlf))) == 300
 
 
 class TestValidate:

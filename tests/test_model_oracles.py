@@ -1,13 +1,36 @@
 """Seeded bit-identity checks of the gradient-descent epoch, the perceptron
 sweep and the one-row predict path against the straight-line loops in
-tests/reference.py. Every comparison is exact equality, never a tolerance."""
+tests/reference.py, and of each kind's `score_row` against its own batch
+method on a one-row matrix. Every comparison is exact equality, never a
+tolerance."""
+import math
+
 import numpy as np
 import pytest
 
 from quantroll.direction import DOWN, UP
 from quantroll.errors import NonFiniteInput, WidthMismatch
-from quantroll.models import ALL_KINDS, ModelSpec, fit, predict_class, predict_value, task_of
-from quantroll.models.linear import LogisticClassifier, PerceptronClassifier, SGDClassifier, SGDRegressor
+from quantroll.models import (
+    ALL_KINDS,
+    CLASSIFIER,
+    REGRESSOR,
+    REGRESSOR_KINDS,
+    ModelKind,
+    ModelSpec,
+    TrainedModel,
+    fit,
+    predict_class,
+    predict_value,
+    task_of,
+)
+from quantroll.models.linear import (
+    ConstantRegressor,
+    LogisticClassifier,
+    PerceptronClassifier,
+    SGDClassifier,
+    SGDRegressor,
+)
+from quantroll.models.naive_bayes import BernoulliNBClassifier
 
 from .reference import ref_gd_weights, ref_perceptron_weights, ref_row_score
 
@@ -103,3 +126,120 @@ def test_one_row_predict_rejects(kind, row, error):
     model = fit(ModelSpec(kind), X, y)
     with pytest.raises(error):
         (predict_class if kind.endswith("_c") else predict_value)(model, np.array(row))
+
+
+def assert_row_matches_batch(model, x):
+    """`score_row` and `predict_class`/`predict_value` on x equal the batch
+    method on x as a one-row matrix, byte for byte. Returns the score."""
+    est, row = model.estimator, x.reshape(1, -1)
+    if model.task == CLASSIFIER:
+        want = est.decision_function(row)
+        direction, score = predict_class(model, x)
+        assert direction == (UP if want[0] > 0 else DOWN)
+    else:
+        want = est.predict(row)
+        score = predict_value(model, x)
+    got = est.score_row(x)
+    assert type(got) is float and type(score) is float and want.dtype == np.float64
+    assert np.float64(got).tobytes() == np.float64(score).tobytes() == want[:1].tobytes()
+    return score
+
+
+def one_row_queries(rng, X, n):
+    """n rows around, at and far beyond the training rows: copies of them, rows
+    with entries at the column medians, wide draws and saturating magnitudes."""
+    mean, std, median = X.mean(axis=0), X.std(axis=0) + 1e-3, np.median(X, axis=0)
+    parts = n // 5
+    near = mean + std * rng.normal(size=(parts, X.shape[1]))
+    at_median = near.copy()
+    pick = rng.random(at_median.shape) < 0.5
+    at_median[pick] = np.broadcast_to(median, at_median.shape)[pick]
+    copies = X[rng.integers(0, X.shape[0], size=parts)]
+    wide = rng.normal(0.0, 50.0, size=(parts, X.shape[1]))
+    huge = mean + std * rng.normal(size=(n - 4 * parts, X.shape[1])) * 10.0 ** rng.uniform(3, 12, size=(n - 4 * parts, 1))
+    return np.vstack([median, near, at_median, copies, wide, huge])
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_score_row_matches_one_row_batch(kind):
+    checked = 0
+    for seed in range(5):  # seeds 200 and 204 hold a constant column
+        rng, X, y_class, y_reg = case_data(200 + seed, n_max=40)
+        model = fit(ModelSpec(kind, seed=seed), X, y_class if task_of(kind) == CLASSIFIER else y_reg)
+        for x in one_row_queries(rng, X, 110):
+            assert_row_matches_batch(model, x)
+            checked += 1
+    assert checked >= 500
+
+
+@pytest.mark.parametrize("kind", ["logistic_c", "sgd_c", "sgd_r", "knn_c", "knn_r"])
+def test_score_row_with_a_constant_scaler_column(kind):
+    rng, X, y_class, y_reg = case_data(210, n_max=40)
+    X[:, -1] = -3.25  # unit scale, so the column standardizes to x + 3.25
+    model = fit(ModelSpec(kind), X, y_class if task_of(kind) == CLASSIFIER else y_reg)
+    assert model.estimator.scaler_scale_[-1] == 1.0
+    queries = one_row_queries(rng, X, 100)
+    queries[::2, -1] = -3.25
+    for x in queries:
+        assert_row_matches_batch(model, x)
+
+
+def test_logistic_score_row_saturates_like_the_batch():
+    rng, X, y, _ = case_data(220, n_max=40)
+    model = fit(ModelSpec("logistic_c", {"learning_rate": 1.0}), X, y)
+    est = model.estimator
+    scores = set()
+    for scale in 10.0 ** np.arange(0, 13):
+        for u in rng.normal(size=(20, X.shape[1])):
+            scores.add(assert_row_matches_batch(model, est.scaler_mean_ + scale * u * est.scaler_scale_))
+    assert {0.5, -0.5} <= scores  # tanh reached +-1
+
+
+def test_signed_zero_scores():
+    """Zero targets, tied votes and hand-set negative-zero leaves and
+    constants: the score's sign bit is kept."""
+    rng = np.random.default_rng(230)
+    X = rng.normal(size=(12, 3))
+    queries = np.vstack([rng.normal(size=(20, 3)), np.zeros((1, 3)), np.full((1, 3), -0.0)])
+    models = [fit(ModelSpec(k), X, np.full(12, zero)) for k in REGRESSOR_KINDS for zero in (0.0, -0.0)]
+    models.append(fit(ModelSpec("knn_c", {"k": 2}), X, np.where(np.arange(12) % 2 == 0, 1.0, -1.0)))
+    for kind in ("decision_tree_r", "extra_tree_r", "random_forest_r", "bagging_r"):
+        model = fit(ModelSpec(kind), X, rng.normal(size=12))
+        model.estimator.trees_.value[:] = -0.0
+        models.append(model)
+    models += [TrainedModel(ModelKind.OLS_R, REGRESSOR, ConstantRegressor(zero), 3) for zero in (0.0, -0.0)]
+    signs = set()
+    for model in models:
+        for x in queries:
+            score = assert_row_matches_batch(model, x)
+            if score == 0.0:
+                signs.add(math.copysign(1.0, score))
+    assert signs == {1.0, -1.0}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nb_scores_are_memoized_by_binarized_pattern(seed):
+    rng, X, y, _ = case_data(240 + seed, n_max=40)
+    model = fit(ModelSpec("bernoulli_nb_c"), X, y)
+    est = model.estimator
+    assert isinstance(est, BernoulliNBClassifier) and est.pattern_scores_ == {}
+    # each entry just below, at or above its column's median
+    offsets = rng.choice([-1.0, 0.0, 0.0, 1.0], size=(300, X.shape[1])) * rng.uniform(1e-9, 3.0, size=(300, X.shape[1]))
+    by_pattern = {}
+    for x in np.vstack([est.medians_, est.medians_ + offsets]):
+        score = np.float64(assert_row_matches_batch(model, x)).tobytes()
+        assert by_pattern.setdefault((x > est.medians_).tobytes(), score) == score
+    assert len(est.pattern_scores_) == len(by_pattern) <= 2 ** X.shape[1]
+    est.fit(X[::-1], y[::-1])
+    assert est.pattern_scores_ == {}
+
+
+def test_nb_single_class_score_row():
+    """Fitted directly (the model table's fit would take the constant
+    fallback), one class scores a constant through the memo too."""
+    rng, X, _, _ = case_data(250, n_max=40)
+    for label in (UP, DOWN):
+        est = BernoulliNBClassifier().fit(X, np.full(X.shape[0], float(label)))
+        for x in one_row_queries(rng, X, 20):
+            want = est.decision_function(x.reshape(1, -1))
+            assert np.float64(est.score_row(x)).tobytes() == want.tobytes()

@@ -20,7 +20,7 @@ from quantroll.walkforward import (
 )
 
 from .conftest import DAY, T0
-from .reference import ref_dead_band
+from .reference import ref_dead_band, ref_run_walkforward
 
 
 def make_dataset(n, class_target=None, reg_target=None, valid_from=0, seed=0):
@@ -217,6 +217,48 @@ class TestGlobalMode:
         view = view_of(ds, 30, 40)
         with pytest.raises(ValueError):
             run_walkforward(view, ModelSpec("knn_c"), WalkForwardConfig(window=7, mode=GLOBAL))
+
+
+WALK_KINDS = [
+    ("logistic_c", {}), ("ridge_c", {}), ("bernoulli_nb_c", {}), ("knn_c", {"k": 2}), ("decision_tree_c", {}),
+    ("ols_r", {}), ("sgd_r", {"epochs": 20}), ("knn_r", {"k": 2}), ("decision_tree_r", {"max_depth": 2}),
+]
+
+
+class TestMatchesStepwiseReference:
+    """The loop collects scores and derives direction and value afterwards;
+    the reference stores all three step by step. The series must be equal
+    byte for byte, dtypes included."""
+
+    @pytest.mark.parametrize("kind, params", WALK_KINDS, ids=[k for k, _ in WALK_KINDS])
+    @pytest.mark.parametrize(
+        "mode, window, stride", [(TRAILING, 7, 1), (TRAILING, 7, 3), (TRAILING, 1, 1), (TRAILING, 1, 4), (GLOBAL, 7, 1)],
+        ids=["trailing-w7-s1", "trailing-w7-s3", "trailing-w1-s1", "trailing-w1-s4", "global"],
+    )
+    def test_series_bytes(self, kind, params, mode, window, stride):
+        ds = make_dataset(70, valid_from=3, seed=12)
+        train, back, _fwd = split(ds, SegmentSplit(
+            train=(T0 + 3 * DAY, T0 + 40 * DAY), backtest=(T0 + 40 * DAY, T0 + 58 * DAY),
+            forward=(T0 + 58 * DAY, T0 + 70 * DAY),
+        ))
+        spec, config = ModelSpec(kind, params, seed=5), WalkForwardConfig(window=window, mode=mode, retrain_stride=stride)
+        got = run_walkforward(back, spec, config, train_view=train)
+        want = ref_run_walkforward(back, spec, config, train_view=train)
+        assert got.task == want.task and len(got) == len(want) > 0
+        for name in ("timestamps", "direction", "score", "value", "realized_class", "realized_return"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_window_one_takes_the_constant_fallback(self, monkeypatch):
+        ds = make_dataset(30, seed=13)
+        fitted = []
+        real_fit = quantroll.walkforward.fit
+        monkeypatch.setattr(quantroll.walkforward, "fit", lambda *args: fitted.append(real_fit(*args)) or fitted[-1])
+        preds = run_walkforward(view_of(ds, 10, 20), ModelSpec("sgd_r"), WalkForwardConfig(window=1))
+        assert len(fitted) == len(preds) == 11
+        assert {type(m.estimator).__name__ for m in fitted} == {"ConstantRegressor"}
+        # each step predicts the one target it trained on, the previous row's
+        assert preds.value.tobytes() == preds.score.tobytes() == ds.reg_target[9:20].tobytes()
 
 
 def preds_fixture(task, directions=None, values=None):
