@@ -32,6 +32,7 @@ from .linear import (
     RidgeRegressor,
     SGDClassifier,
     SGDRegressor,
+    _GradientDescent,
 )
 from .naive_bayes import BernoulliNBClassifier
 from .neighbors import KNNClassifier, KNNRegressor
@@ -41,6 +42,7 @@ from .tree import (
     DecisionTreeRegressor,
     ExtraTreeClassifier,
     ExtraTreeRegressor,
+    _Grown,
     cart_best_split,
 )
 
@@ -157,11 +159,16 @@ def build_estimator(spec: ModelSpec) -> Estimator:
     return cls(**kwargs)
 
 
-def fit(spec: ModelSpec, X, y) -> TrainedModel:
+def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     """Fit one model on a training window.
 
     Degenerate windows never abort a run: fewer than two rows, or a
     single-class classification window, produce a constant model.
+
+    memo, if given, is a dict the caller passes to every refit of a run: the
+    tree and gradient-descent kinds keep their seed-determined draws in it,
+    keyed by everything they depend on, so a later fit draws nothing and
+    returns what a fresh fit would. No fitted model refers to it.
     """
     X, y = check_fit_inputs(X, y)
     task = spec.task
@@ -176,7 +183,11 @@ def fit(spec: ModelSpec, X, y) -> TrainedModel:
     elif len(labels) == 1:
         estimator = ConstantClassifier(int(y[0])).fit(X, y)
     else:
-        estimator = build_estimator(spec).fit(X, y)
+        estimator = build_estimator(spec)
+        if isinstance(estimator, (_Grown, _GradientDescent)):  # the kinds that draw from their seed
+            estimator.fit(X, y, memo)
+        else:
+            estimator.fit(X, y)
     return TrainedModel(spec.kind, task, estimator, X.shape[1])
 
 

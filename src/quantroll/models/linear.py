@@ -101,8 +101,10 @@ class _GradientDescent(_Linear, StandardizerMixin):
     """Mini-batch gradient descent over standardized features.
 
     Each epoch draws one seeded permutation of the rows; the mini-batches are
-    consecutive slices of it. Subclasses define the derivative of the
-    per-margin loss in terms of a per-row target factor.
+    consecutive slices of it. The permutations depend only on the seed, the
+    row count and the epochs, so a memo dict passed to fit keeps them for later
+    fits. Subclasses define the derivative of the per-margin loss in terms of a
+    per-row target factor.
     """
 
     def __init__(self, learning_rate: float = 0.01, epochs: int = 100, batch_size: int = 32, seed: int = 0):
@@ -118,13 +120,20 @@ class _GradientDescent(_Linear, StandardizerMixin):
     def _dloss_dmargin(self, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def fit(self, X, y) -> "_GradientDescent":
+    def fit(self, X, y, memo: dict | None = None) -> "_GradientDescent":
+        """memo, if given, is read and filled with the epochs' permutations, never kept."""
         X, y = check_fit_inputs(X, y)
         t = self._target_factor(y)
         Xz = _augment(self._fit_scaler(X))
         n, width = Xz.shape
         w = np.zeros(width)
-        rng = np.random.default_rng(np.random.PCG64(self.seed))
+        key = ("gd", self.seed, n, self.epochs)
+        orders = None if memo is None else memo.get(key)
+        if orders is None:
+            rng = np.random.default_rng(np.random.PCG64(self.seed))
+            orders = (rng.permutation(n) for _ in range(self.epochs))
+            if memo is not None:
+                orders = memo[key] = tuple(orders)
         batch = min(self.batch_size, n)
         # Each epoch gathers its permutation into Xo/to once; the batch views
         # into them are made once per fit. The batch size and the rate are 0-d
@@ -133,8 +142,7 @@ class _GradientDescent(_Linear, StandardizerMixin):
         Xo, to = np.empty_like(Xz), np.empty_like(t)
         batches = [(Xo[s : s + batch], to[s : s + batch], np.array(float(min(batch, n - s)))) for s in range(0, n, batch)]
         dloss, lr = self._dloss_dmargin, np.array(float(self.learning_rate))
-        for _ in range(self.epochs):
-            order = rng.permutation(n)
+        for order in orders:
             np.take(Xz, order, axis=0, out=Xo)
             np.take(t, order, out=to)
             for Xb, tb, size in batches:

@@ -9,6 +9,11 @@ _BATCH_CELLS cells at a time, largest nodes first. It rounds as a per-node searc
 sorts after a node's rows, prefix sums are sequential, and means and variances reduce equal-size
 nodes stacked along the last axis. Fitted trees are flat node arrays with one root per member;
 prediction walks all members for all rows together, one level per vectorised step.
+
+A member's draws depend only on its seed, the row count and the settings, never on X or y, so a
+caller that refits on equal-length windows may pass one memo dict to every fit: the first fit
+stores each member's bootstrap rows and generator in it, later fits reuse them and draw the same
+numbers. A member that draws nothing (no bootstrap, subsampling or random split) builds no generator.
 """
 from __future__ import annotations
 
@@ -190,13 +195,38 @@ def _node_stats(y_pad: np.ndarray, R: np.ndarray, sizes: list, criterion: str):
     return impurity, mean
 
 
+class _Draws:
+    """A member's draws from its seed: its bootstrap rows, then, if it draws while it grows, its
+    generator. A random-split member's generator restarts from `start`, its state after the
+    bootstrap, at every fit. A subsampling member's generator sits just after the last of `subsets`,
+    the sorted column subsets drawn so far in preorder; each fit replays them before drawing more."""
+
+    __slots__ = ("rows", "rng", "start", "subsets")
+
+    def __init__(self, seed: int, n_rows: int, bootstrap: bool, random_split: bool, subsample: bool):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        self.rows = rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows)
+        self.rows.flags.writeable = False
+        self.rng = rng if random_split or subsample else None  # a generator holds ~0.9 kB
+        self.start = rng.bit_generator.state if random_split else None
+        self.subsets = []
+
+
 def grow_forest(
     X: np.ndarray, y: np.ndarray, criterion: str, seeds: range, bootstrap: bool = False,
     max_features: int | None = None, max_depth: int | None = None, min_leaf: int = 1, random_split: bool = False,
+    memo: dict | None = None,
 ) -> FlatTrees:
-    """Grow one tree per seed, which draws the tree's bootstrap sample of X's rows, then its splits."""
+    """Grow one tree per seed, which draws the tree's bootstrap sample of X's rows, then its splits.
+
+    memo, if given, keeps each member's draws (keyed by seed, row count and settings) for later calls.
+    """
     n_rows, width = X.shape
     subsample = max_features is not None and max_features < width
+    draws = bootstrap or subsample or random_split
+    key = ("tree", n_rows, bootstrap, random_split, max_features if subsample else None, width)  # + seed
+    memo = {} if memo is None else memo
+    all_rows = np.arange(n_rows)  # the rows of a member that draws nothing
     XT = np.concatenate([X.T, np.full((width, 1), np.inf)], axis=1)  # row index n_rows is padding
     y_pad = np.append(y, 0.0)
     depth_cap = np.inf if max_depth is None else max_depth
@@ -220,11 +250,12 @@ def grow_forest(
             cand = np.flatnonzero((n >= min_split) & (np.array(depths) < depth_cap) & (parent != 0.0))
             cols = np.arange(width)[None].repeat(cand.size, axis=0)
             if subsample:
-                cols = np.array([np.sort(rngs[members[k]].choice(width, max_features, replace=False)) for k in cand])
+                cols = np.array([subset(members[k]) for k in cand])
             feature, threshold = np.full(len(batch), -1), np.zeros(len(batch))
             if random_split:
                 for k, kc in zip(cand.tolist(), cols):
-                    found = _random_split(X[rows[k]], y[rows[k]], criterion, parent[k], min_leaf, rngs[members[k]], kc)
+                    rng = group[members[k]].rng
+                    found = _random_split(X[rows[k]], y[rows[k]], criterion, parent[k], min_leaf, rng, kc)
                     if found is not None:
                         feature[k], threshold[k] = found.feature, found.threshold
             elif cand.size:
@@ -248,12 +279,30 @@ def grow_forest(
                 for node in (m, child + 1, d, Rs[j, nl : sizes[k]].copy()), (m, child, d, Rs[j, :nl].copy()):
                     (stacks[m] if len(node[3]) >= min_split and d < depth_cap else final).append(node)
 
+    def subset(m):
+        """Member m's next sorted column subset."""
+        member = group[m]
+        if random_split:  # drawn between thresholds, so never replayed
+            return np.sort(member.rng.choice(width, max_features, replace=False))
+        k = cursor[m]
+        cursor[m] += 1
+        if k == len(member.subsets):
+            member.subsets.append(np.sort(member.rng.choice(width, max_features, replace=False)))
+        return member.subsets[k]
+
     for first in range(0, len(seeds), _LOCKSTEP):  # members grow together in groups, which bounds memory
-        rngs, stacks, final = [], [], []  # stacks hold (member in group, node, depth, rows)
+        group, stacks, final = [], [], []  # stacks hold (member in group, node, depth, rows)
+        cursor = [0] * len(seeds[first : first + _LOCKSTEP])  # each member's next subset to replay
         for j, seed in enumerate(seeds[first : first + _LOCKSTEP]):
-            rng = np.random.default_rng(np.random.PCG64(seed))
-            stacks.append([(j, first + j, 0, rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows))])
-            rngs.append(rng if random_split or subsample else None)  # a generator holds ~4.5 kB
+            member = None
+            if draws:
+                member = memo.get(key + (seed,))
+                if member is None:
+                    member = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split, subsample)
+                elif random_split:
+                    member.rng.bit_generator.state = member.start
+            group.append(member)
+            stacks.append([(j, first + j, 0, all_rows if member is None else member.rows)])
         while any(stacks):
             if random_split or subsample:  # members that draw grow one node at a time, in preorder
                 grow([stack.pop() for stack in stacks if stack])
@@ -284,14 +333,15 @@ class _Grown(Estimator):
     candidate_mode = "exhaustive"
     n_members, bootstrap, max_features = 1, False, "all"  # a single tree is a forest of one
 
-    def fit(self, X, y):
+    def fit(self, X, y, memo: dict | None = None):
+        """memo: see grow_forest; it is read and filled, never kept."""
         X, y = check_fit_inputs(X, y)
         if self.criterion == GINI:
             y = check_class_labels(y).astype(np.float64)
         self.trees_ = grow_forest(
             X, y, self.criterion, range(self.seed, self.seed + self.n_members), self.bootstrap,
             _resolve_max_features(self.max_features, X.shape[1]), self.max_depth, self.min_samples_leaf,
-            self.candidate_mode == "random",
+            self.candidate_mode == "random", memo,
         )
         return self
 

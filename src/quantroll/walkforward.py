@@ -84,7 +84,9 @@ def run_walkforward(
     Trailing mode shifts the first evaluable index forward until a full
     window of history exists in the parent dataset; indices skipped by
     retrain_stride reuse the most recent model. Only the current model is
-    held: each refit replaces it before the next prediction.
+    held: each refit replaces it before the next prediction. Every trailing
+    refit has the same spec and row count, so all of them share one memo of
+    seeded draws (see models.fit), which lives only as long as this call.
     """
     parent = view.parent
     X = parent.frame.rows
@@ -109,11 +111,12 @@ def run_walkforward(
             )
 
     trailing = config.mode == TRAILING
+    memo: dict = {}
     scores = []
     for i, t in enumerate(eval_indices.tolist()):
         if trailing and i % config.retrain_stride == 0:
             lo = t - config.window
-            model = fit(spec, X[lo:t], y_train[lo:t])
+            model = fit(spec, X[lo:t], y_train[lo:t], memo)
         if task == CLASSIFIER:
             scores.append(predict_class(model, X[t])[1])
         else:

@@ -50,6 +50,11 @@ SMALL_WORKLOADS = {
         name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("knn_c", "sgd_r"), windows=(7,),
         mode="trailing", backtest_rows=20, forward_rows=10, tuner_trials=2, retrain_stride=3,
     ),
+    # the tuned forest and gradient-descent kinds, whose trailing refits share seeded draws
+    "trailing_seeded": workloads.Workload(
+        name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("random_forest_c", "sgd_r"), windows=(7,),
+        mode="trailing", backtest_rows=20, forward_rows=10, tuner_trials=2, retrain_stride=3,
+    ),
     # one fit per segment, then one one-row prediction per step
     "global": workloads.Workload(
         name="surface", bars=150, interval=workloads.DAY, vol=0.02, models=("logistic_c", "bernoulli_nb_c", "ols_r"),

@@ -1,4 +1,4 @@
-"""The batched forest grower against the recursive reference, and its memory bound."""
+"""The batched forest grower against the recursive reference, its memory bound, and the generators it builds."""
 import tracemalloc
 
 import numpy as np
@@ -126,3 +126,31 @@ def test_forest_growth_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, params, fresh, reused",
+    [
+        ("decision_tree_c", {}, 0, 0),
+        ("decision_tree_r", {}, 0, 0),
+        ("random_forest_r", {"n_members": 40, "bootstrap": False}, 0, 0),
+        ("bagging_c", {"n_members": 40}, 40, 0),  # a memo hit reuses the bootstrap rows
+        ("random_forest_c", {"n_members": 40, "max_features": "sqrt"}, 40, 0),
+        ("extra_tree_r", {}, 1, 0),  # the generator restarts from its stored state
+        ("sgd_r", {"epochs": 5}, 1, 0),  # a memo hit reuses the epochs' permutations
+    ],
+)
+def test_generators_built_per_fit(monkeypatch, kind, params, fresh, reused):
+    """Members that draw nothing build no generator; a fit through a memo that
+    already holds a member's draws builds none either."""
+    built = []
+    real = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or real(seed))
+    rng = np.random.default_rng(80)
+    X = rng.normal(size=(28, 7))
+    y = np.where(X[:, 0] + rng.normal(size=28) > 0, UP, DOWN) if task_of(kind) == "classifier" else rng.normal(size=28)
+    spec, memo = ModelSpec(kind, params, seed=4), {}
+    for rows, shared, want in ((slice(None), None, fresh), (slice(None), memo, fresh), (slice(None, None, -1), memo, reused)):
+        fit(spec, X[rows], y[rows], shared)
+        assert len(built) == want
+        built.clear()

@@ -1,8 +1,9 @@
 """Seeded bit-identity checks of the gradient-descent epoch, the perceptron
 sweep and the one-row predict path against the straight-line loops in
-tests/reference.py, and of each kind's `score_row` against its own batch
-method on a one-row matrix. Every comparison is exact equality, never a
-tolerance."""
+tests/reference.py, of each kind's `score_row` against its own batch
+method on a one-row matrix, and of fits through a shared draw memo against
+fresh fits. Every comparison is exact equality, never a tolerance."""
+import dataclasses
 import math
 
 import numpy as np
@@ -243,3 +244,40 @@ def test_nb_single_class_score_row():
         for x in one_row_queries(rng, X, 20):
             want = est.decision_function(x.reshape(1, -1))
             assert np.float64(est.score_row(x)).tobytes() == want.tobytes()
+
+
+SHARED_MEMO_CASES = {
+    "random_forest_c": [{"n_members": 40, "max_features": f, "bootstrap": b} for f in ("all", "sqrt", "log2") for b in (True, False)],
+    "random_forest_r": [{"n_members": 40, "max_features": "sqrt"}, {"n_members": 40, "max_depth": 2}],
+    "bagging_c": [{"n_members": 40}, {"n_members": 40, "bootstrap": False}],
+    "extra_tree_c": [{}, {"max_depth": 2}],
+    "extra_tree_r": [{}, {"min_samples_leaf": 3}],
+    "logistic_c": [{"epochs": 7}, {"epochs": 1, "batch_size": 5}],
+    "sgd_c": [{"epochs": 7, "batch_size": 1}, {"epochs": 7}],
+    "sgd_r": [{"epochs": 7}, {"epochs": 3, "batch_size": 5}],
+}
+
+
+def fitted_arrays(model):
+    est = model.estimator
+    if hasattr(est, "trees_"):
+        return [getattr(est.trees_, f.name) for f in dataclasses.fields(est.trees_)]
+    return [est.weights_]
+
+
+@pytest.mark.parametrize("kind", sorted(SHARED_MEMO_CASES))
+def test_shared_memo_fits_equal_fresh_fits(kind):
+    """One memo serves specs that share a seed but differ in their settings,
+    and windows of several lengths, in an order that revisits each: every
+    fit's arrays equal a fresh fit's byte for byte."""
+    rng = np.random.default_rng(260)
+    X = rng.normal(size=(80, 7))
+    y = np.where(X[:, 0] + rng.normal(size=80) > 0, UP, DOWN) if task_of(kind) == CLASSIFIER else rng.normal(0.0, 0.01, 80)
+    memo = {}
+    for lo, n in [(0, 28), (5, 14), (30, 28), (9, 9), (52, 28), (60, 14)] * 2:
+        for params in SHARED_MEMO_CASES[kind]:
+            spec = ModelSpec(kind, params, seed=11)
+            got, want = fit(spec, X[lo : lo + n], y[lo : lo + n], memo), fit(spec, X[lo : lo + n], y[lo : lo + n])
+            for a, b in zip(fitted_arrays(got), fitted_arrays(want)):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert memo

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +11,8 @@ import quantroll.walkforward
 from quantroll.dataset import DatasetView, FeatureFrame, LabeledDataset, SegmentSplit, split
 from quantroll.direction import DOWN, UP
 from quantroll.errors import InsufficientHistory
-from quantroll.models import ModelSpec
+from quantroll.models import ModelSpec, TrainedModel
+from quantroll.models.base import Estimator
 from quantroll.walkforward import (
     GLOBAL,
     TRAILING,
@@ -197,6 +200,48 @@ class TestModelLifetime:
         assert probe.live_at_predict == [1] * len(preds)
 
 
+def reachable(root):
+    """The objects reachable from root through instances and containers, not through classes or modules."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, (type, type(gc))):
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return seen
+
+
+class TestDrawMemo:
+    def test_tuned_size_forest_walk_is_bounded_and_keeps_its_memo_apart(self, monkeypatch):
+        """The tuner's largest forest, refit at every step: the memo holds each
+        member's draws and no model, no model holds the memo, and nothing
+        holds it once the walk returns."""
+        ds = make_dataset(80, seed=15)
+        view = view_of(ds, 40, 59)
+        memos = []
+        real_fit = quantroll.walkforward.fit
+
+        def fit(*args):
+            model = real_fit(*args)
+            memos.append(args[3])
+            assert all(obj is not args[3] for obj in reachable(model).values())
+            return model
+
+        monkeypatch.setattr(quantroll.walkforward, "fit", fit)
+        spec = ModelSpec("random_forest_c", {"n_members": 200, "max_features": "sqrt"}, seed=3)
+        tracemalloc.start()
+        try:
+            preds = run_walkforward(view, spec, WalkForwardConfig(window=28))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(preds) == len(memos) == 20
+        assert all(memo is memos[0] for memo in memos) and len(memos[0]) == 200
+        assert not any(isinstance(obj, (TrainedModel, Estimator)) for obj in reachable(memos[0]).values())
+        assert gc.get_referrers(memos[0]) == [memos]  # nothing kept it past the walk
+        assert peak < 8 * 2**20
+
+
 class TestGlobalMode:
     def test_global_fits_once_on_training_view(self, monkeypatch):
         ds = make_dataset(60, seed=8)
@@ -259,6 +304,40 @@ class TestMatchesStepwiseReference:
         assert {type(m.estimator).__name__ for m in fitted} == {"ConstantRegressor"}
         # each step predicts the one target it trained on, the previous row's
         assert preds.value.tobytes() == preds.score.tobytes() == ds.reg_target[9:20].tobytes()
+
+
+FOREST = {"n_members": 40}  # past one 32-member lockstep group
+SEEDED_KINDS = [
+    *(("random_forest_c", {**FOREST, "max_features": f, "bootstrap": b}) for f in ("all", "sqrt", "log2") for b in (True, False)),
+    ("random_forest_r", {**FOREST, "max_features": "sqrt", "min_samples_leaf": 8}),  # no window splits a root
+    ("random_forest_r", {**FOREST, "max_features": "log2", "bootstrap": False, "max_depth": 1}),
+    ("bagging_c", FOREST), ("bagging_c", {**FOREST, "bootstrap": False}),
+    ("bagging_r", {**FOREST, "max_depth": 1}), ("bagging_r", {**FOREST, "min_samples_leaf": 8}),
+    ("extra_tree_c", {}), ("extra_tree_r", {}), ("decision_tree_c", {}), ("decision_tree_r", {"max_depth": 3}),
+    *((k, {"epochs": e, "batch_size": b}) for k in ("logistic_c", "sgd_c", "sgd_r") for e in (1, 7) for b in (1, 5, 64)),
+    ("perceptron_c", {}),
+]
+
+
+class TestRefitsMatchFreshFits:
+    """Trailing refits share one memo of seeded draws; the reference fits
+    afresh at every refit. The series must be equal byte for byte."""
+
+    @pytest.mark.parametrize(
+        "kind, params", SEEDED_KINDS, ids=[f"{k}-" + "-".join(f"{n}={v}" for n, v in p.items()) for k, p in SEEDED_KINDS]
+    )
+    @pytest.mark.parametrize("window", [1, 7, 14])
+    @pytest.mark.parametrize("stride", [1, 3, 20])
+    def test_series_bytes(self, kind, params, window, stride):
+        ds = make_dataset(90, valid_from=3, seed=14)
+        back = view_of(ds, 40, 69)  # 30 steps: two refits at stride 20
+        spec, config = ModelSpec(kind, params, seed=5), WalkForwardConfig(window=window, retrain_stride=stride)
+        got = run_walkforward(back, spec, config)
+        want = ref_run_walkforward(back, spec, config)
+        assert len(got) == len(want) == 30
+        for name in ("timestamps", "direction", "score", "value", "realized_class", "realized_return"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def preds_fixture(task, directions=None, values=None):
