@@ -152,6 +152,8 @@ class TrainedModel:
 
 
 def build_estimator(spec: ModelSpec) -> Estimator:
+    """The unfitted estimator of a spec. Its fit checks nothing: give it a window
+    `fit` would accept, with at least two rows and, for a classifier, both labels."""
     cls = _REGISTRY[spec.kind]
     kwargs = dict(spec.params)
     if "seed" in cls._param_names():
@@ -160,10 +162,12 @@ def build_estimator(spec: ModelSpec) -> Estimator:
 
 
 def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
-    """Fit one model on a training window.
+    """Fit one model on a training window: the one place a window is checked.
 
-    Degenerate windows never abort a run: fewer than two rows, or a
-    single-class classification window, produce a constant model.
+    X must be finite with one row per entry of the finite, 1-D y; a
+    classifier's y must be +1/-1. Degenerate windows never abort a run: fewer
+    than two rows, or a single-class classification window, produce a
+    constant model. Any other window reaches the estimator as float64 arrays.
 
     memo, if given, is a dict the caller passes to every refit of a run: the
     tree and gradient-descent kinds keep their seed-determined draws in it,
@@ -175,13 +179,8 @@ def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     labels = class_label_set(y) if task == CLASSIFIER else set()
 
     estimator: Estimator
-    if X.shape[0] < 2:
-        if task == CLASSIFIER:
-            estimator = ConstantClassifier(int(y[0])).fit(X, y)
-        else:
-            estimator = ConstantRegressor(float(y.mean())).fit(X, y)
-    elif len(labels) == 1:
-        estimator = ConstantClassifier(int(y[0])).fit(X, y)
+    if X.shape[0] < 2 or len(labels) == 1:
+        estimator = ConstantClassifier(int(y[0])) if task == CLASSIFIER else ConstantRegressor(float(y.mean()))
     else:
         estimator = build_estimator(spec)
         if isinstance(estimator, (_Grown, _GradientDescent)):  # the kinds that draw from their seed

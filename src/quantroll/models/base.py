@@ -1,4 +1,4 @@
-"""Estimator plumbing: scikit-style get_params/set_params and input checks.
+"""Estimator plumbing: scikit-style get_params/set_params and the fit contract's checks.
 
 The estimators in this package follow the familiar fit/predict contract
 (fit returns self, constructor args are hyperparameters) so they compose
@@ -17,7 +17,16 @@ from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput
 
 
 class Estimator:
-    """Base class exposing hyperparameters via get_params/set_params."""
+    """Base class exposing hyperparameters via get_params/set_params.
+
+    `quantroll.models.fit` checks each training window once (check_fit_inputs,
+    and class_label_set for a classifier) and gives a degenerate window a
+    constant model, so an estimator's fit only computes: it is handed float64,
+    finite arrays with at least two rows and, for a classifier, both +1 and -1
+    labels. An estimator fitted directly must be given arrays that meet the
+    same contract. A classifier's predict is the sign of its decision scores,
+    ties going down.
+    """
 
     @classmethod
     @functools.cache
@@ -46,6 +55,10 @@ class Estimator:
         a one-row view; overrides must return the same float bit for bit."""
         batch = getattr(self, "decision_function", None) or self.predict
         return float(batch(x.reshape(1, -1))[0])
+
+    def predict(self, X) -> np.ndarray:
+        """A classifier's labels: +1 where its decision score is positive, else -1."""
+        return classify_from_scores(self.decision_function(X))
 
 
 def check_matrix(X, name: str = "X") -> np.ndarray:
@@ -77,11 +90,6 @@ def class_label_set(y: np.ndarray) -> set[float]:
     if not labels <= {float(UP), float(DOWN)}:
         raise ValueError(f"classification targets must be +1/-1, got {sorted(labels)}")
     return labels
-
-
-def check_class_labels(y: np.ndarray) -> np.ndarray:
-    class_label_set(y)
-    return y.astype(np.int8)
 
 
 class StandardizerMixin:

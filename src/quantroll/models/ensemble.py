@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import classify_from_scores
 from .tree import GINI, VARIANCE, _Grown
 
 
@@ -27,9 +26,6 @@ class _ForestClassifierBase(_ForestBase):
 
     def decision_function(self, X) -> np.ndarray:
         return self.member_predictions(X).astype(np.float64).mean(axis=0) / 2.0  # up share of the votes - 0.5
-
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
 
 
 class _ForestRegressorBase(_ForestBase):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..direction import DOWN, UP
-from .base import Estimator, StandardizerMixin, check_fit_inputs, check_class_labels, classify_from_scores
+from .base import Estimator, StandardizerMixin
 
 
 def _augment(X: np.ndarray) -> np.ndarray:
@@ -50,32 +50,23 @@ class _Linear(Estimator):
         return self._row_margin(x).item()
 
 
-class OLSRegressor(_Linear):
-    """Ordinary least squares on an intercept-augmented design."""
-
-    def __init__(self):
-        pass
-
-    def fit(self, X, y) -> "OLSRegressor":
-        X, y = check_fit_inputs(X, y)
-        self.weights_ = _solve_normal_equations(_augment(X), y, 0.0)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        return self._margins(X)
-
-
 class RidgeRegressor(_Linear):
     def __init__(self, lam: float = 1.0):
         self.lam = lam
 
     def fit(self, X, y) -> "RidgeRegressor":
-        X, y = check_fit_inputs(X, y)
         self.weights_ = _solve_normal_equations(_augment(X), y, self.lam)
         return self
 
     def predict(self, X) -> np.ndarray:
         return self._margins(X)
+
+
+class OLSRegressor(RidgeRegressor):
+    """Ordinary least squares on an intercept-augmented design: ridge at lam = 0."""
+
+    def __init__(self):
+        self.lam = 0.0
 
 
 class RidgeClassifier(_Linear):
@@ -85,16 +76,11 @@ class RidgeClassifier(_Linear):
         self.lam = lam
 
     def fit(self, X, y) -> "RidgeClassifier":
-        X, y = check_fit_inputs(X, y)
-        check_class_labels(y)
         self.weights_ = _solve_normal_equations(_augment(X), y, self.lam)
         return self
 
     def decision_function(self, X) -> np.ndarray:
         return self._margins(X)
-
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
 
 
 class _GradientDescent(_Linear, StandardizerMixin):
@@ -114,7 +100,7 @@ class _GradientDescent(_Linear, StandardizerMixin):
         self.seed = seed
 
     def _target_factor(self, y: np.ndarray) -> np.ndarray:
-        """Check the targets; return the per-row factor `_dloss_dmargin` reads."""
+        """The per-row factor `_dloss_dmargin` reads."""
         return y
 
     def _dloss_dmargin(self, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -122,7 +108,6 @@ class _GradientDescent(_Linear, StandardizerMixin):
 
     def fit(self, X, y, memo: dict | None = None) -> "_GradientDescent":
         """memo, if given, is read and filled with the epochs' permutations, never kept."""
-        X, y = check_fit_inputs(X, y)
         t = self._target_factor(y)
         Xz = _augment(self._fit_scaler(X))
         n, width = Xz.shape
@@ -164,33 +149,25 @@ class LogisticClassifier(_GradientDescent):
         super().__init__(learning_rate, epochs, batch_size, seed)
 
     def _target_factor(self, y):
-        check_class_labels(y)
         return 0.5 * y
 
     def _dloss_dmargin(self, margins, half_y):
         # d/dm log(1 + exp(-y m)) = -y * sigmoid(-y m); tanh form avoids overflow
         return -half_y * (1.0 - np.tanh(half_y * margins))
 
-    def predict_proba_up(self, X) -> np.ndarray:
-        return 0.5 * (1.0 + np.tanh(0.5 * self._margins(X)))
-
     def decision_function(self, X) -> np.ndarray:
-        return self.predict_proba_up(X) - 0.5
+        return 0.5 * (1.0 + np.tanh(0.5 * self._margins(X))) - 0.5
 
     def score_row(self, x: np.ndarray) -> float:
         # tanh stays numpy's; the affine tail after it is exact in Python floats
         t = np.tanh(0.5 * self._row_margin(x)).item()
         return 0.5 * (1.0 + t) - 0.5
 
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
-
 
 class SGDClassifier(_GradientDescent):
     """Hinge-loss linear classifier trained with mini-batch gradient descent."""
 
     def _target_factor(self, y):
-        check_class_labels(y)
         return -y
 
     def _dloss_dmargin(self, margins, neg_y):
@@ -199,9 +176,6 @@ class SGDClassifier(_GradientDescent):
 
     def decision_function(self, X) -> np.ndarray:
         return self._margins(X)
-
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
 
 
 class SGDRegressor(_GradientDescent):
@@ -222,8 +196,6 @@ class PerceptronClassifier(_Linear):
         self.epochs = epochs
 
     def fit(self, X, y) -> "PerceptronClassifier":
-        X, y = check_fit_inputs(X, y)
-        check_class_labels(y)
         Xa = _augment(X)
         w = np.zeros(Xa.shape[1])
         rows = [(yi, xi, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]
@@ -241,9 +213,6 @@ class PerceptronClassifier(_Linear):
     def decision_function(self, X) -> np.ndarray:
         return self._margins(X)
 
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
-
 
 class ConstantClassifier(Estimator):
     """Degenerate-window fallback: always predicts one class at score +/-0.5."""
@@ -257,10 +226,6 @@ class ConstantClassifier(Estimator):
     def decision_function(self, X) -> np.ndarray:
         n = np.asarray(X).shape[0]
         return np.full(n, 0.5 if self.label == UP else -0.5)
-
-    def predict(self, X) -> np.ndarray:
-        n = np.asarray(X).shape[0]
-        return np.full(n, self.label, dtype=np.int8)
 
 
 class ConstantRegressor(Estimator):

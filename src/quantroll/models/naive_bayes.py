@@ -3,31 +3,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..direction import UP
-from .base import Estimator, check_fit_inputs, class_label_set, classify_from_scores
+from ..direction import DOWN, UP
+from .base import Estimator
 
 
 class BernoulliNBClassifier(Estimator):
     """Features binarize at their training medians (strictly above -> 1).
 
     Likelihoods are Laplace-smoothed with `alpha`; priors are empirical.
-    Only classes present in training are scored, so a single-class window
-    degenerates gracefully to a constant predictor. A row's score depends on
-    its binarized pattern alone, so `score_row` memoizes it per pattern: at
-    most 2**width entries per fit.
+    A row's score depends on its binarized pattern alone, so `score_row`
+    memoizes it per pattern: at most 2**width entries per fit.
     """
 
     def __init__(self, alpha: float = 1.0):
         self.alpha = alpha
 
     def fit(self, X, y) -> "BernoulliNBClassifier":
-        X, y = check_fit_inputs(X, y)
-        labels = class_label_set(y)
-        y = y.astype(np.int8)
         self.medians_ = np.median(X, axis=0)
         B = self._binarize(X)
-        self.classes_ = np.array(sorted(labels, reverse=True), dtype=np.int8)  # UP first
-        self.up_column_ = list(self.classes_).index(UP) if UP in self.classes_ else None
+        self.classes_ = np.array([UP, DOWN], dtype=np.int8)
         log_prior, log_p1, log_p0 = [], [], []
         for cls in self.classes_:
             rows = B[y == cls]
@@ -49,20 +43,13 @@ class BernoulliNBClassifier(Estimator):
         B = self._binarize(X)
         return self.log_prior_ + B @ self.log_p1_.T + (1.0 - B) @ self.log_p0_.T
 
-    def predict_proba_up(self, X) -> np.ndarray:
+    def decision_function(self, X) -> np.ndarray:
+        """Posterior probability of up, minus 0.5."""
         log_post = self._log_posteriors(X)
-        if self.classes_.size == 1:
-            return np.full(log_post.shape[0], 1.0 if self.classes_[0] == UP else 0.0)
         shifted = log_post - log_post.max(axis=1, keepdims=True)
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, self.up_column_] if self.up_column_ is not None else np.zeros(log_post.shape[0])
-
-    def decision_function(self, X) -> np.ndarray:
-        return self.predict_proba_up(X) - 0.5
-
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
+        return probs[:, 0] - 0.5  # classes_ puts UP first
 
     def score_row(self, x: np.ndarray) -> float:
         pattern = (x > self.medians_).tobytes()

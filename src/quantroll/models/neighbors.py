@@ -3,16 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator, StandardizerMixin, check_fit_inputs, check_class_labels, classify_from_scores
+from .base import Estimator, StandardizerMixin
 
 
 class _KNNBase(Estimator, StandardizerMixin):
     def __init__(self, k: int = 5):
         self.k = k
 
-    def _store(self, X: np.ndarray, y: np.ndarray) -> None:
+    def fit(self, X, y) -> "_KNNBase":
         self.rows_ = self._fit_scaler(X)
         self.targets_ = y
+        return self
 
     def _neighbor_targets(self, X) -> np.ndarray:
         """Targets of the k nearest stored rows per query, k capped at n.
@@ -29,26 +30,12 @@ class _KNNBase(Estimator, StandardizerMixin):
 class KNNClassifier(_KNNBase):
     """Vote of the k nearest neighbours; the score is the up-share minus 0.5."""
 
-    def fit(self, X, y) -> "KNNClassifier":
-        X, y = check_fit_inputs(X, y)
-        self._store(X, check_class_labels(y))
-        return self
-
     def decision_function(self, X) -> np.ndarray:
-        votes = self._neighbor_targets(X).astype(np.float64)
-        return votes.mean(axis=1) / 2.0
-
-    def predict(self, X) -> np.ndarray:
-        return classify_from_scores(self.decision_function(X))
+        return self._neighbor_targets(X).mean(axis=1) / 2.0
 
 
 class KNNRegressor(_KNNBase):
     """Mean target of the k nearest neighbours."""
-
-    def fit(self, X, y) -> "KNNRegressor":
-        X, y = check_fit_inputs(X, y)
-        self._store(X, y)
-        return self
 
     def predict(self, X) -> np.ndarray:
         return self._neighbor_targets(X).mean(axis=1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..direction import DOWN, UP
-from .base import Estimator, check_fit_inputs, check_class_labels
+from .base import Estimator
 
 GINI = "gini"
 VARIANCE = "variance"
@@ -335,9 +335,6 @@ class _Grown(Estimator):
 
     def fit(self, X, y, memo: dict | None = None):
         """memo: see grow_forest; it is read and filled, never kept."""
-        X, y = check_fit_inputs(X, y)
-        if self.criterion == GINI:
-            y = check_class_labels(y).astype(np.float64)
         self.trees_ = grow_forest(
             X, y, self.criterion, range(self.seed, self.seed + self.n_members), self.bootstrap,
             _resolve_max_features(self.max_features, X.shape[1]), self.max_depth, self.min_samples_leaf,

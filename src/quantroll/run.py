@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
@@ -25,14 +23,13 @@ from .indicators import IndicatorConfig
 from .metrics import ClassifierReport
 from .models import ALL_KINDS, CLASSIFIER, ModelKind, ModelSpec, coerce_kind
 from .trading import CostModel, EquityCurve
-from .tuner import TunerConfig, TunerResult, run_study
+from .tuner import TunerConfig, TunerResult, _derive_seed, run_study
 from .walkforward import WalkForwardConfig, check_threshold
 
 logger = logging.getLogger(__name__)
 
 SECONDS_PER_YEAR = 365 * 86400
 DEFAULT_WINDOWS = (1, 7, 14, 21, 28)
-_U64 = (1 << 64) - 1
 
 
 def parse_instant(value) -> int:
@@ -41,7 +38,7 @@ def parse_instant(value) -> int:
         raise ConfigError(f"not a timestamp: {value!r}")
     if isinstance(value, int):
         return value
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():  # never for inf or NaN
         return int(value)
     if isinstance(value, str):
         try:
@@ -263,11 +260,6 @@ def prepare_dataset(series: CandleSeries, indicators: IndicatorConfig) -> Labele
             f"between {first.prev_timestamp} and {first.next_timestamp}"
         )
     return label(build_features(series, indicators), log_diff(series))
-
-
-def _derive_seed(*parts: int) -> int:
-    ss = np.random.SeedSequence([int(p) & _U64 for p in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _job_seed(master: int, kind: ModelKind, window: int, salt: int) -> int:

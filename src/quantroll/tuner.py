@@ -71,10 +71,14 @@ class TunerResult:
         return "".join(t.to_json() + "\n" for t in self.trials)
 
 
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Stable 64-bit trial seed; never Python's salted hash()."""
-    ss = np.random.SeedSequence([master_seed & _U64, trial_index])
+def _derive_seed(*parts: int) -> int:
+    """Stable 64-bit seed from integers, each masked to 64 bits; never Python's salted hash()."""
+    ss = np.random.SeedSequence([int(p) & _U64 for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def derive_trial_seed(master_seed: int, trial_index: int) -> int:
+    return _derive_seed(master_seed, trial_index)
 
 
 def _dimension_rng(trial_seed: int, dim_index: int) -> np.random.Generator:

@@ -454,8 +454,14 @@ class TestCli:
             ({"windows": [7, 7]}, []),
             ({}, ["--fee-bps", "-1"]),
             ({}, ["--windows", "7,14,7"]),
+            ({"split": {**SPLIT, "backtest_start": float("inf")}}, []),
+            ({"split": {**SPLIT, "forward_start": float("-inf")}}, []),
+            ({"split": {**SPLIT, "forward_end": float("nan")}}, []),
         ],
-        ids=["split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag"],
+        ids=[
+            "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
+            "inf-instant", "-inf-instant", "nan-instant",
+        ],
     )
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, overrides, flags):
         cfg = tmp_path / "config.json"

@@ -235,17 +235,6 @@ def test_nb_scores_are_memoized_by_binarized_pattern(seed):
     assert est.pattern_scores_ == {}
 
 
-def test_nb_single_class_score_row():
-    """Fitted directly (the model table's fit would take the constant
-    fallback), one class scores a constant through the memo too."""
-    rng, X, _, _ = case_data(250, n_max=40)
-    for label in (UP, DOWN):
-        est = BernoulliNBClassifier().fit(X, np.full(X.shape[0], float(label)))
-        for x in one_row_queries(rng, X, 20):
-            want = est.decision_function(x.reshape(1, -1))
-            assert np.float64(est.score_row(x)).tobytes() == want.tobytes()
-
-
 SHARED_MEMO_CASES = {
     "random_forest_c": [{"n_members": 40, "max_features": f, "bootstrap": b} for f in ("all", "sqrt", "log2") for b in (True, False)],
     "random_forest_r": [{"n_members": 40, "max_features": "sqrt"}, {"n_members": 40, "max_depth": 2}],

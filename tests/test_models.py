@@ -5,12 +5,14 @@ from quantroll.direction import DOWN, UP
 from quantroll.errors import (
     EmptyTraining,
     KindMismatch,
+    LengthMismatch,
     NonFiniteInput,
     ParamError,
     WidthMismatch,
 )
 from quantroll.models import (
     ALL_KINDS,
+    CLASSIFIER_KINDS,
     ModelKind,
     ModelSpec,
     build_estimator,
@@ -24,6 +26,7 @@ from quantroll.models import (
     task_of,
     validate_params,
 )
+from quantroll.models.base import classify_from_scores
 from quantroll.models.linear import LogisticClassifier, SGDClassifier, SGDRegressor
 from quantroll.models.neighbors import KNNClassifier
 from quantroll.models.tree import gini_impurity, variance_impurity
@@ -183,11 +186,14 @@ class TestBernoulliNB:
 
 class TestDegenerate:
     def test_single_class_window_constant_up(self):
+        """Every classifier kind, on a window of either label alone."""
         X = np.random.default_rng(0).normal(size=(6, 3))
-        y = np.full(6, UP, dtype=np.int8)
-        for kind in ("logistic_c", "random_forest_c", "knn_c"):
-            model = fit(ModelSpec(kind), X, y)
-            assert predict_class(model, np.zeros(3)) == (UP, 0.5)
+        for label in (UP, DOWN):
+            y = np.full(6, label, dtype=np.int8)
+            for kind in CLASSIFIER_KINDS:
+                model = fit(ModelSpec(kind), X, y)
+                assert type(model.estimator).__name__ == "ConstantClassifier"
+                assert predict_class(model, np.zeros(3)) == (label, 0.5 * label)
 
     def test_single_row_classification(self):
         model = fit(ModelSpec("sgd_c"), np.array([[1.0, 2.0]]), np.array([DOWN]))
@@ -200,6 +206,83 @@ class TestDegenerate:
     def test_empty_training_rejected(self):
         with pytest.raises(EmptyTraining):
             fit(ModelSpec("ols_r"), np.zeros((0, 2)), np.zeros(0))
+
+
+KIND_NAMES = [k.value for k in ALL_KINDS]
+CLASSIFIER_NAMES = [k.value for k in CLASSIFIER_KINDS]
+
+
+class TestFitContract:
+    """`models.fit` is the one place a training window is checked; no
+    estimator's fit checks its arrays again."""
+
+    @staticmethod
+    def window(kind):
+        X, y_class, y_reg = blob_data(8, seed=21, width=3)
+        return X, (y_class if task_of(kind) == "classifier" else y_reg).astype(np.float64)
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_x_rejected(self, kind, bad):
+        X, y = self.window(kind)
+        X[3, 1] = bad
+        with pytest.raises(NonFiniteInput, match="^X contains non-finite entries$"):
+            fit(ModelSpec(kind), X, y)
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_nan_y_rejected(self, kind):
+        X, y = self.window(kind)
+        y[3] = np.nan
+        with pytest.raises(NonFiniteInput, match="^y contains non-finite entries$"):
+            fit(ModelSpec(kind), X, y)
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_short_or_2d_y_rejected(self, kind):
+        X, y = self.window(kind)
+        for bad_y in (y[:-1], y[:, None]):
+            with pytest.raises(LengthMismatch):
+                fit(ModelSpec(kind), X, bad_y)
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_zero_rows_rejected(self, kind):
+        X, y = self.window(kind)
+        with pytest.raises(EmptyTraining):
+            fit(ModelSpec(kind), X[:0], y[:0])
+
+    @pytest.mark.parametrize("kind", CLASSIFIER_NAMES)
+    @pytest.mark.parametrize("labels", [(0, 1), (2, -1)], ids=["0/1", "2/-1"])
+    def test_labels_other_than_plus_minus_one_rejected(self, kind, labels):
+        X, _ = self.window(kind)
+        y = np.resize(np.array(labels, dtype=np.float64), X.shape[0])
+        with pytest.raises(ValueError, match=r"classification targets must be \+1/-1"):
+            fit(ModelSpec(kind), X, y)
+
+
+class TestClassifierPredict:
+    @pytest.mark.parametrize("kind", [*CLASSIFIER_NAMES, "constant"])
+    def test_predict_is_sign_of_decision_scores(self, kind):
+        """int8 labels, +1 exactly where the score is positive: ties go down.
+
+        Identical rows with alternating labels tie every kind's score at 0 but
+        the forests', whose two members split their vote on the blob window;
+        "constant" is the fallback fitted on single-class windows."""
+        X, y_class, _ = blob_data(40, seed=20)
+        if kind == "constant":
+            cases = [("logistic_c", {}, X, np.full(40, label)) for label in (UP, DOWN)]
+        else:
+            split_vote = {"n_members": 2, "max_depth": 1} if kind in ("random_forest_c", "bagging_c") else {}
+            tied = np.array([UP, DOWN, UP, DOWN], dtype=np.float64)
+            cases = [(kind, {}, np.zeros((4, 3)), tied), (kind, split_vote, X, y_class)]
+        ties = 0
+        for case_kind, params, Xw, yw in cases:
+            est = fit(ModelSpec(case_kind, params, seed=8), Xw, yw).estimator
+            assert (type(est).__name__ == "ConstantClassifier") == (kind == "constant")
+            scores, labels = est.decision_function(Xw), est.predict(Xw)
+            assert labels.dtype == np.int8
+            np.testing.assert_array_equal(labels, np.where(scores > 0, UP, DOWN))
+            np.testing.assert_array_equal(labels, classify_from_scores(scores))
+            ties += np.count_nonzero(scores == 0.0)
+        assert (ties == 0) == (kind == "constant")
 
 
 class TestCartSplit:
