@@ -249,14 +249,16 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
     return CandleSeries(ts[order], *columns.take(order, axis=1), interval=interval)
 
 
+def csv_text(header, *columns) -> str:
+    """The package's one CSV dialect: fields joined by ",", every line ended by "\n",
+    nothing quoted. Columns hold formatted strings: ints by str, floats by repr."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns)), ""])
+
+
 def serialize_candles_csv(series: CandleSeries) -> str:
     """Inverse of parse_candles_csv; floats use shortest round-trip form."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
     prices = (map(repr, getattr(series, name).tolist()) for name in CSV_HEADER[1:])
-    writer.writerows(zip(series.timestamps.tolist(), *prices))
-    return out.getvalue()
+    return csv_text(CSV_HEADER, map(str, series.timestamps.tolist()), *prices)
 
 
 def validate_series(series: CandleSeries) -> ValidationReport:

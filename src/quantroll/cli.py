@@ -11,7 +11,7 @@ from pathlib import Path
 
 import click
 
-from .candles import FetchConfig, serialize_candles_csv, validate_series
+from .candles import FetchConfig, csv_text, serialize_candles_csv, validate_series
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
@@ -109,10 +109,8 @@ def features(csv_path, interval, config_path, indicator, out_path):
             ind = keltner_width(series, ind_config.kc_ema_period, ind_config.kc_atr_period, ind_config.kc_mult)
         else:
             ind, _ = parabolic_sar(series, ind_config.sar_af_start, ind_config.sar_af_step, ind_config.sar_af_max)
-        lines = ["timestamp,value"]
-        for i in range(ind.warmup_len, len(ind)):
-            lines.append(f"{int(series.timestamps[i])},{float(ind.values[i])!r}")
-        text = "\n".join(lines) + "\n"
+        rows = slice(ind.warmup_len, len(ind))
+        text = csv_text(("timestamp", "value"), map(str, series.timestamps[rows].tolist()), map(repr, ind.values[rows].tolist()))
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
         click.echo(f"wrote {out_path}")

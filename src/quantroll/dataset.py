@@ -5,14 +5,12 @@ differences, ratios or sides, never raw levels.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .candles import CandleSeries
+from .candles import CandleSeries, csv_text
 from .direction import DOWN, UP, direction_name
 from .errors import EmptySegment, LengthMismatch, SeriesTooShort
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
@@ -87,19 +85,14 @@ class LabeledDataset:
 
     def to_csv(self) -> str:
         """Usable rows as `timestamp,<features...>,class_target,reg_target`."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("timestamp", *self.frame.feature_names, "class_target", "reg_target"))
-        for t in self.usable_indices():
-            writer.writerow(
-                [
-                    int(self.timestamps[t]),
-                    *(repr(float(v)) for v in self.frame.rows[t]),
-                    direction_name(self.class_target[t]),
-                    repr(float(self.reg_target[t])),
-                ]
-            )
-        return out.getvalue()
+        rows = slice(self.usable_range[0], self.usable_range[1] + 1)
+        return csv_text(
+            ("timestamp", *self.frame.feature_names, "class_target", "reg_target"),
+            map(str, self.timestamps[rows].tolist()),
+            *(map(repr, column) for column in self.frame.rows[rows].T.tolist()),
+            map(direction_name, self.class_target[rows].tolist()),
+            map(repr, self.reg_target[rows].tolist()),
+        )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the integer check the config objects share.
 
 Three top-level families map onto the CLI exit codes: ConfigError (1),
 DataError (2), EngineError (3).
 """
+import numbers
 
 
 class QuantrollError(Exception):
@@ -67,6 +68,12 @@ class WidthMismatch(EngineError):
 
 class NonFiniteInput(EngineError):
     pass
+
+
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int or numpy integer; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # --- models -----------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .candles import CandleSeries
-from .errors import SeriesTooShort
+from .errors import SeriesTooShort, check_int
 
 UP_TREND = 1
 DOWN_TREND = -1
@@ -36,6 +36,7 @@ class IndicatorConfig:
         for name in ("mfi_period", "bb_period", "kc_ema_period", "kc_atr_period"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+            check_int(name, getattr(self, name))
         for name in ("bb_k", "kc_mult", "sar_af_start", "sar_af_step", "sar_af_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -164,9 +164,9 @@ def build_estimator(spec: ModelSpec) -> Estimator:
 def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     """Fit one model on a training window: the one place a window is checked.
 
-    X must be finite with one row per entry of the finite, 1-D y; a
-    classifier's y must be +1/-1. Degenerate windows never abort a run: fewer
-    than two rows, or a single-class classification window, produce a
+    X must be finite, with at least one column and one row per entry of the finite,
+    1-D y; a classifier's y must be +1/-1. Degenerate windows never abort a run:
+    fewer than two rows, or a single-class classification window, produce a
     constant model. Any other window reaches the estimator as float64 arrays.
 
     memo, if given, is a dict the caller passes to every refit of a run: the

@@ -13,7 +13,7 @@ import inspect
 import numpy as np
 
 from ..direction import DOWN, UP
-from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput
+from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput, WidthMismatch
 
 
 class Estimator:
@@ -77,6 +77,8 @@ def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyTraining("training set is empty")
+    if X.shape[1] == 0:
+        raise WidthMismatch("X has no feature columns")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise LengthMismatch(f"X has {X.shape[0]} rows but y has shape {y.shape}")
     if not np.isfinite(y).all():

@@ -220,9 +220,6 @@ class ConstantClassifier(Estimator):
     def __init__(self, label: int = DOWN):
         self.label = label
 
-    def fit(self, X, y) -> "ConstantClassifier":
-        return self
-
     def decision_function(self, X) -> np.ndarray:
         n = np.asarray(X).shape[0]
         return np.full(n, 0.5 if self.label == UP else -0.5)
@@ -233,9 +230,6 @@ class ConstantRegressor(Estimator):
 
     def __init__(self, value: float = 0.0):
         self.value = value
-
-    def fit(self, X, y) -> "ConstantRegressor":
-        return self
 
     def predict(self, X) -> np.ndarray:
         return np.full(np.asarray(X).shape[0], self.value)

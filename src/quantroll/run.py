@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import ConfigError, DataError, UnknownSelector
+from .errors import ConfigError, DataError, UnknownSelector, check_int
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
 from .metrics import ClassifierReport
@@ -129,7 +129,9 @@ class RunConfig:
             raise ConfigError("interval must be >= 1 second")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        try:  # the rules of the objects each job builds from these fields
+        try:  # integer fields, and the rules of the objects each job builds from these fields
+            for name in ("seed", "jobs"):
+                check_int(name, getattr(self, name))
             for window in self.windows:
                 WalkForwardConfig(window, self.mode, self.retrain_stride)
             CostModel(self.fee_bps)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .candles import csv_text
 from .errors import LengthMismatch
 
 
@@ -56,8 +57,7 @@ class EquityCurve:
         return int(self.equity.size)
 
     def to_csv(self) -> str:
-        rows = zip(self.timestamps.tolist(), self.equity.tolist())
-        return "timestamp,equity_fraction\n" + "".join("%d,%r\n" % row for row in rows)
+        return csv_text(("timestamp", "equity_fraction"), map(str, self.timestamps.tolist()), map(repr, self.equity.tolist()))
 
 
 @dataclass

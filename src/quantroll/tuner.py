@@ -1,4 +1,4 @@
-"""Seeded random-search hyperparameter optimization maximizing segment PNL.
+"""Seeded random-search hyperparameter optimization maximizing backtest PNL.
 
 Each trial draws every dimension from a counter-based generator keyed by
 (trial seed, dimension index), so trials are independent, reproducible, and
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset, SegmentSplit, split
-from .errors import AllTrialsFailed
+from .errors import AllTrialsFailed, check_int
 from .metrics import ClassifierReport, RegressorReport
 from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, Uniform, default_space
 from .trading import CostModel
@@ -30,13 +30,11 @@ _U64 = (1 << 64) - 1
 class TunerConfig:
     n_trials: int = 100
     seed: int = 0
-    objective_segment: str = "backtest"
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.objective_segment not in ("train", "backtest", "forward"):
-            raise ValueError(f"unknown segment {self.objective_segment!r}")
+        check_int("n_trials", self.n_trials)
 
 
 @dataclass
@@ -116,15 +114,14 @@ def run_study(
     dead_band: float = 0.0,
     periods_per_year: float = 365.0,
 ) -> TunerResult:
-    """Random-search study over one model kind at one window size.
+    """Random-search study over one model kind at one window size, scoring
+    each trial by its PNL on the backtest segment.
 
     Failed trials score -inf (with the error recorded) instead of aborting
     the study; they can never become best unless every trial failed, which
     raises AllTrialsFailed.
     """
-    train_view, backtest_view, forward_view = split(data, seg_split)
-    views = {"train": train_view, "backtest": backtest_view, "forward": forward_view}
-    objective_view = views[config.objective_segment]
+    train_view, backtest_view, _ = split(data, seg_split)
     space = default_space(kind)
     wf_config = WalkForwardConfig(window=window, mode=mode, retrain_stride=retrain_stride)
 
@@ -136,7 +133,7 @@ def run_study(
         spec = ModelSpec(kind, params, seed=trial_seed)
         try:
             outcome = evaluate_segment(
-                objective_view,
+                backtest_view,
                 spec,
                 wf_config,
                 cost,

@@ -6,14 +6,11 @@ prediction. Global mode fits once on a designated training view instead.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import DatasetView
-from .direction import direction_name
 from .errors import InsufficientHistory
 from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
 from .models.base import classify_from_scores
@@ -34,7 +31,7 @@ class WalkForwardConfig:
     def __post_init__(self):
         for name in ("window", "retrain_stride"):  # both index rows
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.mode not in (TRAILING, GLOBAL):
             raise ValueError(f"mode must be {TRAILING!r} or {GLOBAL!r}")
@@ -54,23 +51,6 @@ class PredictionSeries:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("timestamp", "direction", "score", "value", "realized_class", "realized_return"))
-        for i in range(len(self)):
-            writer.writerow(
-                (
-                    int(self.timestamps[i]),
-                    direction_name(self.direction[i]),
-                    repr(float(self.score[i])),
-                    "" if np.isnan(self.value[i]) else repr(float(self.value[i])),
-                    direction_name(self.realized_class[i]),
-                    repr(float(self.realized_return[i])),
-                )
-            )
-        return out.getvalue()
 
 
 def run_walkforward(
@@ -142,24 +122,16 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"dead-band threshold must be >= 0, got {threshold}")
 
 
-def signal_from_predictions(
-    preds: PredictionSeries,
-    task: str | None = None,
-    threshold: float = 0.0,
-) -> PositionSeries:
+def signal_from_predictions(preds: PredictionSeries, threshold: float = 0.0) -> PositionSeries:
     """Map predictions to positions.
 
     Classifiers are always in the market: up -> +1, down -> -1. Regressors
     go long above +threshold, short below -threshold, and otherwise hold the
     previous position (initially flat).
     """
-    if task is None:
-        task = preds.task
-    if task != preds.task:
-        raise ValueError(f"prediction series is {preds.task}, not {task}")
     check_threshold(threshold)
 
-    if task == CLASSIFIER:
+    if preds.task == CLASSIFIER:
         if threshold != 0.0:
             raise ValueError("dead-band threshold applies to regressors only")
         positions = preds.direction.astype(np.int8)

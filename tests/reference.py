@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from quantroll.candles import CSV_HEADER, CandleSeries, _check_rows
+from quantroll.direction import direction_name
 from quantroll.errors import MalformedRow
 from quantroll.models import CLASSIFIER, fit, predict_class, predict_value, task_of
 from quantroll.walkforward import GLOBAL, TRAILING, PredictionSeries
@@ -644,3 +645,46 @@ def ref_parse_candles_csv(text, interval):
     ts = np.array(stamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
     return CandleSeries(ts[order], *columns.take(order, axis=1), interval=interval)
+
+
+# --- CSV writers --------------------------------------------------------------
+# The four writers as each caller kept its own before the shared dialect:
+# csv.writer for candles and features, a "%d,%r" format for equity curves and
+# an f-string loop for one raw indicator.
+
+
+def ref_candles_csv(series):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    prices = (map(repr, getattr(series, name).tolist()) for name in CSV_HEADER[1:])
+    writer.writerows(zip(series.timestamps.tolist(), *prices))
+    return out.getvalue()
+
+
+def ref_dataset_csv(ds):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("timestamp", *ds.frame.feature_names, "class_target", "reg_target"))
+    for t in ds.usable_indices():
+        writer.writerow(
+            [
+                int(ds.timestamps[t]),
+                *(repr(float(v)) for v in ds.frame.rows[t]),
+                direction_name(ds.class_target[t]),
+                repr(float(ds.reg_target[t])),
+            ]
+        )
+    return out.getvalue()
+
+
+def ref_equity_csv(curve):
+    rows = zip(curve.timestamps.tolist(), curve.equity.tolist())
+    return "timestamp,equity_fraction\n" + "".join("%d,%r\n" % row for row in rows)
+
+
+def ref_indicator_csv(series, ind):
+    lines = ["timestamp,value"]
+    for i in range(ind.warmup_len, len(ind)):
+        lines.append(f"{int(series.timestamps[i])},{float(ind.values[i])!r}")
+    return "\n".join(lines) + "\n"

@@ -86,9 +86,22 @@ class TestRunConfig:
             ({"windows": [7, 7]}, "windows has duplicate entries"),
             ({"windows": [0]}, "window must be an integer >= 1"),
             ({"windows": [7.5]}, "window must be an integer >= 1, got 7.5"),
+            ({"windows": [True]}, "window must be an integer >= 1, got True"),
+            ({"retrain_stride": True}, "retrain_stride must be an integer >= 1, got True"),
+            ({"tuner_trials": 2.5}, r"n_trials must be an integer, got 2\.5"),
+            ({"tuner_trials": True}, "n_trials must be an integer, got True"),
+            ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"jobs": 1.5}, r"jobs must be an integer, got 1\.5"),
+            ({"indicators": {"mfi_period": 14.0}}, r"mfi_period must be an integer, got 14\.0"),
+            ({"indicators": {"bb_period": True}}, "bb_period must be an integer, got True"),
+            ({"indicators": {"kc_ema_period": 20.5}}, r"kc_ema_period must be an integer, got 20\.5"),
+            ({"indicators": {"kc_atr_period": 10.0}}, r"kc_atr_period must be an integer, got 10\.0"),
         ],
         ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
-             "duplicate-model", "duplicate-window", "window", "fractional-window"],
+             "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
+             "fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "fractional-jobs",
+             "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -457,10 +470,12 @@ class TestCli:
             ({"split": {**SPLIT, "backtest_start": float("inf")}}, []),
             ({"split": {**SPLIT, "forward_start": float("-inf")}}, []),
             ({"split": {**SPLIT, "forward_end": float("nan")}}, []),
+            ({"tuner_trials": 2.5}, []),
+            ({"indicators": {"mfi_period": 14.0}}, []),
         ],
         ids=[
             "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
-            "inf-instant", "-inf-instant", "nan-instant",
+            "inf-instant", "-inf-instant", "nan-instant", "fractional-trials", "float-mfi-period",
         ],
     )
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, overrides, flags):

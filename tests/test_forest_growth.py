@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quantroll.direction import DOWN, UP
-from quantroll.models import ModelSpec, build_estimator, cart_best_split, fit, task_of
+from quantroll.models import ModelSpec, cart_best_split, fit, task_of
 from quantroll.models.tree import _mean_var
 
 from .reference import ref_impurity, ref_random_split, ref_scan_exhaustive, ref_tree_kind
@@ -46,7 +46,7 @@ def random_case(case: int):
 
 
 def assert_matches_reference(kind, params, seed, X, y, Xq):
-    est = build_estimator(ModelSpec(kind, params, seed=seed)).fit(X, y)
+    est = fit(ModelSpec(kind, params, seed=seed), X, np.asarray(y, dtype=np.float64)).estimator
     want_predict, want_scores = ref_tree_kind(kind, X, y, Xq, params, seed)
     got = est.predict(Xq)
     assert got.dtype == want_predict.dtype and got.shape == want_predict.shape

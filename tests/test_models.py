@@ -249,6 +249,12 @@ class TestFitContract:
         with pytest.raises(EmptyTraining):
             fit(ModelSpec(kind), X[:0], y[:0])
 
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_zero_columns_rejected(self, kind):
+        X, y = self.window(kind)
+        with pytest.raises(WidthMismatch, match="^X has no feature columns$"):
+            fit(ModelSpec(kind), X[:, :0], y)
+
     @pytest.mark.parametrize("kind", CLASSIFIER_NAMES)
     @pytest.mark.parametrize("labels", [(0, 1), (2, -1)], ids=["0/1", "2/-1"])
     def test_labels_other_than_plus_minus_one_rejected(self, kind, labels):

@@ -149,13 +149,15 @@ class TestRunStudy:
         best_again = max(survivors, key=lambda t: (t.objective, -t.index))
         assert best_again.params == result.best.params
 
-    def test_objective_segment_configurable(self, study_data):
+    def test_objective_is_backtest_pnl(self, study_data):
         ds, seg = study_data
-        fwd = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=2, seed=4, objective_segment="forward"))
-        assert fwd.best.report.segment == "forward"
+        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=3, seed=4))
+        assert {t.report.segment for t in result.trials} == {"backtest"}
+        assert [t.objective for t in result.trials] == [t.report.pnl_percent for t in result.trials]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
             TunerConfig(n_trials=0)
-        with pytest.raises(ValueError):
-            TunerConfig(objective_segment="holdout")
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"n_trials must be an integer, got {bad!r}"):
+                TunerConfig(n_trials=bad)

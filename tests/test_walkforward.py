@@ -95,14 +95,6 @@ class TestRecords:
         preds = run_walkforward(view, ModelSpec("knn_c"), WalkForwardConfig(window=5))
         assert np.isnan(preds.value).all()
 
-    def test_csv_export(self):
-        ds = make_dataset(30, seed=4)
-        view = view_of(ds, 10, 14)
-        preds = run_walkforward(view, ModelSpec("knn_c"), WalkForwardConfig(window=5))
-        lines = preds.to_csv().strip().split("\n")
-        assert lines[0] == "timestamp,direction,score,value,realized_class,realized_return"
-        assert len(lines) == len(preds) + 1
-
 
 class TestNoLookahead:
     @pytest.mark.parametrize("kind,params", [("knn_c", {"k": 3}), ("random_forest_r", {"n_members": 5}), ("sgd_c", {})])
@@ -406,11 +398,6 @@ class TestSignals:
         preds = preds_fixture("classifier", directions=[UP])
         with pytest.raises(ValueError):
             signal_from_predictions(preds, threshold=0.01)
-
-    def test_task_mismatch_rejected(self):
-        preds = preds_fixture("classifier", directions=[UP])
-        with pytest.raises(ValueError):
-            signal_from_predictions(preds, task="regressor")
 
 
 class TestConfigValidation:
