@@ -11,6 +11,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import (
+    NON_NEGATIVE_INTEGER,
+    NON_NEGATIVE_REAL,
+    POSITIVE_INTEGER,
     DuplicateTimestamp,
     EmptyRange,
     MalformedPayload,
@@ -18,6 +21,7 @@ from .errors import (
     NetworkError,
     NonPositivePrice,
     OhlcViolation,
+    check_fields,
 )
 
 if TYPE_CHECKING:
@@ -80,8 +84,7 @@ class CandleSeries:
         n = self.timestamps.size
         if n == 0:
             raise EmptyRange("candle series must contain at least one candle")
-        if self.interval < 1:
-            raise ValueError("interval must be >= 1 second")
+        POSITIVE_INTEGER.check("interval", self.interval)
         for name in ("open", "high", "low", "close", "volume"):
             if getattr(self, name).size != n:
                 raise ValueError("all candle columns must share one length")
@@ -120,10 +123,7 @@ class FetchConfig:
     retry_backoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.page_limit < 1:
-            raise ValueError("page_limit must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        check_fields(self, page_limit=POSITIVE_INTEGER, max_retries=NON_NEGATIVE_INTEGER, retry_backoff=NON_NEGATIVE_REAL)
 
 
 @dataclass(frozen=True)

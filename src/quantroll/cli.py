@@ -15,7 +15,7 @@ from .candles import FetchConfig, csv_text, serialize_candles_csv, validate_seri
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
-from .metrics import ClassifierReport, RegressorReport
+from .metrics import REPORTS
 from .models import coerce_kind
 from .report import emit_table
 from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment, tune_job
@@ -118,9 +118,9 @@ def features(csv_path, interval, config_path, indicator, out_path):
         click.echo(text, nl=False)
 
 
-def _echo_tables(reports, tasks=("classifier", "regressor")) -> None:
+def _echo_tables(reports, tasks=tuple(REPORTS)) -> None:
     for task in tasks:
-        rows = [r for r in reports if isinstance(r, ClassifierReport) == (task == "classifier")]
+        rows = [r for r in reports if isinstance(r, REPORTS[task])]
         if rows:
             click.echo(emit_table(rows, task))
 
@@ -161,7 +161,7 @@ def run(config_path, models, windows, run_id, **overrides):
 @click.option("--out", "out_path", default=None, help="Write the trial log (trials.jsonl) here.")
 def tune(config_path, model_name, window, trials, seed, out_path):
     """Random-search one model's hyperparameters for best backtest PNL."""
-    config = _load_config(config_path, tuner_trials=trials, seed=seed)
+    config = _load_config(config_path, tuner_trials=trials, seed=seed, windows=[window])  # checked before any data is read
     kind = coerce_kind(model_name)
     series = load_candles(config)
     dataset = prepare_dataset(series, config.indicators)
@@ -172,18 +172,12 @@ def tune(config_path, model_name, window, trials, seed, out_path):
 
 
 def _reports_from_rows(rows: list[dict]):
-    reports = []
-    for row in rows:
-        row = dict(row)
-        task = row.pop("task")
-        cls = ClassifierReport if task == "classifier" else RegressorReport
-        reports.append(cls(**row))
-    return reports
+    return [REPORTS[row["task"]](**{k: v for k, v in row.items() if k != "task"}) for row in rows]
 
 
 @cli.command("report")
 @click.option("--run-dir", required=True, help="A persisted runs/<run-id> directory.")
-@click.option("--task", type=click.Choice(["classifier", "regressor", "both"]), default="both", show_default=True)
+@click.option("--task", type=click.Choice([*REPORTS, "both"]), default="both", show_default=True)
 def report_cmd(run_dir, task):
     """Re-render the metrics tables from a persisted run."""
     path = Path(run_dir) / "report.json"
@@ -193,7 +187,11 @@ def report_cmd(run_dir, task):
         raise DataError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
-    _echo_tables(_reports_from_rows(payload["reports"]), ("classifier", "regressor") if task == "both" else (task,))
+    try:
+        reports = _reports_from_rows(payload["reports"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path} holds no valid report rows: {exc!r}") from None
+    _echo_tables(reports, tuple(REPORTS) if task == "both" else (task,))
 
 
 @cli.command("export-equity")

@@ -1,9 +1,12 @@
-"""Exception hierarchy, and the integer check the config objects share.
+"""Exception hierarchy, and the rules for each kind of number a setting takes.
 
 Three top-level families map onto the CLI exit codes: ConfigError (1),
 DataError (2), EngineError (3).
 """
+import math
 import numbers
+from collections.abc import Callable
+from dataclasses import dataclass
 
 
 class QuantrollError(Exception):
@@ -70,10 +73,39 @@ class NonFiniteInput(EngineError):
     pass
 
 
-def check_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int or numpy integer; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+# --- the kinds of number a setting or hyperparameter takes -------------------
+
+@dataclass(frozen=True)
+class Rule:
+    """One kind of value: `accepts` says whether a value is of it."""
+
+    description: str
+    accepts: Callable[[object], bool]
+
+    def check(self, name: str, value) -> None:
+        if not self.accepts(value):
+            raise ValueError(f"{name} must be {self.description}, got {value!r}")
+
+
+def check_fields(obj, **rules: Rule) -> None:
+    """Check each named attribute of obj by its rule."""
+    for name, rule in rules.items():
+        rule.check(name, getattr(obj, name))
+
+
+def _integer(value) -> bool:  # an int or numpy integer; a bool is never a number
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _real(value) -> bool:  # a finite number; an integer too large for a float is still finite
+    return _integer(value) or (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value))
+
+
+INTEGER = Rule("integer", _integer)
+POSITIVE_INTEGER = Rule("positive integer", lambda v: _integer(v) and v > 0)
+NON_NEGATIVE_INTEGER = Rule("non-negative integer", lambda v: _integer(v) and v >= 0)
+POSITIVE_REAL = Rule("positive real", lambda v: _real(v) and v > 0)
+NON_NEGATIVE_REAL = Rule("non-negative real", lambda v: _real(v) and v >= 0)
 
 
 # --- models -----------------------------------------------------------------

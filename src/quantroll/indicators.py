@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .candles import CandleSeries
-from .errors import SeriesTooShort, check_int
+from .errors import POSITIVE_INTEGER, POSITIVE_REAL, SeriesTooShort, check_fields
 
 UP_TREND = 1
 DOWN_TREND = -1
@@ -33,13 +33,11 @@ class IndicatorConfig:
     sar_af_max: float = 0.2
 
     def __post_init__(self) -> None:
-        for name in ("mfi_period", "bb_period", "kc_ema_period", "kc_atr_period"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-            check_int(name, getattr(self, name))
-        for name in ("bb_k", "kc_mult", "sar_af_start", "sar_af_step", "sar_af_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        check_fields(
+            self,
+            **dict.fromkeys(("mfi_period", "bb_period", "kc_ema_period", "kc_atr_period"), POSITIVE_INTEGER),
+            **dict.fromkeys(("bb_k", "kc_mult", "sar_af_start", "sar_af_step", "sar_af_max"), POSITIVE_REAL),
+        )
         if self.sar_af_start > self.sar_af_max:
             raise ValueError("sar_af_start must not exceed sar_af_max")
 

@@ -18,6 +18,7 @@ from .errors import (
     TooFewObservations,
     ZeroVolatility,
 )
+from .models import CLASSIFIER, REGRESSOR
 from .trading import EquityCurve, TradeLedger, count_trades, pnl_percent
 from .walkforward import PredictionSeries
 
@@ -49,6 +50,10 @@ class RegressorReport:
     mse: float
     rmse: float
     n_trades: int
+
+
+# The report class of each task: report.json's "task" field names the key.
+REPORTS = {CLASSIFIER: ClassifierReport, REGRESSOR: RegressorReport}
 
 
 def sharpe(step_returns, risk_free_rate: float = 0.0, periods_per_year: float = 365.0) -> float:

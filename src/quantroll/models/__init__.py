@@ -119,9 +119,10 @@ def validate_params(kind: str | ModelKind, params: dict) -> None:
     for name, value in params.items():
         if name not in names:
             raise ParamError(f"{key} has no hyperparameter {name!r}")
-        check, description = RULES[name]
-        if not check(value):
-            raise ParamError(f"{key}.{name} must be {description}, got {value!r}")
+        try:
+            RULES[name].check(f"{key}.{name}", value)
+        except ValueError as exc:
+            raise ParamError(str(exc)) from None
 
 
 @dataclass(frozen=True)

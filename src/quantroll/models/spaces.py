@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, POSITIVE_REAL, Rule
+
 
 @dataclass(frozen=True)
 class Uniform:
@@ -54,45 +56,21 @@ class HyperParamSpace:
     dims: tuple[tuple[str, Distribution], ...]
 
 
-def _pos_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _pos_int_or_none(v) -> bool:
-    return v is None or _pos_int(v)
-
-
-def _pos_float(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-
-
-def _nonneg_float(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0
-
-
-def _bool(v) -> bool:
-    return isinstance(v, bool)
-
-
-def _choice(*allowed):
-    return lambda v: v in allowed
-
-
 # Keyed by parameter name: every kind that takes a parameter shares its rule
 # and range. RULES bound the legal values; RANGES are the (narrower) tuning
 # ranges, in draw order, since the tuner keys each draw by its dimension index.
 RULES = {
-    "learning_rate": (_pos_float, "positive real"),
-    "epochs": (_pos_int, "positive integer"),
-    "batch_size": (_pos_int, "positive integer"),
-    "lam": (_nonneg_float, "non-negative real"),
-    "k": (_pos_int, "positive integer"),
-    "alpha": (_pos_float, "positive real"),
-    "max_depth": (_pos_int_or_none, "positive integer or None"),
-    "min_samples_leaf": (_pos_int, "positive integer"),
-    "n_members": (_pos_int, "positive integer"),
-    "bootstrap": (_bool, "boolean"),
-    "max_features": (_choice("all", "sqrt", "log2"), "all|sqrt|log2"),
+    "learning_rate": POSITIVE_REAL,
+    "epochs": POSITIVE_INTEGER,
+    "batch_size": POSITIVE_INTEGER,
+    "lam": NON_NEGATIVE_REAL,
+    "k": POSITIVE_INTEGER,
+    "alpha": POSITIVE_REAL,
+    "max_depth": Rule("positive integer or None", lambda v: v is None or POSITIVE_INTEGER.accepts(v)),
+    "min_samples_leaf": POSITIVE_INTEGER,
+    "n_members": POSITIVE_INTEGER,
+    "bootstrap": Rule("boolean", lambda v: isinstance(v, bool)),
+    "max_features": Rule("all|sqrt|log2", lambda v: v in ("all", "sqrt", "log2")),
 }
 
 RANGES: dict[str, Distribution] = {

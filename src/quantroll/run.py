@@ -17,14 +17,14 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import ConfigError, DataError, UnknownSelector, check_int
+from .errors import INTEGER, NON_NEGATIVE_REAL, POSITIVE_INTEGER, ConfigError, DataError, UnknownSelector, check_fields
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
-from .metrics import ClassifierReport
-from .models import ALL_KINDS, CLASSIFIER, ModelKind, ModelSpec, coerce_kind
+from .metrics import REPORTS
+from .models import ALL_KINDS, ModelKind, ModelSpec, coerce_kind
 from .trading import CostModel, EquityCurve
 from .tuner import TunerConfig, TunerResult, _derive_seed, run_study
-from .walkforward import WalkForwardConfig, check_threshold
+from .walkforward import WalkForwardConfig
 
 logger = logging.getLogger(__name__)
 
@@ -125,19 +125,16 @@ class RunConfig:
         for name in ("models", "windows"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} has duplicate entries")
-        if self.interval < 1:
-            raise ConfigError("interval must be >= 1 second")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        try:  # integer fields, and the rules of the objects each job builds from these fields
-            for name in ("seed", "jobs"):
-                check_int(name, getattr(self, name))
+        try:
+            check_fields(
+                self, interval=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER, fee_bps=NON_NEGATIVE_REAL,
+                dead_band=NON_NEGATIVE_REAL, seed=INTEGER, jobs=POSITIVE_INTEGER,
+            )
             for window in self.windows:
-                WalkForwardConfig(window, self.mode, self.retrain_stride)
-            CostModel(self.fee_bps)
-            check_threshold(self.dead_band)
+                POSITIVE_INTEGER.check("windows", window)
             if self.tuner_trials is not None:
-                TunerConfig(self.tuner_trials)
+                POSITIVE_INTEGER.check("tuner_trials", self.tuner_trials)
+            WalkForwardConfig(mode=self.mode)  # the mode's rule
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self._segments(self.backtest_start - 1, self.forward_start + 1)  # the bounds' order, before any data is read
@@ -219,7 +216,7 @@ class RunArtifact:
         rows = []
         for report in self.reports:
             row = dataclasses.asdict(report)
-            row["task"] = CLASSIFIER if isinstance(report, ClassifierReport) else "regressor"
+            row["task"] = next(task for task, cls in REPORTS.items() if isinstance(report, cls))
             rows.append(row)
         rows.sort(key=lambda r: (r["model"], r["window"], r["segment"]))
         return rows

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .candles import csv_text
-from .errors import LengthMismatch
+from .errors import NON_NEGATIVE_REAL, LengthMismatch, check_fields
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class CostModel:
     fee_bps: float = 0.0
 
     def __post_init__(self):
-        if self.fee_bps < 0:
-            raise ValueError("fee_bps must be >= 0")
+        check_fields(self, fee_bps=NON_NEGATIVE_REAL)
 
 
 @dataclass

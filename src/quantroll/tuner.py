@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset, SegmentSplit, split
-from .errors import AllTrialsFailed, check_int
+from .errors import INTEGER, POSITIVE_INTEGER, AllTrialsFailed, check_fields
 from .metrics import ClassifierReport, RegressorReport
 from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, Uniform, default_space
 from .trading import CostModel
@@ -32,9 +32,7 @@ class TunerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        check_int("n_trials", self.n_trials)
+        check_fields(self, n_trials=POSITIVE_INTEGER, seed=INTEGER)
 
 
 @dataclass

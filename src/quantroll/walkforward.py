@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetView
-from .errors import InsufficientHistory
+from .errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, InsufficientHistory, check_fields
 from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
 from .models.base import classify_from_scores
 from .trading import PositionSeries
@@ -29,10 +29,7 @@ class WalkForwardConfig:
     retrain_stride: int = 1
 
     def __post_init__(self):
-        for name in ("window", "retrain_stride"):  # both index rows
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_fields(self, window=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER)  # both index rows
         if self.mode not in (TRAILING, GLOBAL):
             raise ValueError(f"mode must be {TRAILING!r} or {GLOBAL!r}")
 
@@ -116,12 +113,6 @@ def run_walkforward(
     )
 
 
-def check_threshold(threshold: float) -> None:
-    """The regressor dead band must be >= 0."""
-    if threshold < 0:
-        raise ValueError(f"dead-band threshold must be >= 0, got {threshold}")
-
-
 def signal_from_predictions(preds: PredictionSeries, threshold: float = 0.0) -> PositionSeries:
     """Map predictions to positions.
 
@@ -129,7 +120,7 @@ def signal_from_predictions(preds: PredictionSeries, threshold: float = 0.0) -> 
     go long above +threshold, short below -threshold, and otherwise hold the
     previous position (initially flat).
     """
-    check_threshold(threshold)
+    NON_NEGATIVE_REAL.check("threshold", threshold)
 
     if preds.task == CLASSIFIER:
         if threshold != 0.0:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,12 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quantroll.candles import serialize_candles_csv
+from quantroll.candles import CandleSeries, FetchConfig, serialize_candles_csv
 from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
+from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import RunConfig, export_equity, make_run_id, parse_instant, run_experiment
-from quantroll import cli
+from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, run_experiment
+from quantroll.trading import CostModel
+from quantroll.tuner import TunerConfig
+from quantroll.walkforward import WalkForwardConfig
+from quantroll import cli, run as run_module
 
 from .conftest import DAY, T0, bars_to_series, random_walk_bars
 
@@ -78,25 +83,25 @@ class TestRunConfig:
             ({"data": {"csv_path": "c.csv", "path": "c.csv"}}, r"unknown data keys: \['path'\]"),
             ({"indicators": {"mfi_periods": 14}}, "mfi_periods"),
             ({"mode": "bogus"}, "mode must be"),
-            ({"retrain_stride": 0}, "retrain_stride must be an integer >= 1"),
-            ({"fee_bps": -1.0}, "fee_bps must be >= 0"),
-            ({"dead_band": -0.001}, "dead-band threshold must be >= 0"),
-            ({"tuner_trials": 0}, "n_trials must be >= 1"),
+            ({"retrain_stride": 0}, "retrain_stride must be positive integer, got 0"),
+            ({"fee_bps": -1.0}, r"fee_bps must be non-negative real, got -1\.0"),
+            ({"dead_band": -0.001}, r"dead_band must be non-negative real, got -0\.001"),
+            ({"tuner_trials": 0}, "tuner_trials must be positive integer, got 0"),
             ({"models": ["knn_c", "knn_c"]}, "models has duplicate entries"),
             ({"windows": [7, 7]}, "windows has duplicate entries"),
-            ({"windows": [0]}, "window must be an integer >= 1"),
-            ({"windows": [7.5]}, "window must be an integer >= 1, got 7.5"),
-            ({"windows": [True]}, "window must be an integer >= 1, got True"),
-            ({"retrain_stride": True}, "retrain_stride must be an integer >= 1, got True"),
-            ({"tuner_trials": 2.5}, r"n_trials must be an integer, got 2\.5"),
-            ({"tuner_trials": True}, "n_trials must be an integer, got True"),
-            ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
-            ({"seed": True}, "seed must be an integer, got True"),
-            ({"jobs": 1.5}, r"jobs must be an integer, got 1\.5"),
-            ({"indicators": {"mfi_period": 14.0}}, r"mfi_period must be an integer, got 14\.0"),
-            ({"indicators": {"bb_period": True}}, "bb_period must be an integer, got True"),
-            ({"indicators": {"kc_ema_period": 20.5}}, r"kc_ema_period must be an integer, got 20\.5"),
-            ({"indicators": {"kc_atr_period": 10.0}}, r"kc_atr_period must be an integer, got 10\.0"),
+            ({"windows": [0]}, "windows must be positive integer, got 0"),
+            ({"windows": [7.5]}, r"windows must be positive integer, got 7\.5"),
+            ({"windows": [True]}, "windows must be positive integer, got True"),
+            ({"retrain_stride": True}, "retrain_stride must be positive integer, got True"),
+            ({"tuner_trials": 2.5}, r"tuner_trials must be positive integer, got 2\.5"),
+            ({"tuner_trials": True}, "tuner_trials must be positive integer, got True"),
+            ({"seed": 1.5}, r"seed must be integer, got 1\.5"),
+            ({"seed": True}, "seed must be integer, got True"),
+            ({"jobs": 1.5}, r"jobs must be positive integer, got 1\.5"),
+            ({"indicators": {"mfi_period": 14.0}}, r"mfi_period must be positive integer, got 14\.0"),
+            ({"indicators": {"bb_period": True}}, "bb_period must be positive integer, got True"),
+            ({"indicators": {"kc_ema_period": 20.5}}, r"kc_ema_period must be positive integer, got 20\.5"),
+            ({"indicators": {"kc_atr_period": 10.0}}, r"kc_atr_period must be positive integer, got 10\.0"),
         ],
         ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
              "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
@@ -150,6 +155,59 @@ class TestRunConfig:
             "symbol": "BTCUSD", "start": 1356998400, "end": 1698796800,
         }
         assert RunConfig.from_dict(config.to_dict()) == config
+
+
+# Each numeric setting of each config object, with its rule's description.
+SETTINGS = [
+    *((RunConfig, name, "positive integer") for name in ("interval", "windows", "retrain_stride", "tuner_trials", "jobs")),
+    *((RunConfig, name, "non-negative real") for name in ("fee_bps", "dead_band")),
+    (RunConfig, "seed", "integer"),
+    *((IndicatorConfig, name, "positive integer") for name in ("mfi_period", "bb_period", "kc_ema_period", "kc_atr_period")),
+    *((IndicatorConfig, name, "positive real") for name in ("bb_k", "kc_mult", "sar_af_start", "sar_af_step", "sar_af_max")),
+    (WalkForwardConfig, "window", "positive integer"),
+    (WalkForwardConfig, "retrain_stride", "positive integer"),
+    (TunerConfig, "n_trials", "positive integer"),
+    (TunerConfig, "seed", "integer"),
+    (CostModel, "fee_bps", "non-negative real"),
+    (FetchConfig, "page_limit", "positive integer"),
+    (FetchConfig, "max_retries", "non-negative integer"),
+    (FetchConfig, "retry_backoff", "non-negative real"),
+    (CandleSeries, "interval", "positive integer"),
+]
+
+# Per rule: the values it rejects besides True and a string, and the least
+# values it accepts (numpy scalars included).
+RULE_CASES = {
+    "integer": ((2.5,), (-(2**70), np.int64(-3))),
+    "positive integer": ((2.5, 0, -1), (1, np.int64(1))),
+    "non-negative integer": ((2.5, -1), (0, np.int64(0))),
+    "positive real": ((math.nan, math.inf, -math.inf, 0.0), (5e-324, 1, np.float64(0.25))),
+    "non-negative real": ((math.nan, math.inf, -math.inf, math.nextafter(0.0, -1.0)), (0.0, 0, np.float64(0.5))),
+}
+
+
+def build_setting(cls, name, value):
+    if cls is RunConfig:
+        return RunConfig(DataSource(csv_path="c.csv"), **{name: (value,) if name == "windows" else value})
+    if cls is FetchConfig:
+        return FetchConfig("http://localhost:1", "/c", **{name: value})
+    if cls is CandleSeries:
+        return CandleSeries([T0], [1.0], [2.0], [1.0], [1.5], [1.0], interval=value)
+    if cls is IndicatorConfig:  # room for either SAR bound to take any accepted value
+        return IndicatorConfig(**{"sar_af_start": 5e-324, "sar_af_max": 1.0, name: value})
+    return cls(**{name: value})
+
+
+class TestSettingRules:
+    @pytest.mark.parametrize("cls, name, description", SETTINGS, ids=[f"{c.__name__}.{n}" for c, n, _ in SETTINGS])
+    def test_rule_of_each_setting(self, cls, name, description):
+        rejected, accepted = RULE_CASES[description]
+        for value in (True, "1", *rejected):
+            with pytest.raises((ValueError, ConfigError)) as err:
+                build_setting(cls, name, value)
+            assert str(err.value) == f"{name} must be {description}, got {value!r}"
+        for value in accepted:
+            build_setting(cls, name, value)
 
 
 class TestRunExperiment:
@@ -447,12 +505,19 @@ class TestCli:
         assert code == 1
         assert "configuration error: fetch range requires start < end" in capsys.readouterr().err
 
+    def test_ingest_negative_retry_backoff_exit_1(self, candle_stub, capsys):
+        code = self.run_cli(
+            "ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0 + DAY), "--retry-backoff", "-1",
+        )
+        assert code == 1
+        assert "configuration error: retry_backoff must be non-negative real, got -1.0" in capsys.readouterr().err
+
     def test_ingest_bad_page_limit_exit_1(self, candle_stub, capsys):
         code = self.run_cli(
             "ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0 + DAY), "--page-limit", "0",
         )
         assert code == 1
-        assert "configuration error: page_limit must be >= 1" in capsys.readouterr().err
+        assert "configuration error: page_limit must be positive integer, got 0" in capsys.readouterr().err
 
     def test_missing_config_exit_1(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "missing.json")) == 1
@@ -472,16 +537,28 @@ class TestCli:
             ({"split": {**SPLIT, "forward_end": float("nan")}}, []),
             ({"tuner_trials": 2.5}, []),
             ({"indicators": {"mfi_period": 14.0}}, []),
+            ({"fee_bps": True}, []),
+            ({"dead_band": float("nan")}, []),
+            ({"interval": 86400.5}, []),
+            ({"indicators": {"bb_k": float("inf")}}, []),
+            ({}, ["tune", "--model", "knn_c", "--window", "0"]),
         ],
         ids=[
             "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
             "inf-instant", "-inf-instant", "nan-instant", "fractional-trials", "float-mfi-period",
+            "bool-fee", "nan-dead-band", "fractional-interval", "inf-bb-k", "tune-window-0",
         ],
     )
-    def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, overrides, flags):
+    def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, overrides, flags):
+        def no_data(config):
+            raise AssertionError("candles were read before the config was checked")
+
+        monkeypatch.setattr(run_module, "load_candles", no_data)
+        monkeypatch.setattr(cli, "load_candles", no_data)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config_dict(csv_path, tmp_path / "runs", **overrides)), encoding="utf-8")
-        assert self.run_cli("run", "--config", str(cfg), *flags) == 1
+        command, flags = ("tune", flags[1:]) if flags[:1] == ["tune"] else ("run", flags)
+        assert self.run_cli(command, "--config", str(cfg), *flags) == 1
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
@@ -531,6 +608,15 @@ class TestCli:
         assert out.startswith("timestamp,equity_fraction")
 
         assert self.run_cli("export-equity", "--run-dir", str(run_dir), "--model", "knn_c", "--window", "9", "--segment", "backtest") == 3
+
+    @pytest.mark.parametrize(
+        "payload", [{}, {"reports": [{"task": "classifier", "model": "knn_c"}]}, {"reports": [{"task": "svm"}]}],
+        ids=["no-reports", "missing-fields", "unknown-task"],
+    )
+    def test_report_bad_rows_exit_2(self, tmp_path, capsys, payload):
+        (tmp_path / "report.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert self.run_cli("report", "--run-dir", str(tmp_path)) == 2
+        assert "data error:" in capsys.readouterr().err
 
     def test_tune_command(self, csv_path, tmp_path, capsys):
         cfg = tmp_path / "config.json"

@@ -156,8 +156,8 @@ class TestRunStudy:
         assert [t.objective for t in result.trials] == [t.report.pnl_percent for t in result.trials]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+        with pytest.raises(ValueError, match="n_trials must be positive integer, got 0"):
             TunerConfig(n_trials=0)
         for bad in (2.5, True):
-            with pytest.raises(ValueError, match=f"n_trials must be an integer, got {bad!r}"):
+            with pytest.raises(ValueError, match=f"n_trials must be positive integer, got {bad!r}"):
                 TunerConfig(n_trials=bad)

@@ -394,6 +394,12 @@ class TestSignals:
         positions = signal_from_predictions(preds, threshold=0.005)
         np.testing.assert_array_equal(positions.positions, [0, 1, 1, 1, 1, -1, -1, -1])
 
+    @pytest.mark.parametrize("threshold", [-0.001, math.nan, math.inf, True])
+    def test_bad_threshold_rejected(self, threshold):
+        preds = preds_fixture("regressor", values=[0.01])
+        with pytest.raises(ValueError, match=f"^threshold must be non-negative real, got {threshold!r}$"):
+            signal_from_predictions(preds, threshold=threshold)
+
     def test_threshold_rejected_for_classifiers(self):
         preds = preds_fixture("classifier", directions=[UP])
         with pytest.raises(ValueError):
