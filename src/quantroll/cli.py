@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 engine error.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -171,8 +172,18 @@ def tune(config_path, model_name, window, trials, seed, out_path):
     click.echo(json.dumps({"best_index": result.best.index, "objective": result.best.objective, "params": result.best.params}, sort_keys=True))
 
 
+# The JSON types a report field's annotation admits; a bool is never a number.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
+
+
 def _reports_from_rows(rows: list[dict]):
-    return [REPORTS[row["task"]](**{k: v for k, v in row.items() if k != "task"}) for row in rows]
+    reports = [REPORTS[row["task"]](**{k: v for k, v in row.items() if k != "task"}) for row in rows]
+    for report in reports:
+        for f in dataclasses.fields(report):
+            value = getattr(report, f.name)
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+    return reports
 
 
 @cli.command("report")

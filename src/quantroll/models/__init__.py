@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from ..direction import DOWN, UP
-from ..errors import KindMismatch, NonFiniteInput, ParamError, WidthMismatch
+from ..errors import NON_NEGATIVE_INTEGER, KindMismatch, NonFiniteInput, ParamError, WidthMismatch
 from .base import Estimator, check_fit_inputs, class_label_set
 from .ensemble import (
     BaggingClassifier,
@@ -32,7 +32,6 @@ from .linear import (
     RidgeRegressor,
     SGDClassifier,
     SGDRegressor,
-    _GradientDescent,
 )
 from .naive_bayes import BernoulliNBClassifier
 from .neighbors import KNNClassifier, KNNRegressor
@@ -42,7 +41,6 @@ from .tree import (
     DecisionTreeRegressor,
     ExtraTreeClassifier,
     ExtraTreeRegressor,
-    _Grown,
     cart_best_split,
 )
 
@@ -112,6 +110,13 @@ def default_space(kind: str | ModelKind) -> HyperParamSpace:
     return HyperParamSpace(kind.value, tuple((n, d) for n, d in RANGES.items() if n in names))
 
 
+def _check(rule, name: str, value) -> None:
+    try:
+        rule.check(name, value)
+    except ValueError as exc:
+        raise ParamError(str(exc)) from None
+
+
 def validate_params(kind: str | ModelKind, params: dict) -> None:
     """Reject unknown names and out-of-domain values for this kind."""
     key = coerce_kind(kind).value
@@ -119,10 +124,7 @@ def validate_params(kind: str | ModelKind, params: dict) -> None:
     for name, value in params.items():
         if name not in names:
             raise ParamError(f"{key} has no hyperparameter {name!r}")
-        try:
-            RULES[name].check(f"{key}.{name}", value)
-        except ValueError as exc:
-            raise ParamError(str(exc)) from None
+        _check(RULES[name], f"{key}.{name}", value)
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", coerce_kind(self.kind))
         validate_params(self.kind, self.params)
+        _check(NON_NEGATIVE_INTEGER, "seed", self.seed)  # a generator takes no negative seed
 
     @property
     def task(self) -> str:
@@ -170,10 +173,11 @@ def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     fewer than two rows, or a single-class classification window, produce a
     constant model. Any other window reaches the estimator as float64 arrays.
 
-    memo, if given, is a dict the caller passes to every refit of a run: the
-    tree and gradient-descent kinds keep their seed-determined draws in it,
-    keyed by everything they depend on, so a later fit draws nothing and
-    returns what a fresh fit would. No fitted model refers to it.
+    memo, if given, is a dict the caller passes to every refit of a run; it goes
+    to every estimator's fit. The kinds that draw from their seed keep those
+    draws in it, keyed by everything they depend on, so a later fit draws nothing
+    and returns what a fresh fit would; the kinds that draw nothing ignore it.
+    No fitted model refers to it.
     """
     X, y = check_fit_inputs(X, y)
     task = spec.task
@@ -183,11 +187,7 @@ def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     if X.shape[0] < 2 or len(labels) == 1:
         estimator = ConstantClassifier(int(y[0])) if task == CLASSIFIER else ConstantRegressor(float(y.mean()))
     else:
-        estimator = build_estimator(spec)
-        if isinstance(estimator, (_Grown, _GradientDescent)):  # the kinds that draw from their seed
-            estimator.fit(X, y, memo)
-        else:
-            estimator.fit(X, y)
+        estimator = build_estimator(spec).fit(X, y, memo)
     return TrainedModel(spec.kind, task, estimator, X.shape[1])
 
 

@@ -1,9 +1,10 @@
-"""Estimator plumbing: scikit-style get_params/set_params and the fit contract's checks.
+"""The estimator base class and the fit contract's checks.
 
-The estimators in this package follow the familiar fit/predict contract
-(fit returns self, constructor args are hyperparameters) so they compose
-with pipeline tooling that duck-types against the scikit-learn API, without
-pulling that library in as a dependency.
+Every estimator in this package has one fit signature, `fit(X, y, memo=None)`,
+which returns self; its constructor's arguments are its hyperparameters (and,
+for a kind that draws random numbers, its seed). memo is a dict a caller may
+pass to every refit of a run: a kind that draws keeps its seed-determined
+draws in it, a kind that draws nothing ignores it.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput, WidthMismatc
 
 
 class Estimator:
-    """Base class exposing hyperparameters via get_params/set_params.
+    """Base class: the constructor's argument names, and one-row scoring.
 
     `quantroll.models.fit` checks each training window once (check_fit_inputs,
     and class_label_set for a classifier) and gives a degenerate window a
@@ -33,21 +34,6 @@ class Estimator:
     def _param_names(cls) -> tuple[str, ...]:
         sig = inspect.signature(cls.__init__)
         return tuple(name for name in sig.parameters if name != "self")
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "Estimator":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"{type(self).__name__} has no parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
     def score_row(self, x: np.ndarray) -> float:
         """Score of one checked float64 feature vector: a classifier's decision

@@ -50,34 +50,31 @@ class _Linear(Estimator):
         return self._row_margin(x).item()
 
 
-class RidgeRegressor(_Linear):
+class _Ridge(_Linear):
+    """Ridge regression on an intercept-augmented design; the fitted value is the margin."""
+
     def __init__(self, lam: float = 1.0):
         self.lam = lam
 
-    def fit(self, X, y) -> "RidgeRegressor":
+    def fit(self, X, y, memo: dict | None = None) -> "_Ridge":
         self.weights_ = _solve_normal_equations(_augment(X), y, self.lam)
         return self
 
+
+class RidgeRegressor(_Ridge):
     def predict(self, X) -> np.ndarray:
         return self._margins(X)
 
 
 class OLSRegressor(RidgeRegressor):
-    """Ordinary least squares on an intercept-augmented design: ridge at lam = 0."""
+    """Ordinary least squares: ridge at lam = 0."""
 
     def __init__(self):
         self.lam = 0.0
 
 
-class RidgeClassifier(_Linear):
-    """Ridge regression on +1/-1 targets; the fitted value is the margin."""
-
-    def __init__(self, lam: float = 1.0):
-        self.lam = lam
-
-    def fit(self, X, y) -> "RidgeClassifier":
-        self.weights_ = _solve_normal_equations(_augment(X), y, self.lam)
-        return self
+class RidgeClassifier(_Ridge):
+    """Ridge regression on +1/-1 targets."""
 
     def decision_function(self, X) -> np.ndarray:
         return self._margins(X)
@@ -195,7 +192,7 @@ class PerceptronClassifier(_Linear):
         self.learning_rate = learning_rate
         self.epochs = epochs
 
-    def fit(self, X, y) -> "PerceptronClassifier":
+    def fit(self, X, y, memo: dict | None = None) -> "PerceptronClassifier":
         Xa = _augment(X)
         w = np.zeros(Xa.shape[1])
         rows = [(yi, xi, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]

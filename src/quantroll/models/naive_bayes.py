@@ -18,7 +18,7 @@ class BernoulliNBClassifier(Estimator):
     def __init__(self, alpha: float = 1.0):
         self.alpha = alpha
 
-    def fit(self, X, y) -> "BernoulliNBClassifier":
+    def fit(self, X, y, memo: dict | None = None) -> "BernoulliNBClassifier":
         self.medians_ = np.median(X, axis=0)
         B = self._binarize(X)
         self.classes_ = np.array([UP, DOWN], dtype=np.int8)

@@ -10,7 +10,7 @@ class _KNNBase(Estimator, StandardizerMixin):
     def __init__(self, k: int = 5):
         self.k = k
 
-    def fit(self, X, y) -> "_KNNBase":
+    def fit(self, X, y, memo: dict | None = None) -> "_KNNBase":
         self.rows_ = self._fit_scaler(X)
         self.targets_ = y
         return self

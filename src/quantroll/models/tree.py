@@ -197,8 +197,8 @@ def _node_stats(y_pad: np.ndarray, R: np.ndarray, sizes: list, criterion: str):
 
 class _Draws:
     """A member's draws from its seed: its bootstrap rows, then, if it draws while it grows, its
-    generator. A random-split member's generator restarts from `start`, its state after the
-    bootstrap, at every fit. A subsampling member's generator sits just after the last of `subsets`,
+    generator. A random-split member's generator restarts from `start`, its state once the rows are
+    drawn, at every fit. A subsampling member's generator sits just after the last of `subsets`,
     the sorted column subsets drawn so far in preorder; each fit replays them before drawing more."""
 
     __slots__ = ("rows", "rng", "start", "subsets")
@@ -219,10 +219,14 @@ def grow_forest(
 ) -> FlatTrees:
     """Grow one tree per seed, which draws the tree's bootstrap sample of X's rows, then its splits.
 
-    memo, if given, keeps each member's draws (keyed by seed, row count and settings) for later calls.
+    Random splits draw their thresholds over all columns, never with column subsampling: the random-split
+    members the estimators grow are single, bootstrap-free, all-column trees. memo, if given, keeps each
+    member's draws (keyed by seed, row count and settings) for later calls.
     """
     n_rows, width = X.shape
     subsample = max_features is not None and max_features < width
+    if random_split and subsample:
+        raise ValueError("random splits draw over all columns")
     draws = bootstrap or subsample or random_split
     key = ("tree", n_rows, bootstrap, random_split, max_features if subsample else None, width)  # + seed
     memo = {} if memo is None else memo
@@ -282,8 +286,6 @@ def grow_forest(
     def subset(m):
         """Member m's next sorted column subset."""
         member = group[m]
-        if random_split:  # drawn between thresholds, so never replayed
-            return np.sort(member.rng.choice(width, max_features, replace=False))
         k = cursor[m]
         cursor[m] += 1
         if k == len(member.subsets):

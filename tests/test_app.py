@@ -609,9 +609,24 @@ class TestCli:
 
         assert self.run_cli("export-equity", "--run-dir", str(run_dir), "--model", "knn_c", "--window", "9", "--segment", "backtest") == 3
 
+    REPORT_ROW = {
+        "task": "classifier", "model": "knn_c", "window": 7, "segment": "backtest", "pnl_percent": 1, "sharpe": None,
+        "r2": 0.25, "accuracy": 0.5, "f1": 0.5, "precision": 0.5, "recall": 0.5, "n_trades": 3,
+    }
+
+    def test_report_well_typed_row_renders(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text(json.dumps({"reports": [self.REPORT_ROW]}), encoding="utf-8")
+        assert self.run_cli("report", "--run-dir", str(tmp_path)) == 0
+        assert "KnnC" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
-        "payload", [{}, {"reports": [{"task": "classifier", "model": "knn_c"}]}, {"reports": [{"task": "svm"}]}],
-        ids=["no-reports", "missing-fields", "unknown-task"],
+        "payload",
+        [
+            {}, {"reports": [{"task": "classifier", "model": "knn_c"}]}, {"reports": [{"task": "svm"}]},
+            {"reports": [{**REPORT_ROW, "pnl_percent": "x"}]}, {"reports": [{**REPORT_ROW, "window": "7"}]},
+            {"reports": [{**REPORT_ROW, "sharpe": True}]},
+        ],
+        ids=["no-reports", "missing-fields", "unknown-task", "string-metric", "string-window", "bool-sharpe"],
     )
     def test_report_bad_rows_exit_2(self, tmp_path, capsys, payload):
         (tmp_path / "report.json").write_text(json.dumps(payload), encoding="utf-8")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from quantroll.models import (
 from quantroll.models.base import classify_from_scores
 from quantroll.models.linear import LogisticClassifier, SGDClassifier, SGDRegressor
 from quantroll.models.neighbors import KNNClassifier
-from quantroll.models.tree import gini_impurity, variance_impurity
+from quantroll.models.tree import gini_impurity, grow_forest, variance_impurity
 from quantroll.tuner import sample_params
 
 from .reference import REF_PARAM_SCHEMAS, REF_RULE_VALUES, REF_SPACES
@@ -263,6 +265,32 @@ class TestFitContract:
         with pytest.raises(ValueError, match=r"classification targets must be \+1/-1"):
             fit(ModelSpec(kind), X, y)
 
+    DRAW_NOTHING = {"ols_r", "ridge_r", "ridge_c", "perceptron_c", "knn_c", "knn_r", "bernoulli_nb_c", "decision_tree_c", "decision_tree_r"}
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_every_estimator_fit_takes_a_memo(self, kind):
+        X, y = self.window(kind)
+        estimator = build_estimator(ModelSpec(kind))
+        assert estimator.fit(X, y, {}) is estimator
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_memo_holds_draws_of_the_kinds_that_draw_and_changes_no_prediction(self, kind, rows):
+        X, y = self.window(kind)
+        X, y = X[1 : 1 + rows], y[1 : 1 + rows]  # two classes from the first two rows on
+        assert set(y[:2].tolist()) == {UP, DOWN} or task_of(kind) == "regressor"
+        spec, memo = ModelSpec(kind, seed=7), {}
+        shared, fresh = fit(spec, X, y, memo), fit(spec, X, y)
+        assert (not memo) == (kind in self.DRAW_NOTHING)
+        queries = blob_data(6, seed=22, width=3)[0]
+        for model in shared, fresh:
+            assert type(model.estimator) is type(build_estimator(spec))  # no constant fallback
+        score = predict_class if task_of(kind) == "classifier" else predict_value
+        got = np.array([score(shared, x) for x in queries], dtype=np.float64)
+        want = np.array([score(fresh, x) for x in queries], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert shared.estimator.predict(queries).tobytes() == fresh.estimator.predict(queries).tobytes()
+
 
 class TestClassifierPredict:
     @pytest.mark.parametrize("kind", [*CLASSIFIER_NAMES, "constant"])
@@ -407,6 +435,13 @@ class TestForests:
         assert scores_a != scores_b
 
 
+class TestRandomSplits:
+    def test_random_splits_take_no_column_subsets(self):
+        X, _, y = blob_data(10, seed=24)
+        with pytest.raises(ValueError, match="^random splits draw over all columns$"):
+            grow_forest(X, y, "variance", range(1), max_features=2, random_split=True)
+
+
 class TestRegistry:
     # (display name, task, takes the spec seed) for every kind.
     ROSTER = {
@@ -435,7 +470,9 @@ class TestRegistry:
         for kind, (name, task, seeded) in self.ROSTER.items():
             est = build_estimator(ModelSpec(kind, seed=41))
             assert (display_name(kind), task_of(kind)) == (name, task)
-            assert (est.get_params().get("seed") == 41) == seeded
+            assert (getattr(est, "seed", None) == 41) == seeded
+        est = build_estimator(ModelSpec("random_forest_c", {"n_members": 7, "max_depth": 3}, seed=9))
+        assert (est.n_members, est.max_depth, est.seed) == (7, 3, 9)
 
 
 class TestSpecValidation:
@@ -476,6 +513,18 @@ class TestSpecValidation:
             ModelSpec("svm_c")
         with pytest.raises(ParamError, match="^unknown model kind 'svm_c'$"):
             default_space("svm_c")
+
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1, None], ids=["float", "bool", "str", "negative", "none"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ParamError, match=re.escape(f"seed must be non-negative integer, got {seed!r}")):
+            ModelSpec("random_forest_c", seed=seed)
+
+    @pytest.mark.parametrize("kind", KIND_NAMES)
+    def test_numpy_integer_seed_fits_like_int(self, kind):
+        X, y_class, y_reg = blob_data(20, seed=23)
+        y = y_class if task_of(kind) == "classifier" else y_reg
+        got, want = (fit(ModelSpec(kind, seed=seed), X, y, {}) for seed in (np.int64(3), 3))
+        assert got.estimator.predict(X).tobytes() == want.estimator.predict(X).tobytes()
 
     def test_none_depth_means_unlimited(self):
         ModelSpec("decision_tree_c", {"max_depth": None})
@@ -529,13 +578,3 @@ class TestSpaces:
                 predict_class(model, X[0])
             else:
                 predict_value(model, X[0])
-
-    def test_estimator_get_set_params_roundtrip(self):
-        spec = ModelSpec("random_forest_c", {"n_members": 7, "max_depth": 3}, seed=9)
-        est = build_estimator(spec)
-        params = est.get_params()
-        assert params["n_members"] == 7 and params["max_depth"] == 3 and params["seed"] == 9
-        est.set_params(n_members=11)
-        assert est.get_params()["n_members"] == 11
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
