@@ -14,6 +14,7 @@ from .errors import (
     NON_NEGATIVE_INTEGER,
     NON_NEGATIVE_REAL,
     POSITIVE_INTEGER,
+    STRING,
     DuplicateTimestamp,
     EmptyRange,
     MalformedPayload,
@@ -123,6 +124,7 @@ class FetchConfig:
     retry_backoff: float = 1.0
 
     def __post_init__(self) -> None:
+        check_fields(self, base_url=STRING, path_template=STRING)
         check_fields(self, page_limit=POSITIVE_INTEGER, max_retries=NON_NEGATIVE_INTEGER, retry_backoff=NON_NEGATIVE_REAL)
 
 

@@ -4,7 +4,6 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 engine error.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import sys
@@ -16,7 +15,7 @@ from .candles import FetchConfig, csv_text, serialize_candles_csv, validate_seri
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
-from .metrics import REPORTS
+from .metrics import REPORTS, SEGMENTS, report_from_row
 from .models import coerce_kind
 from .report import emit_table
 from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment, tune_job
@@ -121,7 +120,7 @@ def features(csv_path, interval, config_path, indicator, out_path):
 
 def _echo_tables(reports, tasks=tuple(REPORTS)) -> None:
     for task in tasks:
-        rows = [r for r in reports if isinstance(r, REPORTS[task])]
+        rows = [r for r in reports if r.task == task]
         if rows:
             click.echo(emit_table(rows, task))
 
@@ -172,20 +171,6 @@ def tune(config_path, model_name, window, trials, seed, out_path):
     click.echo(json.dumps({"best_index": result.best.index, "objective": result.best.objective, "params": result.best.params}, sort_keys=True))
 
 
-# The JSON types a report field's annotation admits; a bool is never a number.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
-
-
-def _reports_from_rows(rows: list[dict]):
-    reports = [REPORTS[row["task"]](**{k: v for k, v in row.items() if k != "task"}) for row in rows]
-    for report in reports:
-        for f in dataclasses.fields(report):
-            value = getattr(report, f.name)
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
-    return reports
-
-
 @cli.command("report")
 @click.option("--run-dir", required=True, help="A persisted runs/<run-id> directory.")
 @click.option("--task", type=click.Choice([*REPORTS, "both"]), default="both", show_default=True)
@@ -199,9 +184,11 @@ def report_cmd(run_dir, task):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
     try:
-        reports = _reports_from_rows(payload["reports"])
-    except (KeyError, TypeError) as exc:
+        reports = [report_from_row(row) for row in payload["reports"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} holds no valid report rows: {exc!r}") from None
+    if len({(r.model, r.window, r.segment) for r in reports}) < len(reports):
+        raise DataError(f"{path} holds more than one row for a (model, window, segment)")
     _echo_tables(reports, tuple(REPORTS) if task == "both" else (task,))
 
 
@@ -209,7 +196,7 @@ def report_cmd(run_dir, task):
 @click.option("--run-dir", required=True)
 @click.option("--model", "model_name", required=True)
 @click.option("--window", type=int, required=True)
-@click.option("--segment", type=click.Choice(["backtest", "forward"]), required=True)
+@click.option("--segment", type=click.Choice(SEGMENTS), required=True)
 @click.option("--out", "out_path", default=None, help="Output CSV path (default: stdout).")
 def export_equity_cmd(run_dir, model_name, window, segment, out_path):
     """Print one persisted equity curve as timestamp,equity_fraction CSV."""

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the rules for each kind of number a setting takes.
+"""Exception hierarchy, and the rules for each kind of value a setting takes.
 
 Three top-level families map onto the CLI exit codes: ConfigError (1),
 DataError (2), EngineError (3).
@@ -73,7 +73,7 @@ class NonFiniteInput(EngineError):
     pass
 
 
-# --- the kinds of number a setting or hyperparameter takes -------------------
+# --- the kinds of value a setting or hyperparameter takes --------------------
 
 @dataclass(frozen=True)
 class Rule:
@@ -106,6 +106,7 @@ POSITIVE_INTEGER = Rule("positive integer", lambda v: _integer(v) and v > 0)
 NON_NEGATIVE_INTEGER = Rule("non-negative integer", lambda v: _integer(v) and v >= 0)
 POSITIVE_REAL = Rule("positive real", lambda v: _real(v) and v > 0)
 NON_NEGATIVE_REAL = Rule("non-negative real", lambda v: _real(v) and v >= 0)
+STRING = Rule("string", lambda v: isinstance(v, str))
 
 
 # --- models -----------------------------------------------------------------

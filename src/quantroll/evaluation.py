@@ -13,15 +13,13 @@ from .metrics import (
     build_regressor_report,
 )
 from .models import CLASSIFIER, ModelSpec
-from .trading import CostModel, EquityCurve, TradeLedger, simulate
-from .walkforward import PredictionSeries, WalkForwardConfig, run_walkforward, signal_from_predictions
+from .trading import CostModel, EquityCurve, simulate
+from .walkforward import WalkForwardConfig, run_walkforward, signal_from_predictions
 
 
 @dataclass
 class SegmentEvaluation:
-    preds: PredictionSeries
     curve: EquityCurve
-    ledger: TradeLedger
     report: ClassifierReport | RegressorReport
 
 
@@ -49,4 +47,4 @@ def evaluate_segment(
         ledger,
         periods_per_year=periods_per_year,
     )
-    return SegmentEvaluation(preds, curve, ledger, report)
+    return SegmentEvaluation(curve, report)

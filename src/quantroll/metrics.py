@@ -5,26 +5,33 @@ Zero-denominator conventions keep reports total: precision/recall/F1 fall to
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .direction import UP
 from .errors import (
+    NON_NEGATIVE_INTEGER,
+    POSITIVE_INTEGER,
     ConstantCurve,
     ConstantTruth,
     LengthMismatch,
     TooFewObservations,
     ZeroVolatility,
 )
-from .models import CLASSIFIER, REGRESSOR
+from .models import ALL_KINDS, CLASSIFIER, REGRESSOR, task_of
 from .trading import EquityCurve, TradeLedger, count_trades, pnl_percent
 from .walkforward import PredictionSeries
+
+SEGMENTS = ("backtest", "forward")
 
 
 @dataclass(frozen=True)
 class ClassifierReport:
+    task: ClassVar[str] = CLASSIFIER
     model: str
     window: int
     segment: str
@@ -40,6 +47,7 @@ class ClassifierReport:
 
 @dataclass(frozen=True)
 class RegressorReport:
+    task: ClassVar[str] = REGRESSOR
     model: str
     window: int
     segment: str
@@ -53,7 +61,32 @@ class RegressorReport:
 
 
 # The report class of each task: report.json's "task" field names the key.
-REPORTS = {CLASSIFIER: ClassifierReport, REGRESSOR: RegressorReport}
+REPORTS = {report.task: report for report in (ClassifierReport, RegressorReport)}
+
+# The JSON types a report field's annotation admits; a bool is never a number.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "float | None": (int, float, type(None))}
+
+
+def report_row(report) -> dict:
+    """The report.json row of one report: its fields plus its task."""
+    return {**dataclasses.asdict(report), "task": report.task}
+
+
+def report_from_row(row: dict):
+    """The report a report.json row holds. A row no run writes raises
+    KeyError, TypeError or ValueError."""
+    report = REPORTS[row["task"]](**{k: v for k, v in row.items() if k != "task"})
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[f.type]):
+            raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+    if report.model not in ALL_KINDS or task_of(report.model) != report.task:
+        raise ValueError(f"model must be a {report.task} kind, got {report.model!r}")
+    if report.segment not in SEGMENTS:
+        raise ValueError(f"segment must be one of {SEGMENTS}, got {report.segment!r}")
+    POSITIVE_INTEGER.check("window", report.window)
+    NON_NEGATIVE_INTEGER.check("n_trades", report.n_trades)
+    return report
 
 
 def sharpe(step_returns, risk_free_rate: float = 0.0, periods_per_year: float = 365.0) -> float:
@@ -140,6 +173,12 @@ def _maybe(fn, *args, **kwargs):
         return None
 
 
+def _report(cls, model, window, segment, curve, ledger, periods_per_year, **metrics):
+    """A report of class cls: the fields every report has, plus its task's metrics."""
+    sharpe_ratio = _maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year)
+    return cls(model, window, segment, pnl_percent(curve), sharpe_ratio, n_trades=count_trades(ledger), **metrics)
+
+
 def build_classifier_report(
     model: str,
     window: int,
@@ -150,18 +189,9 @@ def build_classifier_report(
     periods_per_year: float = 365.0,
 ) -> ClassifierReport:
     accuracy, precision, recall, f1 = classification_metrics(preds.realized_class, preds.direction)
-    return ClassifierReport(
-        model=model,
-        window=window,
-        segment=segment,
-        pnl_percent=pnl_percent(curve),
-        sharpe=_maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year),
-        r2=_maybe(equity_trend_r2, curve),
-        accuracy=accuracy,
-        f1=f1,
-        precision=precision,
-        recall=recall,
-        n_trades=count_trades(ledger),
+    return _report(
+        ClassifierReport, model, window, segment, curve, ledger, periods_per_year,
+        r2=_maybe(equity_trend_r2, curve), accuracy=accuracy, f1=f1, precision=precision, recall=recall,
     )
 
 
@@ -175,15 +205,7 @@ def build_regressor_report(
     periods_per_year: float = 365.0,
 ) -> RegressorReport:
     mae, mse, rmse = regression_errors(preds.realized_return, preds.value)
-    return RegressorReport(
-        model=model,
-        window=window,
-        segment=segment,
-        pnl_percent=pnl_percent(curve),
-        sharpe=_maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year),
-        r2=_maybe(r_squared, preds.realized_return, preds.value),
-        mae=mae,
-        mse=mse,
-        rmse=rmse,
-        n_trades=count_trades(ledger),
+    return _report(
+        RegressorReport, model, window, segment, curve, ledger, periods_per_year,
+        r2=_maybe(r_squared, preds.realized_return, preds.value), mae=mae, mse=mse, rmse=rmse,
     )

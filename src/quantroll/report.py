@@ -1,24 +1,33 @@
 """Text report tables: one row per model at its best-backtest-PNL window,
-with backtest and forwardtest metric blocks side by side."""
+with backtest and forwardtest metric blocks side by side.
+
+A table's label is its task, and its columns are its report class's metric
+fields in declaration order (metrics.REPORTS); this module adds only each
+field's header and number format."""
 from __future__ import annotations
 
 import dataclasses
 
 from .errors import MixedTasks
-from .metrics import ClassifierReport, RegressorReport
+from .metrics import REPORTS, SEGMENTS, ClassifierReport, RegressorReport
 from .models import display_name
 
-CLASSIFIER_COLUMNS = ("PNL (%)", "Sharpe", "R2", "Accuracy", "F1 score", "Precision", "Recall", "No. of Trades")
-REGRESSOR_COLUMNS = ("PNL (%)", "Sharpe", "R2", "MAE", "MSE", "RMSE", "No. of Trades")
-
-_SEGMENTS = ("backtest", "forwardtest")
-
-# A report's metric fields in declaration order, one per column above.
-_CLASSIFIER_FIELDS, _REGRESSOR_FIELDS = (
-    tuple(f.name for f in dataclasses.fields(report) if f.name not in ("model", "window", "segment"))
-    for report in (ClassifierReport, RegressorReport)
-)
+# The header of each report field a table shows. A table's columns are its
+# report's fields in declaration order, once per segment.
+_HEADERS = {
+    "pnl_percent": "PNL (%)", "sharpe": "Sharpe", "r2": "R2", "accuracy": "Accuracy", "f1": "F1 score",
+    "precision": "Precision", "recall": "Recall", "mae": "MAE", "mse": "MSE", "rmse": "RMSE",
+    "n_trades": "No. of Trades",
+}
 _FOUR_DP = {"mae", "mse", "rmse"}
+
+
+def _fields(report_cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(report_cls) if f.name in _HEADERS)
+
+
+CLASSIFIER_COLUMNS = tuple(_HEADERS[f] for f in _fields(ClassifierReport))
+REGRESSOR_COLUMNS = tuple(_HEADERS[f] for f in _fields(RegressorReport))
 
 
 def _fmt(field: str, value) -> str:
@@ -29,8 +38,10 @@ def _fmt(field: str, value) -> str:
     return f"{value:.4f}" if field in _FOUR_DP else f"{value:.2f}"
 
 
-def _segment_key(segment: str) -> str:
-    return "forwardtest" if segment == "forward" else segment
+def _pnl(segments: dict, segment: str) -> float:
+    """The segment's PNL; -inf, which loses every comparison, when it has no row."""
+    report = segments.get(segment)
+    return report.pnl_percent if report is not None else float("-inf")
 
 
 def emit_table(reports, task: str) -> str:
@@ -39,72 +50,46 @@ def emit_table(reports, task: str) -> str:
     The best backtest-PNL row is flagged with '*', the best forwardtest-PNL
     row with '+'.
     """
-    if task == "classifier":
-        expected, columns, fields = ClassifierReport, CLASSIFIER_COLUMNS, _CLASSIFIER_FIELDS
-        label = "Classifier"
-    elif task == "regressor":
-        expected, columns, fields = RegressorReport, REGRESSOR_COLUMNS, _REGRESSOR_FIELDS
-        label = "Regressor"
-    else:
+    if task not in REPORTS:
         raise ValueError(f"unknown task {task!r}")
-    for report in reports:
-        if not isinstance(report, expected):
-            raise MixedTasks(f"report for {report.model!r} is not a {task} report")
-
+    fields = _fields(REPORTS[task])
     by_model: dict[str, dict] = {}
     for report in reports:
-        windows = by_model.setdefault(report.model, {})
-        windows.setdefault(report.window, {})[_segment_key(report.segment)] = report
+        if report.task != task:
+            raise MixedTasks(f"report for {report.model!r} is not a {task} report")
+        by_model.setdefault(report.model, {}).setdefault(report.window, {})[report.segment] = report
 
     rows = []
     for model in sorted(by_model):
         windows = by_model[model]
         # best window by backtest PNL; windows lacking a backtest row lose ties
-        def backtest_pnl(w):
-            r = windows[w].get("backtest")
-            return r.pnl_percent if r is not None else float("-inf")
-
-        best_window = max(sorted(windows), key=backtest_pnl)
+        best_window = max(sorted(windows), key=lambda w: _pnl(windows[w], "backtest"))
         rows.append((model, best_window, windows[best_window]))
 
-    def pnl_or_neginf(row, segment):
-        report = row[2].get(segment)
-        return report.pnl_percent if report is not None else float("-inf")
-
     flags = ["" for _ in rows]
-    if rows:
-        best_bt = max(range(len(rows)), key=lambda i: pnl_or_neginf(rows[i], "backtest"))
-        best_fw = max(range(len(rows)), key=lambda i: pnl_or_neginf(rows[i], "forwardtest"))
-        if pnl_or_neginf(rows[best_bt], "backtest") > float("-inf"):
-            flags[best_bt] += "*"
-        if pnl_or_neginf(rows[best_fw], "forwardtest") > float("-inf"):
-            flags[best_fw] += "+"
+    for segment, flag in zip(SEGMENTS, "*+"):
+        pnls = [_pnl(segments, segment) for _, _, segments in rows]
+        if pnls and max(pnls) > float("-inf"):
+            flags[pnls.index(max(pnls))] += flag
 
-    header = [label, "Rolling window", *columns, *columns]
+    columns = [_HEADERS[field] for field in fields]
+    header = [task.capitalize(), "Rolling window", *columns, *columns]
     body = []
     for (model, window, segments), flag in zip(rows, flags):
         cells = [display_name(model) + (f" {flag}" if flag else ""), str(window)]
-        for segment in _SEGMENTS:
-            report = segments.get(segment)
-            for field in fields:
-                cells.append(_fmt(field, getattr(report, field)) if report is not None else "n/a")
+        for segment in SEGMENTS:  # a segment with no row shows n/a throughout
+            cells.extend(_fmt(field, getattr(segments.get(segment), field, None)) for field in fields)
         body.append(cells)
 
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i]) for i in range(len(header))]
-    n_metrics = len(columns)
-
-    def block_line() -> str:
-        left = " " * (widths[0] + widths[1] + 6)
-        bt_width = sum(widths[2 : 2 + n_metrics]) + 3 * (n_metrics - 1)
-        fw_width = sum(widths[2 + n_metrics :]) + 3 * (n_metrics - 1)
-        return left + "Backtest".center(bt_width) + " | " + "Forwardtest".center(fw_width)
+    widths = [max([len(header[i]), *(len(r[i]) for r in body)]) for i in range(len(header))]
+    n = len(columns)
+    bt_width, fw_width = (sum(widths[2 + k * n : 2 + (k + 1) * n]) + 3 * (n - 1) for k in (0, 1))
+    blocks = " " * (widths[0] + widths[1] + 6) + "Backtest".center(bt_width) + " | " + "Forwardtest".center(fw_width)
 
     def fmt_row(cells) -> str:
         return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
 
-    lines = [block_line(), fmt_row(header), "-" * len(fmt_row(header))]
-    lines.extend(fmt_row(cells) for cells in body)
+    lines = [blocks, fmt_row(header), "-" * len(fmt_row(header)), *map(fmt_row, body)]
     if any(flags):
-        lines.append("")
-        lines.append("* best backtest PNL   + best forwardtest PNL")
+        lines += ["", "* best backtest PNL   + best forwardtest PNL"]
     return "\n".join(lines) + "\n"

@@ -17,10 +17,10 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import INTEGER, NON_NEGATIVE_REAL, POSITIVE_INTEGER, ConfigError, DataError, UnknownSelector, check_fields
+from .errors import INTEGER, NON_NEGATIVE_REAL, POSITIVE_INTEGER, STRING, ConfigError, DataError, UnknownSelector, check_fields
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
-from .metrics import REPORTS
+from .metrics import report_row
 from .models import ALL_KINDS, ModelKind, ModelSpec, coerce_kind
 from .trading import CostModel, EquityCurve
 from .tuner import TunerConfig, TunerResult, _derive_seed, run_study
@@ -68,6 +68,12 @@ class DataSource:
     def __post_init__(self):
         if (self.csv_path is None) == (self.fetch is None):
             raise ConfigError("data source needs exactly one of csv_path or fetch settings")
+        try:
+            STRING.check("symbol", self.symbol)
+            if self.csv_path is not None:
+                STRING.check("csv_path", self.csv_path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.fetch is not None and self.start >= self.end:
             raise ConfigError("fetch range requires start < end")
 
@@ -80,6 +86,12 @@ def _reject_unknown(block: str, raw: dict, known) -> None:
     unknown = set(raw) - set(known)
     if unknown:
         raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+
+
+def _listed(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _source_from_dict(raw: dict) -> DataSource:
@@ -128,7 +140,7 @@ class RunConfig:
         try:
             check_fields(
                 self, interval=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER, fee_bps=NON_NEGATIVE_REAL,
-                dead_band=NON_NEGATIVE_REAL, seed=INTEGER, jobs=POSITIVE_INTEGER,
+                dead_band=NON_NEGATIVE_REAL, seed=INTEGER, out_dir=STRING, jobs=POSITIVE_INTEGER,
             )
             for window in self.windows:
                 POSITIVE_INTEGER.check("windows", window)
@@ -190,9 +202,9 @@ class RunConfig:
             kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
         if "models" in raw:
             models = raw["models"]
-            kwargs["models"] = ALL_KINDS if models in ("all", ["all"]) else tuple(coerce_kind(m) for m in models)
+            kwargs["models"] = ALL_KINDS if models in ("all", ["all"]) else tuple(map(coerce_kind, _listed("models", models)))
         if "windows" in raw:
-            kwargs["windows"] = tuple(raw["windows"])
+            kwargs["windows"] = tuple(_listed("windows", raw["windows"]))
         return cls(**kwargs)
 
     @classmethod
@@ -213,13 +225,7 @@ class RunArtifact:
     engine_version: str = __version__
 
     def report_rows(self) -> list[dict]:
-        rows = []
-        for report in self.reports:
-            row = dataclasses.asdict(report)
-            row["task"] = next(task for task, cls in REPORTS.items() if isinstance(report, cls))
-            rows.append(row)
-        rows.sort(key=lambda r: (r["model"], r["window"], r["segment"]))
-        return rows
+        return sorted(map(report_row, self.reports), key=lambda r: (r["model"], r["window"], r["segment"]))
 
     def report_json(self) -> str:
         payload = {
@@ -230,12 +236,7 @@ class RunArtifact:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def trials_jsonl(self) -> str:
-        lines = []
-        for (kind, window) in sorted(self.trials):
-            for trial in self.trials[(kind, window)].trials:
-                record = {"model": kind, "window": window, **trial.to_record()}
-                lines.append(json.dumps(record, sort_keys=True))
-        return "".join(line + "\n" for line in lines)
+        return "".join(self.trials[key].to_jsonl() for key in sorted(self.trials))
 
 
 def load_candles(config: RunConfig) -> CandleSeries:

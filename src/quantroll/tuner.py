@@ -54,17 +54,17 @@ class Trial:
             record["error"] = self.error
         return record
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
 
 @dataclass
 class TunerResult:
+    model: str
+    window: int
     best: Trial
     trials: list[Trial] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
-        return "".join(t.to_json() + "\n" for t in self.trials)
+        study = {"model": self.model, "window": self.window}
+        return "".join(json.dumps({**study, **t.to_record()}, sort_keys=True) + "\n" for t in self.trials)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -149,4 +149,4 @@ def run_study(
 
     if best is None:
         raise AllTrialsFailed(f"all {config.n_trials} trials failed")
-    return TunerResult(best=best, trials=trials)
+    return TunerResult(space.kind, window, best, trials)

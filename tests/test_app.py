@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from quantroll.candles import CandleSeries, FetchConfig, serialize_candles_csv
 from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
 from quantroll.indicators import IndicatorConfig
-from quantroll.metrics import ClassifierReport, RegressorReport
+from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
 from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, run_experiment
 from quantroll.trading import CostModel
@@ -39,7 +40,14 @@ def csv_path(tmp_path_factory):
     return path
 
 
-def config_dict(csv_path, out_dir, **overrides):
+# A fetch data source; the endpoint is never contacted by the tests that use it.
+FETCH_DATA = {
+    "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}, "symbol": "BTCUSDT",
+    "start": SPLIT["train_start"], "end": SPLIT["forward_end"],
+}
+
+
+def config_dict(csv_path, out_dir, /, **overrides):
     raw = {
         "data": {"csv_path": str(csv_path)},
         "interval": DAY,
@@ -102,11 +110,21 @@ class TestRunConfig:
             ({"indicators": {"bb_period": True}}, "bb_period must be positive integer, got True"),
             ({"indicators": {"kc_ema_period": 20.5}}, r"kc_ema_period must be positive integer, got 20\.5"),
             ({"indicators": {"kc_atr_period": 10.0}}, r"kc_atr_period must be positive integer, got 10\.0"),
+            ({"models": "knn_c"}, "models must be a list, got 'knn_c'"),
+            ({"windows": 7}, "windows must be a list, got 7"),
+            ({"out_dir": None}, "out_dir must be string, got None"),
+            ({"data": {"csv_path": 5}}, "csv_path must be string, got 5"),
+            ({"data": {**FETCH_DATA, "symbol": None}}, "symbol must be string, got None"),
+            ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, "base_url must be string, got 5"),
+            ({"data": {**FETCH_DATA, "fetch": {"base_url": "http://localhost:1", "path_template": None}}},
+             "path_template must be string, got None"),
         ],
         ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
              "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
              "fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "fractional-jobs",
-             "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period"],
+             "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period",
+             "string-models", "int-windows", "null-out-dir", "int-csv-path", "null-symbol", "int-base-url",
+             "null-path-template"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -216,6 +234,17 @@ class TestRunExperiment:
         artifact = run_experiment(config, persist=False)
         assert len(artifact.reports) == 2 * 2 * 2  # 2 models x 2 windows x 2 segments
         assert len(artifact.curves) == 8
+
+    def test_report_rows_round_trip(self, csv_path, tmp_path):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path, tuner_trials=2, windows=[7]))
+        artifact = run_experiment(config, run_id="rt")
+        tasks = {ClassifierReport: "classifier", RegressorReport: "regressor"}
+        assert sorted(tasks[type(r)] for r in artifact.reports) == ["classifier"] * 2 + ["regressor"] * 2
+        for report in artifact.reports:
+            assert report_row(report) == {**dataclasses.asdict(report), "task": tasks[type(report)]}
+            assert report_from_row(report_row(report)) == report
+        persisted = json.loads((tmp_path / "rt" / "report.json").read_text(encoding="utf-8"))["reports"]
+        assert sorted(map(report_from_row, persisted), key=repr) == sorted(artifact.reports, key=repr)
 
     def test_byte_identical_reruns(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path, tuner_trials=3))
@@ -427,6 +456,60 @@ class TestEmitTable:
         with pytest.raises(MixedTasks):
             emit_table([classifier_report("knn_c", 7, "backtest", 1.0), regressor_report("ols_r", 7, "backtest", 1.0)], "classifier")
 
+    # Both tables byte for byte: the best window by backtest PNL, a best window
+    # with no forward row (and one with no backtest row), None as n/a, '*' and
+    # '+' on different rows, '*+' on one row, and 4-decimal error metrics.
+    GOLDEN = {
+        "classifier": (
+            '                                                                    Backtest                                      |                                    Forwardtest                                    ',
+            'Classifier  | Rolling window | PNL (%) | Sharpe | R2   | Accuracy | F1 score | Precision | Recall | No. of Trades | PNL (%) | Sharpe | R2   | Accuracy | F1 score | Precision | Recall | No. of Trades',
+            '------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------',
+            'KnnC *      | 28             | 25.00   | 1.50   | 0.80 | 0.55     | 0.60     | 0.50      | 0.70   | 42            | 2.00    | 1.50   | 0.80 | 0.55     | 0.60     | 0.50      | 0.70   | 42',
+            'LogisticC   | 14             | 10.00   | n/a    | n/a  | 0.55     | 0.60     | 0.50      | 0.70   | 42            | n/a     | n/a    | n/a  | n/a      | n/a      | n/a       | n/a    | n/a',
+            'PerceptronC | 21             | n/a     | n/a    | n/a  | n/a      | n/a      | n/a       | n/a    | n/a           | -2.50   | 1.50   | 0.80 | 0.55     | 0.60     | 0.50      | 0.70   | 42',
+            'SgdC +      | 7              | 3.00    | 1.50   | 0.80 | 0.12     | 0.60     | 0.50      | 0.70   | 7             | 15.00   | 1.50   | 0.80 | 0.55     | 0.00     | 0.50      | 0.70   | 42',
+            '',
+            '* best backtest PNL   + best forwardtest PNL',
+        ),
+        "regressor": (
+            '                                                          Backtest                              |                            Forwardtest                            ',
+            'Regressor | Rolling window | PNL (%) | Sharpe | R2   | MAE    | MSE    | RMSE   | No. of Trades | PNL (%) | Sharpe | R2   | MAE    | MSE    | RMSE   | No. of Trades',
+            '--------------------------------------------------------------------------------------------------------------------------------------------------------------------',
+            'KnnR      | 7              | -2.00   | 2.00   | 0.10 | 0.0117 | 0.0004 | 0.0198 | 16            | n/a     | n/a    | n/a  | n/a    | n/a    | n/a    | n/a',
+            'OlsR *+   | 14             | 12.00   | 2.00   | 0.10 | 0.0123 | 0.0001 | 0.0122 | 16            | 8.00    | 2.00   | 0.10 | 0.0117 | 0.0004 | 0.0198 | 16',
+            'SgdR      | 28             | 1.00    | 2.00   | n/a  | 0.0117 | 0.0004 | 0.0198 | 16            | -3.50   | 2.00   | 0.10 | 0.0117 | 0.0004 | 0.0198 | 16',
+            '',
+            '* best backtest PNL   + best forwardtest PNL',
+        ),
+    }
+
+    @staticmethod
+    def golden_reports():
+        classifiers = [
+            classifier_report("knn_c", 7, "backtest", 5.0),
+            classifier_report("knn_c", 7, "forward", 1.0),
+            classifier_report("knn_c", 28, "backtest", 25.0),
+            classifier_report("knn_c", 28, "forward", 2.0),
+            classifier_report("logistic_c", 14, "backtest", 10.0, sharpe=None, r2=None),
+            classifier_report("sgd_c", 7, "backtest", 3.0, accuracy=0.125, n_trades=7),
+            classifier_report("sgd_c", 7, "forward", 15.0, f1=0.0),
+            classifier_report("perceptron_c", 21, "forward", -2.5),
+        ]
+        regressors = [
+            regressor_report("ols_r", 7, "backtest", 10.0),
+            regressor_report("ols_r", 7, "forward", 4.0),
+            dataclasses.replace(regressor_report("ols_r", 14, "backtest", 12.0), mae=0.012345, mse=0.00015, rmse=0.012247),
+            regressor_report("ols_r", 14, "forward", 8.0),
+            dataclasses.replace(regressor_report("sgd_r", 28, "backtest", 1.0), r2=None),
+            regressor_report("sgd_r", 28, "forward", -3.5),
+            regressor_report("knn_r", 7, "backtest", -2.0),
+        ]
+        return {"classifier": classifiers, "regressor": regressors}
+
+    @pytest.mark.parametrize("task", ["classifier", "regressor"])
+    def test_golden_text(self, task):
+        assert emit_table(self.golden_reports()[task], task) == "\n".join(self.GOLDEN[task]) + "\n"
+
     def test_empty_reports_header_only(self):
         text = emit_table([], "classifier")
         lines = [line for line in text.strip().split("\n") if line]
@@ -542,11 +625,17 @@ class TestCli:
             ({"interval": 86400.5}, []),
             ({"indicators": {"bb_k": float("inf")}}, []),
             ({}, ["tune", "--model", "knn_c", "--window", "0"]),
+            ({"out_dir": None}, []),
+            ({"data": {"csv_path": 5}}, []),
+            ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, []),
+            ({"models": "knn_c"}, []),
+            ({"windows": 7}, []),
         ],
         ids=[
             "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
             "inf-instant", "-inf-instant", "nan-instant", "fractional-trials", "float-mfi-period",
             "bool-fee", "nan-dead-band", "fractional-interval", "inf-bb-k", "tune-window-0",
+            "null-out-dir", "int-csv-path", "int-base-url", "string-models", "int-windows",
         ],
     )
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, overrides, flags):
@@ -625,8 +714,13 @@ class TestCli:
             {}, {"reports": [{"task": "classifier", "model": "knn_c"}]}, {"reports": [{"task": "svm"}]},
             {"reports": [{**REPORT_ROW, "pnl_percent": "x"}]}, {"reports": [{**REPORT_ROW, "window": "7"}]},
             {"reports": [{**REPORT_ROW, "sharpe": True}]},
+            {"reports": [{**REPORT_ROW, "model": "zzz"}]}, {"reports": [{**REPORT_ROW, "model": "ols_r"}]},
+            {"reports": [{**REPORT_ROW, "segment": "sideways"}]}, {"reports": [{**REPORT_ROW, "window": 0}]},
+            {"reports": [{**REPORT_ROW, "n_trades": -4}]}, {"reports": [REPORT_ROW, {**REPORT_ROW, "pnl_percent": 9}]},
         ],
-        ids=["no-reports", "missing-fields", "unknown-task", "string-metric", "string-window", "bool-sharpe"],
+        ids=["no-reports", "missing-fields", "unknown-task", "string-metric", "string-window", "bool-sharpe",
+             "unknown-model", "regressor-kind-in-classifier-row", "unknown-segment", "zero-window",
+             "negative-trades", "duplicate-row"],
     )
     def test_report_bad_rows_exit_2(self, tmp_path, capsys, payload):
         (tmp_path / "report.json").write_text(json.dumps(payload), encoding="utf-8")
@@ -639,6 +733,8 @@ class TestCli:
         trials_path = tmp_path / "trials.jsonl"
         code = self.run_cli("tune", "--config", str(cfg), "--model", "knn_c", "--window", "7", "--trials", "4", "--out", str(trials_path))
         assert code == 0
-        assert len(trials_path.read_text().strip().split("\n")) == 4
+        records = [json.loads(line) for line in trials_path.read_text().strip().split("\n")]
+        assert len(records) == 4
+        assert all(r["model"] == "knn_c" and r["window"] == 7 for r in records)
         best = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert "params" in best and "objective" in best
