@@ -1,4 +1,4 @@
-"""Model roster behind a uniform fit/predict contract.
+"""Model roster behind a uniform fit/score contract.
 
 Kinds are addressed by string names (e.g. "random_forest_c"); the suffix
 marks the task: _c classifies the next move as up/down, _r regresses the
@@ -28,8 +28,7 @@ from .linear import (
     LogisticClassifier,
     OLSRegressor,
     PerceptronClassifier,
-    RidgeClassifier,
-    RidgeRegressor,
+    Ridge,
     SGDClassifier,
     SGDRegressor,
 )
@@ -49,13 +48,14 @@ REGRESSOR = "regressor"
 
 
 # The one per-kind table. Everything else is derived from it: ModelKind
-# enumerates its names; task_of reads the suffix; display_name capitalizes
-# the parts ("bernoulli_nb_c" -> "BernoulliNbC"); a kind's hyperparameters are
-# its class's constructor arguments less the seed, which build_estimator
-# passes from the spec to every class that takes one.
+# enumerates its names; task_of reads the suffix, so one class (Ridge) can
+# serve both tasks; display_name capitalizes the parts ("bernoulli_nb_c" ->
+# "BernoulliNbC"); a kind's hyperparameters are its class's constructor
+# arguments less the seed, which build_estimator passes from the spec to
+# every class that takes one.
 _REGISTRY: dict[str, type] = {
     "logistic_c": LogisticClassifier,
-    "ridge_c": RidgeClassifier,
+    "ridge_c": Ridge,
     "perceptron_c": PerceptronClassifier,
     "sgd_c": SGDClassifier,
     "knn_c": KNNClassifier,
@@ -65,7 +65,7 @@ _REGISTRY: dict[str, type] = {
     "random_forest_c": RandomForestClassifier,
     "bagging_c": BaggingClassifier,
     "ols_r": OLSRegressor,
-    "ridge_r": RidgeRegressor,
+    "ridge_r": Ridge,
     "sgd_r": SGDRegressor,
     "knn_r": KNNRegressor,
     "decision_tree_r": DecisionTreeRegressor,

@@ -18,15 +18,16 @@ from ..errors import EmptyTraining, LengthMismatch, NonFiniteInput, WidthMismatc
 
 
 class Estimator:
-    """Base class: the constructor's argument names, and one-row scoring.
+    """Base class: the constructor's argument names, and the scoring contract.
 
     `quantroll.models.fit` checks each training window once (check_fit_inputs,
     and class_label_set for a classifier) and gives a degenerate window a
     constant model, so an estimator's fit only computes: it is handed float64,
     finite arrays with at least two rows and, for a classifier, both +1 and -1
     labels. An estimator fitted directly must be given arrays that meet the
-    same contract. A classifier's predict is the sign of its decision scores,
-    ties going down.
+    same contract. Every estimator scores rows through one batch method,
+    `scores(X)`: one float64 per row, a classifier's decision score (up iff
+    positive, see classify_from_scores) or a regressor's predicted return.
     """
 
     @classmethod
@@ -35,16 +36,13 @@ class Estimator:
         sig = inspect.signature(cls.__init__)
         return tuple(name for name in sig.parameters if name != "self")
 
-    def score_row(self, x: np.ndarray) -> float:
-        """Score of one checked float64 feature vector: a classifier's decision
-        score, a regressor's prediction. This default runs the batch method on
-        a one-row view; overrides must return the same float bit for bit."""
-        batch = getattr(self, "decision_function", None) or self.predict
-        return float(batch(x.reshape(1, -1))[0])
+    def scores(self, X) -> np.ndarray:
+        raise NotImplementedError
 
-    def predict(self, X) -> np.ndarray:
-        """A classifier's labels: +1 where its decision score is positive, else -1."""
-        return classify_from_scores(self.decision_function(X))
+    def score_row(self, x: np.ndarray) -> float:
+        """`scores` of one checked float64 feature vector, as a one-row X;
+        overrides must return the same float bit for bit."""
+        return float(self.scores(x.reshape(1, -1))[0])
 
 
 def check_matrix(X, name: str = "X") -> np.ndarray:

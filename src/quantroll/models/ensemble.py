@@ -24,14 +24,14 @@ class _ForestBase(_Grown):
 class _ForestClassifierBase(_ForestBase):
     criterion = GINI
 
-    def decision_function(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self.member_predictions(X).astype(np.float64).mean(axis=0) / 2.0  # up share of the votes - 0.5
 
 
 class _ForestRegressorBase(_ForestBase):
     criterion = VARIANCE
 
-    def predict(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self.member_predictions(X).mean(axis=0)
 
 

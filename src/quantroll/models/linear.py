@@ -37,47 +37,36 @@ def _solve_normal_equations(X_aug: np.ndarray, y: np.ndarray, lam: float) -> np.
 
 
 class _Linear(Estimator):
-    """Margins are intercept-augmented rows times weights_."""
+    """Scores are margins: intercept-augmented rows times weights_."""
 
-    def _margins(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
 
     def _row_margin(self, x: np.ndarray) -> np.ndarray:
-        """The (1,) margin of one checked row, bit for bit `_margins` of it as a one-row X."""
+        """The (1,) margin of one checked row, bit for bit its margin as a one-row X."""
         return _augmented_row(x).dot(self.weights_)
 
     def score_row(self, x: np.ndarray) -> float:
         return self._row_margin(x).item()
 
 
-class _Ridge(_Linear):
-    """Ridge regression on an intercept-augmented design; the fitted value is the margin."""
+class Ridge(_Linear):
+    """Ridge regression on an intercept-augmented design; a classifier fits it
+    on the +1/-1 targets."""
 
     def __init__(self, lam: float = 1.0):
         self.lam = lam
 
-    def fit(self, X, y, memo: dict | None = None) -> "_Ridge":
+    def fit(self, X, y, memo: dict | None = None) -> "Ridge":
         self.weights_ = _solve_normal_equations(_augment(X), y, self.lam)
         return self
 
 
-class RidgeRegressor(_Ridge):
-    def predict(self, X) -> np.ndarray:
-        return self._margins(X)
-
-
-class OLSRegressor(RidgeRegressor):
+class OLSRegressor(Ridge):
     """Ordinary least squares: ridge at lam = 0."""
 
     def __init__(self):
         self.lam = 0.0
-
-
-class RidgeClassifier(_Ridge):
-    """Ridge regression on +1/-1 targets."""
-
-    def decision_function(self, X) -> np.ndarray:
-        return self._margins(X)
 
 
 class _GradientDescent(_Linear, StandardizerMixin):
@@ -132,7 +121,7 @@ class _GradientDescent(_Linear, StandardizerMixin):
         self.weights_ = w
         return self
 
-    def _margins(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return _augment(self.standardize(np.asarray(X, dtype=np.float64))) @ self.weights_
 
     def _row_margin(self, x: np.ndarray) -> np.ndarray:
@@ -150,10 +139,10 @@ class LogisticClassifier(_GradientDescent):
 
     def _dloss_dmargin(self, margins, half_y):
         # d/dm log(1 + exp(-y m)) = -y * sigmoid(-y m); tanh form avoids overflow
-        return -half_y * (1.0 - np.tanh(half_y * margins))
+        return half_y * (np.tanh(half_y * margins) - 1.0)
 
-    def decision_function(self, X) -> np.ndarray:
-        return 0.5 * (1.0 + np.tanh(0.5 * self._margins(X))) - 0.5
+    def scores(self, X) -> np.ndarray:
+        return 0.5 * (1.0 + np.tanh(0.5 * super().scores(X))) - 0.5
 
     def score_row(self, x: np.ndarray) -> float:
         # tanh stays numpy's; the affine tail after it is exact in Python floats
@@ -171,18 +160,12 @@ class SGDClassifier(_GradientDescent):
         # hinge: -y where y * m < 1, written on -y (negation is exact)
         return np.where(neg_y * margins > -1.0, neg_y, 0.0)
 
-    def decision_function(self, X) -> np.ndarray:
-        return self._margins(X)
-
 
 class SGDRegressor(_GradientDescent):
     """Squared-loss linear regressor trained with mini-batch gradient descent."""
 
     def _dloss_dmargin(self, margins, y):
         return margins - y
-
-    def predict(self, X) -> np.ndarray:
-        return self._margins(X)
 
 
 class PerceptronClassifier(_Linear):
@@ -207,9 +190,6 @@ class PerceptronClassifier(_Linear):
         self.weights_ = w
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        return self._margins(X)
-
 
 class ConstantClassifier(Estimator):
     """Degenerate-window fallback: always predicts one class at score +/-0.5."""
@@ -217,7 +197,7 @@ class ConstantClassifier(Estimator):
     def __init__(self, label: int = DOWN):
         self.label = label
 
-    def decision_function(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         n = np.asarray(X).shape[0]
         return np.full(n, 0.5 if self.label == UP else -0.5)
 
@@ -228,5 +208,5 @@ class ConstantRegressor(Estimator):
     def __init__(self, value: float = 0.0):
         self.value = value
 
-    def predict(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return np.full(np.asarray(X).shape[0], self.value)

@@ -43,7 +43,7 @@ class BernoulliNBClassifier(Estimator):
         B = self._binarize(X)
         return self.log_prior_ + B @ self.log_p1_.T + (1.0 - B) @ self.log_p0_.T
 
-    def decision_function(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         """Posterior probability of up, minus 0.5."""
         log_post = self._log_posteriors(X)
         shifted = log_post - log_post.max(axis=1, keepdims=True)

@@ -30,12 +30,12 @@ class _KNNBase(Estimator, StandardizerMixin):
 class KNNClassifier(_KNNBase):
     """Vote of the k nearest neighbours; the score is the up-share minus 0.5."""
 
-    def decision_function(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self._neighbor_targets(X).mean(axis=1) / 2.0
 
 
 class KNNRegressor(_KNNBase):
     """Mean target of the k nearest neighbours."""
 
-    def predict(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self._neighbor_targets(X).mean(axis=1)

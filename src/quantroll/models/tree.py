@@ -356,7 +356,7 @@ class _TreeBase(_Grown):
         self.min_samples_leaf = min_samples_leaf
         self.seed = seed
 
-    def predict(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self.member_predictions(X)[0]
 
 
@@ -365,7 +365,7 @@ class DecisionTreeClassifier(_TreeBase):
 
     criterion = GINI
 
-    def decision_function(self, X) -> np.ndarray:
+    def scores(self, X) -> np.ndarray:
         return self.trees_.value[self.trees_.leaves(X)[0]] - 0.5
 
 

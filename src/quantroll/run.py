@@ -88,6 +88,15 @@ def _reject_unknown(block: str, raw: dict, known) -> None:
         raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
 
 
+def _block(name: str, value) -> dict:
+    """A block-valued key's object; null is an empty block."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _listed(key: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -97,10 +106,13 @@ def _listed(key: str, value) -> list:
 def _source_from_dict(raw: dict) -> DataSource:
     _reject_unknown("data", raw, [f.name for f in dataclasses.fields(DataSource)])
     if "fetch" not in raw:
+        unfetched = sorted(set(raw) - {"csv_path"})
+        if unfetched:
+            raise ConfigError(f"data keys {unfetched} need a fetch block")
         return DataSource(csv_path=raw.get("csv_path"))
     return DataSource(
         csv_path=raw.get("csv_path"),
-        fetch=FetchConfig(**raw["fetch"]),
+        fetch=FetchConfig(**_block("data.fetch", raw["fetch"])),
         symbol=raw.get("symbol", ""),
         start=parse_instant(raw["start"]),
         end=parse_instant(raw["end"]),
@@ -191,13 +203,14 @@ class RunConfig:
 
     @classmethod
     def _from_dict(cls, raw: dict) -> "RunConfig":
+        raw = _block("config", raw)
         flat = {f.name for f in dataclasses.fields(cls)} - set(_SPLIT_KEYS)
         _reject_unknown("config", raw, flat | {"split"})
-        split_raw = raw.get("split") or {}
+        split_raw = _block("split", raw.get("split"))
         _reject_unknown("split", split_raw, _SPLIT_KEYS)
         kwargs = {name: value for name, value in raw.items() if name != "split"}
-        kwargs["data"] = _source_from_dict(raw.get("data") or {})
-        kwargs["indicators"] = IndicatorConfig(**(raw.get("indicators") or {}))
+        kwargs["data"] = _source_from_dict(_block("data", raw.get("data")))
+        kwargs["indicators"] = IndicatorConfig(**_block("indicators", raw.get("indicators")))
         for name, value in split_raw.items():
             kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
         if "models" in raw:

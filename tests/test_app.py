@@ -118,17 +118,35 @@ class TestRunConfig:
             ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, "base_url must be string, got 5"),
             ({"data": {**FETCH_DATA, "fetch": {"base_url": "http://localhost:1", "path_template": None}}},
              "path_template must be string, got None"),
+            ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}},
+             r"data keys \['start', 'symbol'\] need a fetch block"),
+            ({"data": {"csv_path": "c.csv", "end": 5}}, r"data keys \['end'\] need a fetch block"),
+            ({"data": "c.csv"}, "data must be a JSON object, got 'c.csv'"),
+            ({"data": {**FETCH_DATA, "fetch": "x"}}, "data.fetch must be a JSON object, got 'x'"),
+            ({"split": "x"}, "split must be a JSON object, got 'x'"),
+            ({"indicators": [1]}, r"indicators must be a JSON object, got \[1\]"),
         ],
         ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
              "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
              "fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "fractional-jobs",
              "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period",
              "string-models", "int-windows", "null-out-dir", "int-csv-path", "null-symbol", "int-base-url",
-             "null-path-template"],
+             "null-path-template", "symbol-start-without-fetch", "end-without-fetch", "string-data",
+             "string-fetch", "string-split", "list-indicators"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(config_dict(csv_path, tmp_path, **overrides))
+
+    @pytest.mark.parametrize("raw", [[1], "c.csv", 5], ids=["list", "string", "int"])
+    def test_config_not_an_object_rejected(self, raw):
+        with pytest.raises(ConfigError, match=f"config must be a JSON object, got {re.escape(repr(raw))}"):
+            RunConfig.from_dict(raw)
+
+    def test_null_block_is_empty(self, csv_path, tmp_path):
+        raw = config_dict(csv_path, tmp_path)
+        assert RunConfig.from_dict({**raw, "indicators": None}) == RunConfig.from_dict(raw)
+        assert RunConfig.from_dict({**raw, "split": None}) == RunConfig.from_dict({**raw, "split": {}})
 
     def test_snapshot_literal(self):
         raw = {
@@ -630,12 +648,20 @@ class TestCli:
             ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, []),
             ({"models": "knn_c"}, []),
             ({"windows": 7}, []),
+            ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}}, []),
+            ({"data": {"csv_path": "c.csv", "end": 5}}, []),
+            ({"data": "c.csv"}, []),
+            ({"data": {**FETCH_DATA, "fetch": "x"}}, []),
+            ({"split": "x"}, []),
+            ({"indicators": [1]}, []),
         ],
         ids=[
             "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
             "inf-instant", "-inf-instant", "nan-instant", "fractional-trials", "float-mfi-period",
             "bool-fee", "nan-dead-band", "fractional-interval", "inf-bb-k", "tune-window-0",
             "null-out-dir", "int-csv-path", "int-base-url", "string-models", "int-windows",
+            "symbol-start-without-fetch", "end-without-fetch", "string-data", "string-fetch", "string-split",
+            "list-indicators",
         ],
     )
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, overrides, flags):

@@ -11,8 +11,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quantroll.models import ALL_KINDS, CLASSIFIER, ModelSpec, fit, task_of
 from quantroll.run import RunConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,6 +39,27 @@ workloads = _load("workloads")
 @pytest.mark.parametrize("module_name, attr", sorted({(m, a) for m, a, _, _ in tracing.PATCHES}))
 def test_traced_name_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
+def test_fit_info_flags_fallback_fits(kind):
+    """models.fallback_fits counts the fits whose info says "fallback", which
+    _fit_info reads from the fitted estimator's class name: the constant model
+    of a one-row window and of a classifier's single-class window."""
+    spec = ModelSpec(kind)
+    X = np.array([[0.5, -1.0], [1.5, 2.0], [2.5, 0.0], [3.5, 1.0]])
+    classifier = task_of(kind) == CLASSIFIER
+    y = np.array([1.0, -1.0, -1.0, 1.0]) if classifier else np.array([0.01, -0.02, 0.03, 0.0])
+
+    def info(X, y):
+        return tracing._fit_info((spec, X, y), fit(spec, X, y))
+
+    assert info(X, y) == {"family": tracing.FAMILIES[kind], "fallback": False}
+    fallbacks = [(X[:1], y[:1])]
+    if classifier:
+        fallbacks += [(X, np.ones(4)), (X, -np.ones(4))]
+    for Xw, yw in fallbacks:
+        assert info(Xw, yw) == {"family": tracing.FAMILIES[kind], "fallback": True}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -1,7 +1,7 @@
 """Seeded bit-identity checks of the gradient-descent epoch, the perceptron
 sweep and the one-row predict path against the straight-line loops in
-tests/reference.py, of each kind's `score_row` against its own batch
-method on a one-row matrix, and of fits through a shared draw memo against
+tests/reference.py, of each kind's `score_row` against its own `scores`
+on a one-row matrix, and of fits through a shared draw memo against
 fresh fits. Every comparison is exact equality, never a tolerance."""
 import dataclasses
 import math
@@ -98,13 +98,13 @@ def test_one_row_predict_matches_reference(kind, seed):
         row = x.reshape(1, -1)
         if classifier:
             if expected is None:
-                expected = float(est.decision_function(row)[0])
+                expected = float(est.scores(row)[0])
             direction, score = predict_class(model, x)
             assert np.array_equal(score, expected)
             assert direction == (UP if expected > 0 else DOWN)
         else:
             if expected is None:
-                expected = float(est.predict(row)[0])
+                expected = float(est.scores(row)[0])
             assert np.array_equal(predict_value(model, x), expected)
 
 
@@ -130,15 +130,14 @@ def test_one_row_predict_rejects(kind, row, error):
 
 
 def assert_row_matches_batch(model, x):
-    """`score_row` and `predict_class`/`predict_value` on x equal the batch
-    method on x as a one-row matrix, byte for byte. Returns the score."""
+    """`score_row` and `predict_class`/`predict_value` on x equal `scores`
+    on x as a one-row matrix, byte for byte. Returns the score."""
     est, row = model.estimator, x.reshape(1, -1)
+    want = est.scores(row)
     if model.task == CLASSIFIER:
-        want = est.decision_function(row)
         direction, score = predict_class(model, x)
         assert direction == (UP if want[0] > 0 else DOWN)
     else:
-        want = est.predict(row)
         score = predict_value(model, x)
     got = est.score_row(x)
     assert type(got) is float and type(score) is float and want.dtype == np.float64

@@ -29,7 +29,7 @@ from quantroll.models import (
     validate_params,
 )
 from quantroll.models.base import classify_from_scores
-from quantroll.models.linear import LogisticClassifier, SGDClassifier, SGDRegressor
+from quantroll.models.linear import LogisticClassifier, SGDClassifier, SGDRegressor, _GradientDescent
 from quantroll.models.neighbors import KNNClassifier
 from quantroll.models.tree import gini_impurity, grow_forest, variance_impurity
 from quantroll.tuner import sample_params
@@ -100,7 +100,7 @@ class TestGradientDescent:
         losses = []
         for k in range(1, epochs + 1):
             est = cls(learning_rate=0.05, epochs=k, batch_size=2, seed=0).fit(X, y)
-            losses.append(loss(est._margins(X), y))
+            losses.append(loss(_GradientDescent.scores(est, X), y))  # margins, before logistic's tanh
         return np.array(losses)
 
     @pytest.mark.parametrize("cls", [LogisticClassifier, SGDClassifier])
@@ -289,7 +289,7 @@ class TestFitContract:
         got = np.array([score(shared, x) for x in queries], dtype=np.float64)
         want = np.array([score(fresh, x) for x in queries], dtype=np.float64)
         assert got.tobytes() == want.tobytes()
-        assert shared.estimator.predict(queries).tobytes() == fresh.estimator.predict(queries).tobytes()
+        assert shared.estimator.scores(queries).tobytes() == fresh.estimator.scores(queries).tobytes()
 
 
 class TestClassifierPredict:
@@ -311,10 +311,10 @@ class TestClassifierPredict:
         for case_kind, params, Xw, yw in cases:
             est = fit(ModelSpec(case_kind, params, seed=8), Xw, yw).estimator
             assert (type(est).__name__ == "ConstantClassifier") == (kind == "constant")
-            scores, labels = est.decision_function(Xw), est.predict(Xw)
-            assert labels.dtype == np.int8
+            scores = est.scores(Xw)
+            labels = classify_from_scores(scores)
+            assert scores.dtype == np.float64 and labels.dtype == np.int8
             np.testing.assert_array_equal(labels, np.where(scores > 0, UP, DOWN))
-            np.testing.assert_array_equal(labels, classify_from_scores(scores))
             ties += np.count_nonzero(scores == 0.0)
         assert (ties == 0) == (kind == "constant")
 
@@ -524,7 +524,7 @@ class TestSpecValidation:
         X, y_class, y_reg = blob_data(20, seed=23)
         y = y_class if task_of(kind) == "classifier" else y_reg
         got, want = (fit(ModelSpec(kind, seed=seed), X, y, {}) for seed in (np.int64(3), 3))
-        assert got.estimator.predict(X).tobytes() == want.estimator.predict(X).tobytes()
+        assert got.estimator.scores(X).tobytes() == want.estimator.scores(X).tobytes()
 
     def test_none_depth_means_unlimited(self):
         ModelSpec("decision_tree_c", {"max_depth": None})
