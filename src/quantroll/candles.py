@@ -147,38 +147,39 @@ class ValidationReport:
         return not self.findings
 
 
-def _parse_price(raw: str, line_no: int, column: str) -> float:
+def _parse_price(raw: str, i: int, where: Callable[[int], str], column: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise MalformedRow(f"line {line_no}: {column} {raw!r} is not numeric") from None
+        raise MalformedRow(f"{where(i)}: {column} {raw!r} is not numeric") from None
 
 
-def _parse_timestamp(raw: str, line_no: int) -> int:
+def _parse_timestamp(raw: str, i: int, where: Callable[[int], str]) -> int:
     try:
         stamp = int(raw)
     except ValueError:
         try:
             value = float(raw)
         except ValueError:
-            raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not numeric") from None
+            raise MalformedRow(f"{where(i)}: timestamp {raw!r} is not numeric") from None
         if not np.isfinite(value) or value != int(value):
-            raise MalformedRow(f"line {line_no}: timestamp {raw!r} is not a whole number of seconds")
+            raise MalformedRow(f"{where(i)}: timestamp {raw!r} is not a whole number of seconds")
         stamp = int(value)
     if stamp not in _INT64:
-        raise MalformedRow(f"line {line_no}: timestamp {raw!r} is outside the int64 range")
+        raise MalformedRow(f"{where(i)}: timestamp {raw!r} is outside the int64 range")
     return stamp
 
 
-def _convert_rows(rows: list[list[str]], lines: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _convert_rows(rows: list[list[str]], where: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
     """Timestamps and (5, n) open/high/low/close/volume columns of 6-field rows.
 
     Each column is converted whole by int or float. Those accept every
     integer timestamp and price string that _parse_timestamp and
     _parse_price accept, with the same value, since int(s) == int(s.strip())
     and float(s) == float(s.strip()). If a column fails, the rows are read
-    again field by field in file order through those parsers, so the first
-    bad field raises their error and float-form timestamps still parse.
+    again field by field in order through those parsers, so the first bad
+    field raises their error, named by where(i) for its row i, and
+    float-form timestamps still parse.
     """
     n = len(rows)
     columns = list(zip(*rows))
@@ -188,9 +189,9 @@ def _convert_rows(rows: list[list[str]], lines: list[int]) -> tuple[np.ndarray, 
     except (ValueError, OverflowError):
         stamp_list: list[int] = []
         value_list: list[list[float]] = []
-        for fields, line_no in zip(rows, lines):
-            stamp_list.append(_parse_timestamp(fields[0].strip(), line_no))
-            value_list.append([_parse_price(fields[i].strip(), line_no, CSV_HEADER[i]) for i in range(1, 6)])
+        for i, fields in enumerate(rows):
+            stamp_list.append(_parse_timestamp(fields[0].strip(), i, where))
+            value_list.append([_parse_price(fields[k].strip(), i, where, CSV_HEADER[k]) for k in range(1, 6)])
         stamps = np.array(stamp_list, dtype=np.int64)
         values = np.array(value_list, dtype=np.float64).T
     return stamps, values
@@ -227,7 +228,7 @@ def parse_candles_csv(text: str, interval: int) -> CandleSeries:
 
     def convert() -> None:
         if rows:
-            chunks.append((np.array(lines, dtype=np.int64), *_convert_rows(rows, lines)))
+            chunks.append((np.array(lines, dtype=np.int64), *_convert_rows(rows, lambda i: f"line {lines[i]}")))
             rows.clear()
             lines.clear()
 
@@ -299,20 +300,12 @@ def _get_page(session: requests.Session, url: str, config: FetchConfig) -> list:
 
 
 def _page_columns(page: list) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and the (5, n) open/high/low/close/volume columns of JSON rows."""
-    stamps: list[int] = []
-    values: list[list[float]] = []
+    """Timestamps and the (5, n) open/high/low/close/volume columns of JSON rows,
+    each field converted from its text as a CSV cell is."""
     for row in page:
         if not isinstance(row, (list, tuple)) or len(row) != 6:
             raise MalformedPayload(f"candle row must have 6 elements, got {row!r}")
-        try:
-            stamps.append(int(row[0]))
-            values.append([float(x) for x in row[1:]])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedPayload(f"non-numeric candle row {row!r}: {exc}") from None
-        if stamps[-1] not in _INT64:
-            raise MalformedPayload(f"candle row {row!r}: timestamp is outside the int64 range")
-    return np.array(stamps, dtype=np.int64), np.array(values, dtype=np.float64).T
+    return _convert_rows([[str(field) for field in row] for row in page], lambda i: f"page row {i}")
 
 
 def fetch_candles(
@@ -325,9 +318,11 @@ def fetch_candles(
     """Fetch candles for [start, end) by walking pages of at most page_limit.
 
     Pages are JSON arrays of [timestamp, open, high, low, close, volume]
-    rows. Every row of every page, in range or not, passes the same candle
-    checks as CSV input; a violation is raised as MalformedPayload naming
-    the row's timestamp. Overlapping pages are deduplicated on timestamp.
+    rows. Every row of every page, in range or not, is converted from its
+    text and checked as a CSV line is; an error is raised as MalformedPayload
+    naming the row's position in the page (a field that does not convert)
+    or its timestamp (a broken candle rule). Overlapping pages are
+    deduplicated on timestamp.
     """
     if start >= end:
         raise EmptyRange(f"start {start} must precede end {end}")
@@ -345,8 +340,8 @@ def fetch_candles(
             payload = _get_page(session, url, config)
             if not payload:
                 break
-            ts, cols = _page_columns(payload[: config.page_limit])
             try:
+                ts, cols = _page_columns(payload[: config.page_limit])
                 _check_rows(*cols, lambda i: f"timestamp {ts[i]}")
             except (NonPositivePrice, OhlcViolation, MalformedRow) as exc:
                 raise MalformedPayload(str(exc)) from None

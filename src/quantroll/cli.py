@@ -11,14 +11,14 @@ from pathlib import Path
 
 import click
 
-from .candles import FetchConfig, csv_text, serialize_candles_csv, validate_series
+from .candles import csv_text, serialize_candles_csv, validate_series
 from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
-from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
+from .indicators import acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from .metrics import REPORTS, SEGMENTS, report_from_row
 from .models import coerce_kind
 from .report import emit_table
-from .run import DataSource, RunConfig, load_candles, make_run_id, parse_instant, prepare_dataset, run_experiment, tune_job
+from .run import RunConfig, equity_path, load_candles, make_run_id, prepare_dataset, run_experiment, tune_job
 
 logger = logging.getLogger(__name__)
 
@@ -32,44 +32,34 @@ def cli(verbose: bool) -> None:
     )
 
 
-def _load_config(path: str, **overrides) -> RunConfig:
+def _load_config(path: str | None, **overrides) -> RunConfig:
     """The config at path, with each override that is not None put in its
-    top-level key and the result parsed again by RunConfig.from_dict."""
+    top-level key and the result parsed again by RunConfig.from_dict; with no
+    path, the overrides alone."""
+    given = {name: value for name, value in overrides.items() if value is not None}
+    if path is None:
+        return RunConfig.from_dict(given)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     config = RunConfig.from_json(text)
-    given = {name: value for name, value in overrides.items() if value is not None}
     return RunConfig.from_dict({**config.to_dict(), **given}) if given else config
 
 
-def _read_series(source: DataSource, interval: int):
-    return load_candles(RunConfig(source, interval=interval))
+def _candle_config(config_path, csv_path, interval) -> RunConfig:
+    """The run config that names ingest's and features' candles: --csv replaces its data, --interval its interval."""
+    return _load_config(config_path, data=None if csv_path is None else {"csv_path": csv_path}, interval=interval)
 
 
 @cli.command()
-@click.option("--csv", "csv_path", type=str, default=None, help="Input candles CSV.")
-@click.option("--base-url", default=None)
-@click.option("--path-template", default="")
-@click.option("--symbol", default="")
-@click.option("--start", default=None)
-@click.option("--end", default=None)
-@click.option("--page-limit", default=1000, show_default=True)
-@click.option("--max-retries", default=3, show_default=True)
-@click.option("--retry-backoff", default=1.0, show_default=True)
-@click.option("--interval", default=86400, show_default=True, help="Candle interval in seconds.")
+@click.option("--config", "config_path", default=None, help="Run config whose data block names the candles.")
+@click.option("--csv", "csv_path", default=None, help="Input candles CSV; replaces the config's data.")
+@click.option("--interval", type=int, default=None, help="Candle interval in seconds (default: the config's, else 86400).")
 @click.option("--out", "out_path", default=None, help="Write the validated, normalized CSV here.")
-def ingest(csv_path, base_url, path_template, symbol, start, end, page_limit, max_retries, retry_backoff, interval, out_path):
+def ingest(config_path, csv_path, interval, out_path):
     """Parse or fetch candles, validate spacing, and store a normalized CSV."""
-    fetch, span = None, (0, 0)
-    if base_url is not None:
-        try:
-            fetch = FetchConfig(base_url, path_template, page_limit, max_retries, retry_backoff)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        span = (parse_instant(start), parse_instant(end))
-    series = _read_series(DataSource(csv_path, fetch, symbol, *span), interval)
+    series = load_candles(_candle_config(config_path, csv_path, interval))
     report = validate_series(series)
     if not report.is_clean:
         for finding in report.findings[:10]:
@@ -87,15 +77,16 @@ _INDICATORS = ("acc_dist", "mfi", "bb_bandwidth", "kc_width", "parabolic_sar")
 
 
 @cli.command()
-@click.option("--csv", "csv_path", required=True, help="Input candles CSV.")
-@click.option("--interval", default=86400, show_default=True)
-@click.option("--config", "config_path", default=None, help="Run config supplying indicator parameters.")
+@click.option("--config", "config_path", default=None, help="Run config whose data block names the candles.")
+@click.option("--csv", "csv_path", default=None, help="Input candles CSV; replaces the config's data.")
+@click.option("--interval", type=int, default=None, help="Candle interval in seconds (default: the config's, else 86400).")
 @click.option("--indicator", type=click.Choice(_INDICATORS), default=None, help="Dump one raw indicator instead of the feature frame.")
 @click.option("--out", "out_path", default=None, help="Output CSV path (default: stdout).")
-def features(csv_path, interval, config_path, indicator, out_path):
+def features(config_path, csv_path, interval, indicator, out_path):
     """Dump the labeled feature frame (or one raw indicator) as CSV."""
-    ind_config = _load_config(config_path).indicators if config_path else IndicatorConfig()
-    series = _read_series(DataSource(csv_path=csv_path), interval)
+    config = _candle_config(config_path, csv_path, interval)
+    ind_config = config.indicators
+    series = load_candles(config)
     if indicator is None:
         text = label(build_features(series, ind_config), log_diff(series)).to_csv()
     else:
@@ -200,7 +191,7 @@ def report_cmd(run_dir, task):
 @click.option("--out", "out_path", default=None, help="Output CSV path (default: stdout).")
 def export_equity_cmd(run_dir, model_name, window, segment, out_path):
     """Print one persisted equity curve as timestamp,equity_fraction CSV."""
-    path = Path(run_dir) / "equity" / f"{model_name}_{window}_{segment}.csv"
+    path = equity_path(Path(run_dir), coerce_kind(model_name).value, window, segment)
     if not path.exists():
         raise UnknownSelector(f"no equity curve at {path}")
     text = path.read_text(encoding="utf-8")

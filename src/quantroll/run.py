@@ -82,18 +82,23 @@ _SPLIT_KEYS = ("train_start", "backtest_start", "forward_start", "forward_end")
 _OPEN_ENDS = ("train_start", "forward_end")  # null stretches the segment to the data's edge
 
 
-def _reject_unknown(block: str, raw: dict, known) -> None:
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+def _names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-def _block(name: str, value) -> dict:
-    """A block-valued key's object; null is an empty block."""
+def _block(name: str, value, known, required=()) -> dict:
+    """A block-valued key's object, holding only known keys and every required
+    one; null is an empty block."""
     if value is None:
-        return {}
+        value = {}
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError(f"missing {name} keys: {missing}")
     return value
 
 
@@ -103,17 +108,18 @@ def _listed(key: str, value) -> list:
     return value
 
 
-def _source_from_dict(raw: dict) -> DataSource:
-    _reject_unknown("data", raw, [f.name for f in dataclasses.fields(DataSource)])
-    if "fetch" not in raw:
+def _source_from_dict(value) -> DataSource:
+    fetched = isinstance(value, dict) and "fetch" in value
+    raw = _block("data", value, _names(DataSource), required=("symbol", "start", "end") if fetched else ())
+    if not fetched:
         unfetched = sorted(set(raw) - {"csv_path"})
         if unfetched:
             raise ConfigError(f"data keys {unfetched} need a fetch block")
         return DataSource(csv_path=raw.get("csv_path"))
     return DataSource(
         csv_path=raw.get("csv_path"),
-        fetch=FetchConfig(**_block("data.fetch", raw["fetch"])),
-        symbol=raw.get("symbol", ""),
+        fetch=FetchConfig(**_block("data.fetch", raw["fetch"], _names(FetchConfig), required=("base_url", "path_template"))),
+        symbol=raw["symbol"],
         start=parse_instant(raw["start"]),
         end=parse_instant(raw["end"]),
     )
@@ -144,11 +150,6 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.models or not self.windows:
-            raise ConfigError("at least one model and one window are required")
-        for name in ("models", "windows"):
-            if len(set(getattr(self, name))) < len(getattr(self, name)):
-                raise ConfigError(f"{name} has duplicate entries")
         try:
             check_fields(
                 self, interval=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER, fee_bps=NON_NEGATIVE_REAL,
@@ -161,6 +162,11 @@ class RunConfig:
             WalkForwardConfig(mode=self.mode)  # the mode's rule
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.models or not self.windows:
+            raise ConfigError("at least one model and one window are required")
+        for name in ("models", "windows"):  # after the windows rule, so every entry is hashable
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} has duplicate entries")
         self._segments(self.backtest_start - 1, self.forward_start + 1)  # the bounds' order, before any data is read
 
     @property
@@ -198,19 +204,17 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         try:
             return cls._from_dict(raw)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from None
+        except ValueError as exc:  # a rule of a block's own type, IndicatorConfig or FetchConfig
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def _from_dict(cls, raw: dict) -> "RunConfig":
-        raw = _block("config", raw)
-        flat = {f.name for f in dataclasses.fields(cls)} - set(_SPLIT_KEYS)
-        _reject_unknown("config", raw, flat | {"split"})
-        split_raw = _block("split", raw.get("split"))
-        _reject_unknown("split", split_raw, _SPLIT_KEYS)
+        flat = set(_names(cls)) - set(_SPLIT_KEYS)
+        raw = _block("config", raw, flat | {"split"}, required=("data",))
+        split_raw = _block("split", raw.get("split"), _SPLIT_KEYS)
         kwargs = {name: value for name, value in raw.items() if name != "split"}
-        kwargs["data"] = _source_from_dict(_block("data", raw.get("data")))
-        kwargs["indicators"] = IndicatorConfig(**_block("indicators", raw.get("indicators")))
+        kwargs["data"] = _source_from_dict(raw["data"])
+        kwargs["indicators"] = IndicatorConfig(**_block("indicators", raw.get("indicators"), _names(IndicatorConfig)))
         for name, value in split_raw.items():
             kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
         if "models" in raw:
@@ -384,6 +388,11 @@ def make_run_id(config: RunConfig) -> str:
     return f"{stamp}-{digest}"
 
 
+def equity_path(run_dir: Path, model: str, window: int, segment: str) -> Path:
+    """Where a persisted run keeps the equity curve of one (model, window, segment)."""
+    return run_dir / "equity" / f"{model}_{window}_{segment}.csv"
+
+
 def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | None = None) -> Path:
     run_id = run_id or make_run_id(config)
     root = Path(config.out_dir) / run_id
@@ -395,7 +404,7 @@ def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | Non
     if artifact.trials:
         (root / "trials.jsonl").write_text(artifact.trials_jsonl(), encoding="utf-8")
     for (model, window, segment), curve in artifact.curves.items():
-        (root / "equity" / f"{model}_{window}_{segment}.csv").write_text(curve.to_csv(), encoding="utf-8")
+        equity_path(root, model, window, segment).write_text(curve.to_csv(), encoding="utf-8")
     logger.info("persisted run to %s", root)
     return root
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantroll.candles import CandleSeries, FetchConfig, serialize_candles_csv
 from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
@@ -45,6 +47,43 @@ FETCH_DATA = {
     "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}, "symbol": "BTCUSDT",
     "start": SPLIT["train_start"], "end": SPLIT["forward_end"],
 }
+
+
+# Any JSON value, with a few strings that some keys accept.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["all", "knn_c", "global", "2023-02-01", "c.csv"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _edited(base: dict, keys) -> st.SearchStrategy:
+    """base with some of keys given arbitrary JSON values and some of its keys dropped."""
+    return st.tuples(st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3), st.sets(st.sampled_from(keys))).map(
+        lambda edit: {k: v for k, v in {**base, **edit[0]}.items() if k not in edit[1] or k in edit[0]}
+    )
+
+
+@st.composite
+def edited_configs(draw):
+    if draw(st.booleans()):
+        fetch = draw(_edited(FETCH_DATA["fetch"], _names(FetchConfig)))
+        data = draw(_edited({**FETCH_DATA, "fetch": fetch}, _names(DataSource)))
+    else:
+        data = draw(_edited({"csv_path": "c.csv"}, _names(DataSource)))
+    raw = {
+        "data": data,
+        "split": draw(_edited(SPLIT, list(SPLIT))),
+        "indicators": draw(_edited({}, _names(IndicatorConfig))),
+        "models": ["knn_c"],
+        "windows": [7],
+    }
+    return draw(_edited(raw, [*(set(_names(RunConfig)) - set(SPLIT)), "split"]))
 
 
 def config_dict(csv_path, out_dir, /, **overrides):
@@ -125,6 +164,20 @@ class TestRunConfig:
             ({"data": {**FETCH_DATA, "fetch": "x"}}, "data.fetch must be a JSON object, got 'x'"),
             ({"split": "x"}, "split must be a JSON object, got 'x'"),
             ({"indicators": [1]}, r"indicators must be a JSON object, got \[1\]"),
+            ({"data": {k: v for k, v in FETCH_DATA.items() if k != "start"}}, r"^missing data keys: \['start'\]$"),
+            ({"data": {"fetch": FETCH_DATA["fetch"]}}, r"^missing data keys: \['symbol', 'start', 'end'\]$"),
+            ({"data": {k: v for k, v in FETCH_DATA.items() if k != "symbol"}}, r"^missing data keys: \['symbol'\]$"),
+            ({"indicators": {"mfi_periods": 14}}, r"^unknown indicators keys: \['mfi_periods'\]$"),
+            ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_size": 5}}},
+             r"^unknown data.fetch keys: \['page_size'\]$"),
+            ({"data": {**FETCH_DATA, "fetch": {}}}, r"^missing data.fetch keys: \['base_url', 'path_template'\]$"),
+            ({"data": {**FETCH_DATA, "fetch": None}}, r"^missing data.fetch keys: \['base_url', 'path_template'\]$"),
+            ({"data": None}, r"^data source needs exactly one of csv_path or fetch settings$"),
+            ({"indicators": {"bb_k": -1.0}}, r"^bb_k must be positive real, got -1\.0$"),
+            ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_limit": 0}}},
+             r"^page_limit must be positive integer, got 0$"),
+            ({"windows": [[1]]}, r"^windows must be positive integer, got \[1\]$"),
+            ({"windows": [{}]}, r"^windows must be positive integer, got \{\}$"),
         ],
         ids=["split-key", "data-key", "indicator-key", "mode", "stride", "fee", "dead-band", "trials",
              "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
@@ -132,7 +185,9 @@ class TestRunConfig:
              "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period",
              "string-models", "int-windows", "null-out-dir", "int-csv-path", "null-symbol", "int-base-url",
              "null-path-template", "symbol-start-without-fetch", "end-without-fetch", "string-data",
-             "string-fetch", "string-split", "list-indicators"],
+             "string-fetch", "string-split", "list-indicators", "fetch-without-start", "fetch-only",
+             "fetch-without-symbol", "indicator-key-named", "fetch-key", "empty-fetch", "null-fetch", "null-data",
+             "bb-k-unprefixed", "fetch-page-limit-unprefixed", "list-window", "object-window"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -141,6 +196,23 @@ class TestRunConfig:
     @pytest.mark.parametrize("raw", [[1], "c.csv", 5], ids=["list", "string", "int"])
     def test_config_not_an_object_rejected(self, raw):
         with pytest.raises(ConfigError, match=f"config must be a JSON object, got {re.escape(repr(raw))}"):
+            RunConfig.from_dict(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=edited_configs())
+    def test_any_json_values_raise_only_config_error(self, raw):
+        """Every key of every block, given any JSON value or left out, either
+        parses or raises ConfigError naming a rule, never a constructor's
+        signature or a bare key."""
+        try:
+            RunConfig.from_dict(raw)
+        except ConfigError as exc:
+            assert "__init__()" not in str(exc)
+            assert not re.fullmatch(r"(bad run config: )?'[^']*'", str(exc))
+
+    @pytest.mark.parametrize("raw", [{}, None, {"interval": DAY}], ids=["empty", "null", "no-data"])
+    def test_config_without_data_rejected(self, raw):
+        with pytest.raises(ConfigError, match=r"^missing config keys: \['data'\]$"):
             RunConfig.from_dict(raw)
 
     def test_null_block_is_empty(self, csv_path, tmp_path):
@@ -536,6 +608,46 @@ class TestEmitTable:
             assert column in lines[1]
 
 
+# Configs that break a rule, by test id, each with the run or tune flags that break it
+# (none where the config file alone does).
+BAD_CONFIGS = {
+    "split-key": ({"split": {**SPLIT, "forward_strat": T0}}, []),
+    "data-key": ({"data": {"csv_path": "c.csv", "path": "c.csv"}}, []),
+    "mode": ({"mode": "bogus"}, []),
+    "fee": ({"fee_bps": -1.0}, []),
+    "duplicate-window": ({"windows": [7, 7]}, []),
+    "fee-flag": ({}, ["--fee-bps", "-1"]),
+    "duplicate-window-flag": ({}, ["--windows", "7,14,7"]),
+    "inf-instant": ({"split": {**SPLIT, "backtest_start": float("inf")}}, []),
+    "-inf-instant": ({"split": {**SPLIT, "forward_start": float("-inf")}}, []),
+    "nan-instant": ({"split": {**SPLIT, "forward_end": float("nan")}}, []),
+    "fractional-trials": ({"tuner_trials": 2.5}, []),
+    "float-mfi-period": ({"indicators": {"mfi_period": 14.0}}, []),
+    "bool-fee": ({"fee_bps": True}, []),
+    "nan-dead-band": ({"dead_band": float("nan")}, []),
+    "fractional-interval": ({"interval": 86400.5}, []),
+    "inf-bb-k": ({"indicators": {"bb_k": float("inf")}}, []),
+    "tune-window-0": ({}, ["tune", "--model", "knn_c", "--window", "0"]),
+    "null-out-dir": ({"out_dir": None}, []),
+    "int-csv-path": ({"data": {"csv_path": 5}}, []),
+    "int-base-url": ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, []),
+    "string-models": ({"models": "knn_c"}, []),
+    "int-windows": ({"windows": 7}, []),
+    "symbol-start-without-fetch": ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}}, []),
+    "end-without-fetch": ({"data": {"csv_path": "c.csv", "end": 5}}, []),
+    "string-data": ({"data": "c.csv"}, []),
+    "string-fetch": ({"data": {**FETCH_DATA, "fetch": "x"}}, []),
+    "string-split": ({"split": "x"}, []),
+    "list-indicators": ({"indicators": [1]}, []),
+    "fetch-without-symbol": ({"data": {k: v for k, v in FETCH_DATA.items() if k != "symbol"}}, []),
+    "fetch-without-start": ({"data": {k: v for k, v in FETCH_DATA.items() if k != "start"}}, []),
+    "empty-fetch": ({"data": {**FETCH_DATA, "fetch": {}}}, []),
+    "fetch-key": ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_size": 5}}}, []),
+    "indicator-key": ({"indicators": {"mfi_periods": 14}}, []),
+    "list-window": ({"windows": [[1]]}, []),
+}
+
+
 class TestCli:
     def run_cli(self, *argv):
         return cli.main(list(argv))
@@ -546,6 +658,10 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert "no gaps" in capsys.readouterr().out
+
+    def write_config(self, path, raw):
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return str(path)
 
     def test_ingest_fetch_path(self, candle_stub, tmp_path, capsys):
         t0 = 1700000000
@@ -558,17 +674,16 @@ class TestCli:
         candle_stub.reset()
         candle_stub.set_rows(rows)
         out = tmp_path / "fetched.csv"
-        code = self.run_cli(
-            "ingest",
-            "--base-url", candle_stub.base_url,
-            "--path-template", "/candles?symbol={symbol}&interval={interval}&start={start}&end={end}&limit={limit}",
-            "--symbol", "BTCUSD",
-            "--start", str(t0),
-            "--end", str(t0 + 5 * DAY),
-            "--interval", str(DAY),
-            "--retry-backoff", "0",
-            "--out", str(out),
-        )
+        data = {
+            "fetch": {
+                "base_url": candle_stub.base_url,
+                "path_template": "/candles?symbol={symbol}&interval={interval}&start={start}&end={end}&limit={limit}",
+                "retry_backoff": 0,
+            },
+            "symbol": "BTCUSD", "start": t0, "end": t0 + 5 * DAY,
+        }
+        cfg = self.write_config(tmp_path / "fetch.json", {"data": data})
+        code = self.run_cli("ingest", "--config", cfg, "--interval", str(DAY), "--out", str(out))
         assert code == 0
         assert out.read_text().count("\n") == 6  # header + 5 rows
         capsys.readouterr()
@@ -593,77 +708,49 @@ class TestCli:
     def test_ingest_missing_csv_exit_2(self, tmp_path):
         assert self.run_cli("ingest", "--csv", str(tmp_path / "missing.csv"), "--interval", str(DAY)) == 2
 
-    def test_ingest_csv_and_base_url_exit_1(self, csv_path, candle_stub, capsys):
-        code = self.run_cli(
-            "ingest", "--csv", str(csv_path), "--base-url", candle_stub.base_url,
-            "--start", str(T0), "--end", str(T0 + DAY), "--interval", str(DAY),
-        )
-        assert code == 1
-        assert "exactly one of csv_path or fetch" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({**FETCH_DATA, "csv_path": "c.csv"}, "exactly one of csv_path or fetch"),
+            ({**FETCH_DATA, "start": T0, "end": T0}, "configuration error: fetch range requires start < end"),
+            ({**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "retry_backoff": -1.0}},
+             "configuration error: retry_backoff must be non-negative real, got -1.0"),
+            ({**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_limit": 0}},
+             "configuration error: page_limit must be positive integer, got 0"),
+            ({k: v for k, v in FETCH_DATA.items() if k != "symbol"}, "configuration error: missing data keys: ['symbol']"),
+            ({k: v for k, v in FETCH_DATA.items() if k != "start"}, "configuration error: missing data keys: ['start']"),
+        ],
+        ids=["csv-and-fetch", "empty-fetch-range", "negative-retry-backoff", "bad-page-limit", "no-symbol", "no-start"],
+    )
+    def test_ingest_bad_fetch_block_exit_1(self, tmp_path, capsys, data, message):
+        cfg = self.write_config(tmp_path / "config.json", {"data": data})
+        assert self.run_cli("ingest", "--config", cfg, "--interval", str(DAY)) == 1
+        assert message in capsys.readouterr().err
 
-    def test_ingest_empty_fetch_range_exit_1(self, candle_stub, capsys):
-        code = self.run_cli("ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0))
-        assert code == 1
-        assert "configuration error: fetch range requires start < end" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--base-url", "http://localhost:1"), ("--path-template", "/k"), ("--symbol", "BTC"), ("--start", "garbage"),
+         ("--end", "5"), ("--page-limit", "0"), ("--max-retries", "3"), ("--retry-backoff", "1")],
+    )
+    def test_ingest_has_no_fetch_flags(self, csv_path, capsys, flag, value):
+        """A fetch is described only by a config's data.fetch block."""
+        assert self.run_cli("ingest", "--csv", str(csv_path), flag, value) == 1
+        err = capsys.readouterr().err
+        assert "No such option" in err and flag in err
 
-    def test_ingest_negative_retry_backoff_exit_1(self, candle_stub, capsys):
-        code = self.run_cli(
-            "ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0 + DAY), "--retry-backoff", "-1",
-        )
-        assert code == 1
-        assert "configuration error: retry_backoff must be non-negative real, got -1.0" in capsys.readouterr().err
+    def test_ingest_without_candles_exit_1(self, capsys):
+        assert self.run_cli("ingest") == 1
+        assert "configuration error: missing config keys: ['data']" in capsys.readouterr().err
 
-    def test_ingest_bad_page_limit_exit_1(self, candle_stub, capsys):
-        code = self.run_cli(
-            "ingest", "--base-url", candle_stub.base_url, "--start", str(T0), "--end", str(T0 + DAY), "--page-limit", "0",
-        )
-        assert code == 1
-        assert "configuration error: page_limit must be positive integer, got 0" in capsys.readouterr().err
+    def test_ingest_csv_replaces_config_data(self, csv_path, tmp_path, capsys):
+        cfg = self.write_config(tmp_path / "config.json", {"data": FETCH_DATA, "interval": DAY})
+        assert self.run_cli("ingest", "--config", cfg, "--csv", str(csv_path)) == 0
+        assert f"{N_BARS} candles" in capsys.readouterr().out
 
     def test_missing_config_exit_1(self, tmp_path):
         assert self.run_cli("run", "--config", str(tmp_path / "missing.json")) == 1
 
-    @pytest.mark.parametrize(
-        "overrides, flags",
-        [
-            ({"split": {**SPLIT, "forward_strat": T0}}, []),
-            ({"data": {"csv_path": "c.csv", "path": "c.csv"}}, []),
-            ({"mode": "bogus"}, []),
-            ({"fee_bps": -1.0}, []),
-            ({"windows": [7, 7]}, []),
-            ({}, ["--fee-bps", "-1"]),
-            ({}, ["--windows", "7,14,7"]),
-            ({"split": {**SPLIT, "backtest_start": float("inf")}}, []),
-            ({"split": {**SPLIT, "forward_start": float("-inf")}}, []),
-            ({"split": {**SPLIT, "forward_end": float("nan")}}, []),
-            ({"tuner_trials": 2.5}, []),
-            ({"indicators": {"mfi_period": 14.0}}, []),
-            ({"fee_bps": True}, []),
-            ({"dead_band": float("nan")}, []),
-            ({"interval": 86400.5}, []),
-            ({"indicators": {"bb_k": float("inf")}}, []),
-            ({}, ["tune", "--model", "knn_c", "--window", "0"]),
-            ({"out_dir": None}, []),
-            ({"data": {"csv_path": 5}}, []),
-            ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, []),
-            ({"models": "knn_c"}, []),
-            ({"windows": 7}, []),
-            ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}}, []),
-            ({"data": {"csv_path": "c.csv", "end": 5}}, []),
-            ({"data": "c.csv"}, []),
-            ({"data": {**FETCH_DATA, "fetch": "x"}}, []),
-            ({"split": "x"}, []),
-            ({"indicators": [1]}, []),
-        ],
-        ids=[
-            "split-key", "data-key", "mode", "fee", "duplicate-window", "fee-flag", "duplicate-window-flag",
-            "inf-instant", "-inf-instant", "nan-instant", "fractional-trials", "float-mfi-period",
-            "bool-fee", "nan-dead-band", "fractional-interval", "inf-bb-k", "tune-window-0",
-            "null-out-dir", "int-csv-path", "int-base-url", "string-models", "int-windows",
-            "symbol-start-without-fetch", "end-without-fetch", "string-data", "string-fetch", "string-split",
-            "list-indicators",
-        ],
-    )
+    @pytest.mark.parametrize("overrides, flags", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, overrides, flags):
         def no_data(config):
             raise AssertionError("candles were read before the config was checked")
@@ -676,6 +763,20 @@ class TestCli:
         assert self.run_cli(command, "--config", str(cfg), *flags) == 1
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "features"])
+    @pytest.mark.parametrize(
+        "overrides", [o for o, flags in BAD_CONFIGS.values() if not flags], ids=[k for k, (_, f) in BAD_CONFIGS.items() if not f]
+    )
+    def test_bad_config_exit_1_before_candles_read(self, csv_path, tmp_path, capsys, monkeypatch, command, overrides):
+        def no_data(config):
+            raise AssertionError("candles were read before the config was checked")
+
+        monkeypatch.setattr(cli, "load_candles", no_data)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config_dict(csv_path, tmp_path / "runs", **overrides)), encoding="utf-8")
+        assert self.run_cli(command, "--config", str(cfg)) == 1
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_split_order_checked_before_data(self, tmp_path, capsys):
         split = {**SPLIT, "backtest_start": SPLIT["forward_start"] + DAY}
@@ -723,6 +824,10 @@ class TestCli:
         assert out.startswith("timestamp,equity_fraction")
 
         assert self.run_cli("export-equity", "--run-dir", str(run_dir), "--model", "knn_c", "--window", "9", "--segment", "backtest") == 3
+        capsys.readouterr()
+
+        assert self.run_cli("export-equity", "--run-dir", str(run_dir), "--model", "bogus", "--window", "7", "--segment", "backtest") == 1
+        assert "configuration error: unknown model kind 'bogus'" in capsys.readouterr().err
 
     REPORT_ROW = {
         "task": "classifier", "model": "knn_c", "window": 7, "segment": "backtest", "pnl_percent": 1, "sharpe": None,

@@ -1,5 +1,6 @@
 import functools
 import io
+import re
 
 import numpy as np
 import pytest
@@ -481,7 +482,7 @@ class TestFetch:
         rows[0][0] = float("-inf")  # sorts before start; the stub repeats it at the head of the first page
         candle_stub.reset(overlap=True)
         candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match="non-numeric candle row"):
+        with pytest.raises(MalformedPayload, match=r"^page row 0: timestamp '-inf' is not a whole number of seconds$"):
             fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
 
     @pytest.mark.parametrize("stamp", [-(1 << 63) - 1, -1e20], ids=["int-below", "float-below"])
@@ -490,7 +491,7 @@ class TestFetch:
         rows[0][0] = stamp  # sorts before start; the stub repeats it at the head of the first page
         candle_stub.reset(overlap=True)
         candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match="timestamp is outside the int64 range"):
+        with pytest.raises(MalformedPayload, match=rf"^page row 0: timestamp '{re.escape(str(stamp))}' is outside the int64 range$"):
             fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
 
     def test_deterministic(self, candle_stub):
@@ -537,3 +538,41 @@ class TestSourceParity:
         with pytest.raises(MalformedPayload) as from_http:
             fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
         assert str(from_http.value) == str(from_csv.value).replace("(line 4)", f"(timestamp {rows[2][0]})")
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(1, "100.5"), (5, " 2.5"), (0, 1700172800.0), (3, 99), (4, "1e2")],
+        ids=["string-price", "padded-string-volume", "float-form-timestamp", "int-price", "exponent-string-close"],
+    )
+    def test_same_fields_same_values(self, candle_stub, column, value):
+        rows = _rows(4)
+        rows[2][column] = value
+        candle_stub.reset()
+        candle_stub.set_rows(rows)
+        fetched = fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
+        assert fetched == parse_candles_csv(HEADER + "".join(",".join(map(str, row)) + "\n" for row in rows), DAY)
+
+    @pytest.mark.parametrize(
+        "row, column, value",
+        [
+            (0, 0, 1700000000.7), (0, 0, True), (0, 0, float("-inf")), (0, 0, -1e20), (0, 0, -(1 << 63) - 1),
+            (2, 1, True), (2, 2, "abc"), (2, 4, None), (2, 5, [1]), (2, 3, "1e400"),
+        ],
+        ids=["fractional-timestamp", "bool-timestamp", "infinite-timestamp", "float-timestamp-below-int64",
+             "int-timestamp-below-int64", "bool-open", "string-high", "null-close", "list-volume", "overflowing-low"],
+    )
+    def test_same_fields_same_error(self, candle_stub, row, column, value):
+        """A field either side refuses gives one error text, up to the label
+        naming its row: the file line, or for a conversion error the row's
+        position in the page (`page row i`) and for a broken rule its timestamp."""
+        rows = _rows(4)
+        rows[row][column] = value
+        with pytest.raises(MalformedRow) as from_csv:
+            parse_candles_csv(HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows), DAY)
+        candle_stub.reset(overlap=True)  # row 0 comes back as page row 0, ahead of the rows in range
+        candle_stub.set_rows(rows)
+        with pytest.raises(MalformedPayload) as from_http:
+            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
+        expected = str(from_csv.value).replace(f"line {row + 2}: ", f"page row {row}: ")
+        expected = expected.replace(f"(line {row + 2})", f"(timestamp {rows[row][0]})")
+        assert str(from_http.value) == expected
