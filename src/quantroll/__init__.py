@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .candles import (  # noqa: E402
     CandleSeries,
-    FetchConfig,
     ValidationReport,
-    fetch_candles,
     parse_candles_csv,
     serialize_candles_csv,
     validate_series,

@@ -1,34 +1,14 @@
-"""OHLCV candle acquisition: CSV parsing, gap validation, paged HTTP fetching."""
+"""OHLCV candles: CSV parsing and serialization, candle rules, gap validation."""
 from __future__ import annotations
 
 import csv
 import io
-import logging
-import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NON_NEGATIVE_INTEGER,
-    NON_NEGATIVE_REAL,
-    POSITIVE_INTEGER,
-    STRING,
-    DuplicateTimestamp,
-    EmptyRange,
-    MalformedPayload,
-    MalformedRow,
-    NetworkError,
-    NonPositivePrice,
-    OhlcViolation,
-    check_fields,
-)
-
-if TYPE_CHECKING:
-    import requests
-
-logger = logging.getLogger(__name__)
+from .errors import POSITIVE_INTEGER, DuplicateTimestamp, EmptyRange, MalformedRow, NonPositivePrice, OhlcViolation
 
 CSV_HEADER = ("timestamp", "open", "high", "low", "close", "volume")
 _INT64 = range(-(1 << 63), 1 << 63)  # timestamps are stored as int64
@@ -42,8 +22,8 @@ def _check_rows(o, h, l, c, v, where: Callable[[int], str]) -> None:
     Rules, in order: every value is finite; every price is > 0; volume is
     >= 0; low <= high; open and close lie inside [low, high]. The error is
     the first rule broken by the first bad row, and where(i) names that row
-    (a file line, a series index, a timestamp). Every candle source, CSV,
-    HTTP or in-memory, passes through here.
+    (a file line or a series index). Every candle, parsed from CSV or
+    built in memory, passes through here.
     """
     rules = (
         (~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c) & np.isfinite(v)),
@@ -107,25 +87,6 @@ class CandleSeries:
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("timestamps", "open", "high", "low", "close", "volume")
         )
-
-
-@dataclass(frozen=True)
-class FetchConfig:
-    """HTTP candle endpoint description.
-
-    path_template is appended to base_url and may use the placeholders
-    {symbol}, {interval}, {start}, {end} and {limit}.
-    """
-
-    base_url: str
-    path_template: str
-    page_limit: int = 1000
-    max_retries: int = 3
-    retry_backoff: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_fields(self, base_url=STRING, path_template=STRING)
-        check_fields(self, page_limit=POSITIVE_INTEGER, max_retries=NON_NEGATIVE_INTEGER, retry_backoff=NON_NEGATIVE_REAL)
 
 
 @dataclass(frozen=True)
@@ -270,91 +231,3 @@ def validate_series(series: CandleSeries) -> ValidationReport:
     gaps = np.diff(ts)
     bad = np.nonzero(gaps != series.interval)[0]
     return ValidationReport([GapFinding(int(i) + 1, int(ts[i]), int(ts[i + 1]), int(gaps[i])) for i in bad])
-
-
-def _get_page(session: requests.Session, url: str, config: FetchConfig) -> list:
-    import requests
-
-    last_error: Exception | None = None
-    for attempt in range(config.max_retries + 1):
-        if attempt:
-            time.sleep(config.retry_backoff)
-        try:
-            resp = session.get(url, timeout=30)
-        except requests.RequestException as exc:
-            last_error = exc
-            logger.warning("fetch attempt %d failed: %s", attempt + 1, exc)
-            continue
-        if resp.status_code != 200:
-            last_error = NetworkError(f"HTTP {resp.status_code} from {url}")
-            logger.warning("fetch attempt %d: HTTP %d", attempt + 1, resp.status_code)
-            continue
-        try:
-            payload = resp.json()
-        except ValueError as exc:
-            raise MalformedPayload(f"response from {url} is not JSON: {exc}") from None
-        if not isinstance(payload, list):
-            raise MalformedPayload(f"expected a JSON array of candles, got {type(payload).__name__}")
-        return payload
-    raise NetworkError(f"giving up on {url} after {config.max_retries + 1} attempts: {last_error}")
-
-
-def _page_columns(page: list) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and the (5, n) open/high/low/close/volume columns of JSON rows,
-    each field converted from its text as a CSV cell is."""
-    for row in page:
-        if not isinstance(row, (list, tuple)) or len(row) != 6:
-            raise MalformedPayload(f"candle row must have 6 elements, got {row!r}")
-    return _convert_rows([[str(field) for field in row] for row in page], lambda i: f"page row {i}")
-
-
-def fetch_candles(
-    config: FetchConfig,
-    symbol: str,
-    interval: int,
-    start: int,
-    end: int,
-) -> CandleSeries:
-    """Fetch candles for [start, end) by walking pages of at most page_limit.
-
-    Pages are JSON arrays of [timestamp, open, high, low, close, volume]
-    rows. Every row of every page, in range or not, is converted from its
-    text and checked as a CSV line is; an error is raised as MalformedPayload
-    naming the row's position in the page (a field that does not convert)
-    or its timestamp (a broken candle rule). Overlapping pages are
-    deduplicated on timestamp.
-    """
-    if start >= end:
-        raise EmptyRange(f"start {start} must precede end {end}")
-
-    stamps = [np.empty(0, dtype=np.int64)]
-    columns = [np.empty((5, 0))]
-    cursor = start
-    import requests  # only HTTP fetching needs it, and importing it is slow
-
-    with requests.Session() as session:
-        while cursor < end:
-            url = config.base_url + config.path_template.format(
-                symbol=symbol, interval=interval, start=cursor, end=end, limit=config.page_limit
-            )
-            payload = _get_page(session, url, config)
-            if not payload:
-                break
-            try:
-                ts, cols = _page_columns(payload[: config.page_limit])
-                _check_rows(*cols, lambda i: f"timestamp {ts[i]}")
-            except (NonPositivePrice, OhlcViolation, MalformedRow) as exc:
-                raise MalformedPayload(str(exc)) from None
-            keep = (ts >= start) & (ts < end)
-            stamps.append(ts[keep])
-            columns.append(cols[:, keep])
-            next_cursor = max(cursor, int(ts.max())) + interval
-            if next_cursor <= cursor:
-                break  # server made no progress; stop rather than loop forever
-            cursor = next_cursor
-
-    ts, first = np.unique(np.concatenate(stamps), return_index=True)  # first copy of a timestamp wins
-    if ts.size == 0:
-        raise EmptyRange(f"no candles returned for [{start}, {end})")
-    logger.info("fetched %d candles for %s", ts.size, symbol)
-    return CandleSeries(ts, *np.concatenate(columns, axis=1).take(first, axis=1), interval=interval)

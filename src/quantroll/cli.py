@@ -1,12 +1,15 @@
 """Batch CLI.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 engine error.
+A config file that cannot be read and an output path that cannot be written
+are configuration errors; a candle file that cannot be read is a data error.
 """
 from __future__ import annotations
 
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -18,7 +21,17 @@ from .indicators import acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from .metrics import REPORTS, SEGMENTS, report_from_row
 from .models import coerce_kind
 from .report import emit_table
-from .run import RunConfig, equity_path, load_candles, make_run_id, prepare_dataset, run_experiment, tune_job
+from .run import (
+    RunConfig,
+    check_run_id,
+    equity_path,
+    load_candles,
+    make_run_id,
+    persist_artifact,
+    prepare_dataset,
+    run_experiment,
+    tune_job,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +60,15 @@ def _load_config(path: str | None, **overrides) -> RunConfig:
     return RunConfig.from_dict({**config.to_dict(), **given}) if given else config
 
 
+@contextmanager
+def _writing(path):
+    """Around the writes to an output path: one that fails is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _candle_config(config_path, csv_path, interval) -> RunConfig:
     """The run config that names ingest's and features' candles: --csv replaces its data, --interval its interval."""
     return _load_config(config_path, data=None if csv_path is None else {"csv_path": csv_path}, interval=interval)
@@ -58,7 +80,7 @@ def _candle_config(config_path, csv_path, interval) -> RunConfig:
 @click.option("--interval", type=int, default=None, help="Candle interval in seconds (default: the config's, else 86400).")
 @click.option("--out", "out_path", default=None, help="Write the validated, normalized CSV here.")
 def ingest(config_path, csv_path, interval, out_path):
-    """Parse or fetch candles, validate spacing, and store a normalized CSV."""
+    """Parse a candle CSV, validate spacing, and store a normalized copy."""
     series = load_candles(_candle_config(config_path, csv_path, interval))
     report = validate_series(series)
     if not report.is_clean:
@@ -69,7 +91,8 @@ def ingest(config_path, csv_path, interval, out_path):
             )
         raise DataError(f"series has {len(report.findings)} spacing violation(s)")
     if out_path:
-        Path(out_path).write_text(serialize_candles_csv(series), encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(serialize_candles_csv(series), encoding="utf-8")
     click.echo(f"{len(series)} candles, {series.timestamps[0]}..{series.timestamps[-1]}, no gaps")
 
 
@@ -103,7 +126,8 @@ def features(config_path, csv_path, interval, indicator, out_path):
         rows = slice(ind.warmup_len, len(ind))
         text = csv_text(("timestamp", "value"), map(str, series.timestamps[rows].tolist()), map(repr, ind.values[rows].tolist()))
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(text, encoding="utf-8")
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)
@@ -126,7 +150,7 @@ def _echo_tables(reports, tasks=tuple(REPORTS)) -> None:
 @click.option("--out", "out_dir", default=None, help="Output directory for runs.")
 @click.option("--jobs", type=int, default=None)
 @click.option("--tuner-trials", type=int, default=None)
-@click.option("--run-id", default=None, help="Fix the run directory name (default: timestamp + config hash).")
+@click.option("--run-id", default=None, help="Run directory name under --out, one path component (default: timestamp + config hash).")
 def run(config_path, models, windows, run_id, **overrides):
     """Run the full experiment and persist reports, curves and trial logs."""
     if models is not None:
@@ -137,9 +161,12 @@ def run(config_path, models, windows, run_id, **overrides):
         except ValueError:
             raise ConfigError(f"bad windows list {windows!r}") from None
     config = _load_config(config_path, **overrides)
-    run_id = run_id or make_run_id(config)
-    artifact = run_experiment(config, run_id=run_id)
-    click.echo(f"run {run_id}: {len(artifact.reports)} reports under {Path(config.out_dir) / run_id}")
+    run_id = make_run_id(config) if run_id is None else check_run_id(run_id)  # checked before any data is read
+    artifact = run_experiment(config, persist=False)
+    run_dir = Path(config.out_dir) / run_id
+    with _writing(run_dir):
+        persist_artifact(artifact, config, run_id=run_id)
+    click.echo(f"run {run_id}: {len(artifact.reports)} reports under {run_dir}")
     _echo_tables(artifact.reports)
 
 
@@ -158,7 +185,8 @@ def tune(config_path, model_name, window, trials, seed, out_path):
     dataset = prepare_dataset(series, config.indicators)
     result = tune_job(config, dataset, config.segment_split(series), kind, window, config.seed)
     if out_path:
-        Path(out_path).write_text(result.to_jsonl(), encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(result.to_jsonl(), encoding="utf-8")
     click.echo(json.dumps({"best_index": result.best.index, "objective": result.best.objective, "params": result.best.params}, sort_keys=True))
 
 
@@ -196,7 +224,8 @@ def export_equity_cmd(run_dir, model_name, window, segment, out_path):
         raise UnknownSelector(f"no equity curve at {path}")
     text = path.read_text(encoding="utf-8")
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with _writing(out_path):
+            Path(out_path).write_text(text, encoding="utf-8")
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

@@ -18,7 +18,7 @@ class ConfigError(QuantrollError):
 
 
 class DataError(QuantrollError):
-    """Bad input data: malformed files, invalid candles, fetch failures."""
+    """Bad input data: unreadable or malformed files, invalid candles."""
 
 
 class EngineError(QuantrollError):
@@ -40,14 +40,6 @@ class NonPositivePrice(DataError):
 
 
 class OhlcViolation(DataError):
-    pass
-
-
-class NetworkError(DataError):
-    pass
-
-
-class MalformedPayload(DataError):
     pass
 
 

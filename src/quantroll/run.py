@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .candles import CandleSeries, FetchConfig, fetch_candles, parse_candles_csv, validate_series
+from .candles import CandleSeries, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
 from .errors import INTEGER, NON_NEGATIVE_REAL, POSITIVE_INTEGER, STRING, ConfigError, DataError, UnknownSelector, check_fields
 from .evaluation import evaluate_segment
@@ -57,25 +57,15 @@ def parse_instant(value) -> int:
 
 @dataclass(frozen=True)
 class DataSource:
-    """Either a CSV path or a fetch endpoint with symbol and range."""
+    """The candle CSV file a run reads."""
 
-    csv_path: str | None = None
-    fetch: FetchConfig | None = None
-    symbol: str = ""
-    start: int = 0
-    end: int = 0
+    csv_path: str
 
     def __post_init__(self):
-        if (self.csv_path is None) == (self.fetch is None):
-            raise ConfigError("data source needs exactly one of csv_path or fetch settings")
         try:
-            STRING.check("symbol", self.symbol)
-            if self.csv_path is not None:
-                STRING.check("csv_path", self.csv_path)
+            STRING.check("csv_path", self.csv_path)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.fetch is not None and self.start >= self.end:
-            raise ConfigError("fetch range requires start < end")
 
 
 _SPLIT_KEYS = ("train_start", "backtest_start", "forward_start", "forward_end")
@@ -106,23 +96,6 @@ def _listed(key: str, value) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {value!r}")
     return value
-
-
-def _source_from_dict(value) -> DataSource:
-    fetched = isinstance(value, dict) and "fetch" in value
-    raw = _block("data", value, _names(DataSource), required=("symbol", "start", "end") if fetched else ())
-    if not fetched:
-        unfetched = sorted(set(raw) - {"csv_path"})
-        if unfetched:
-            raise ConfigError(f"data keys {unfetched} need a fetch block")
-        return DataSource(csv_path=raw.get("csv_path"))
-    return DataSource(
-        csv_path=raw.get("csv_path"),
-        fetch=FetchConfig(**_block("data.fetch", raw["fetch"], _names(FetchConfig), required=("base_url", "path_template"))),
-        symbol=raw["symbol"],
-        start=parse_instant(raw["start"]),
-        end=parse_instant(raw["end"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -194,17 +167,13 @@ class RunConfig:
         out["split"] = {name: out.pop(name) for name in _SPLIT_KEYS}
         out["models"] = [k.value for k in self.models]
         out["windows"] = list(self.windows)
-        if self.data.fetch is None:
-            out["data"] = {"csv_path": self.data.csv_path}
-        else:
-            del out["data"]["csv_path"]
         return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         try:
             return cls._from_dict(raw)
-        except ValueError as exc:  # a rule of a block's own type, IndicatorConfig or FetchConfig
+        except ValueError as exc:  # a rule of a block's own type, such as IndicatorConfig
             raise ConfigError(str(exc)) from None
 
     @classmethod
@@ -213,7 +182,7 @@ class RunConfig:
         raw = _block("config", raw, flat | {"split"}, required=("data",))
         split_raw = _block("split", raw.get("split"), _SPLIT_KEYS)
         kwargs = {name: value for name, value in raw.items() if name != "split"}
-        kwargs["data"] = _source_from_dict(raw["data"])
+        kwargs["data"] = DataSource(**_block("data", raw["data"], _names(DataSource), required=("csv_path",)))
         kwargs["indicators"] = IndicatorConfig(**_block("indicators", raw.get("indicators"), _names(IndicatorConfig)))
         for name, value in split_raw.items():
             kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
@@ -257,15 +226,14 @@ class RunArtifact:
 
 
 def load_candles(config: RunConfig) -> CandleSeries:
-    if config.data.csv_path is not None:
-        try:
-            text = Path(config.data.csv_path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {config.data.csv_path}: {exc}") from None
-        return parse_candles_csv(text, config.interval)
-    return fetch_candles(
-        config.data.fetch, config.data.symbol, config.interval, config.data.start, config.data.end
-    )
+    """The candles of the config's CSV file; a file that cannot be read or
+    decoded as UTF-8 is a data error."""
+    path = config.data.csv_path
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    return parse_candles_csv(text, config.interval)
 
 
 def prepare_dataset(series: CandleSeries, indicators: IndicatorConfig) -> LabeledDataset:
@@ -393,8 +361,16 @@ def equity_path(run_dir: Path, model: str, window: int, segment: str) -> Path:
     return run_dir / "equity" / f"{model}_{window}_{segment}.csv"
 
 
+def check_run_id(run_id: str) -> str:
+    """run_id, if it names one directory directly under out_dir: a non-empty
+    path component other than . and .., with no / or \\."""
+    if not isinstance(run_id, str) or run_id in ("", ".", "..") or "/" in run_id or "\\" in run_id:
+        raise ConfigError(f"run id must be one path component, got {run_id!r}")
+    return run_id
+
+
 def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | None = None) -> Path:
-    run_id = run_id or make_run_id(config)
+    run_id = make_run_id(config) if run_id is None else check_run_id(run_id)
     root = Path(config.out_dir) / run_id
     (root / "equity").mkdir(parents=True, exist_ok=True)
     (root / "config.json").write_text(

@@ -1,8 +1,5 @@
-"""Shared fixtures: deterministic synthetic candle series and an HTTP stub."""
-import http.server
-import json
+"""Shared fixtures: deterministic synthetic candle series."""
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -97,70 +94,3 @@ def trend_series():
 @pytest.fixture(scope="session")
 def momentum_series():
     return bars_to_series(momentum_bars(160))
-
-
-class _CandleHandler(http.server.BaseHTTPRequestHandler):
-    server_version = "CandleStub/1"
-
-    def log_message(self, *args):
-        pass
-
-    def do_GET(self):
-        state = self.server.state
-        state["requests"] += 1
-        if state["fail_first"] > 0:
-            state["fail_first"] -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        from urllib.parse import parse_qs, urlparse
-
-        query = parse_qs(urlparse(self.path).query)
-        start = int(query["start"][0])
-        end = int(query["end"][0])
-        limit = int(query.get("limit", ["1000"])[0])
-        rows = [row for row in state["rows"] if start <= row[0] < end]
-        page = rows[: max(1, limit + state["overshoot"])]
-        if state["overlap"]:
-            earlier = [row for row in state["rows"] if row[0] < start]
-            if earlier:  # repeat the previous page's last candle
-                page = [earlier[-1]] + page
-        body = json.dumps(page).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-
-class CandleStub:
-    """Local HTTP server serving candle pages with injectable failures."""
-
-    def __init__(self):
-        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _CandleHandler)
-        self.server.state = {"rows": [], "fail_first": 0, "requests": 0, "overlap": False, "overshoot": 0}
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.server.server_address
-        return f"http://{host}:{port}"
-
-    def set_rows(self, rows):
-        self.server.state["rows"] = rows
-
-    def reset(self, **state):
-        self.server.state.update({"fail_first": 0, "requests": 0, "overlap": False, "overshoot": 0})
-        self.server.state.update(state)
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
-@pytest.fixture(scope="session")
-def candle_stub():
-    stub = CandleStub()
-    yield stub
-    stub.close()

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantroll.candles import CandleSeries, FetchConfig, serialize_candles_csv
+from quantroll.candles import CandleSeries, serialize_candles_csv
 from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, run_experiment
+from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, persist_artifact, run_experiment
 from quantroll.trading import CostModel
 from quantroll.tuner import TunerConfig
 from quantroll.walkforward import WalkForwardConfig
@@ -42,11 +42,8 @@ def csv_path(tmp_path_factory):
     return path
 
 
-# A fetch data source; the endpoint is never contacted by the tests that use it.
-FETCH_DATA = {
-    "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}, "symbol": "BTCUSDT",
-    "start": SPLIT["train_start"], "end": SPLIT["forward_end"],
-}
+# The settings of an HTTP candle source, which a data block does not take.
+NOT_DATA_KEYS = ["fetch", "symbol", "start", "end"]
 
 
 # Any JSON value, with a few strings that some keys accept.
@@ -71,13 +68,8 @@ def _edited(base: dict, keys) -> st.SearchStrategy:
 
 @st.composite
 def edited_configs(draw):
-    if draw(st.booleans()):
-        fetch = draw(_edited(FETCH_DATA["fetch"], _names(FetchConfig)))
-        data = draw(_edited({**FETCH_DATA, "fetch": fetch}, _names(DataSource)))
-    else:
-        data = draw(_edited({"csv_path": "c.csv"}, _names(DataSource)))
     raw = {
-        "data": data,
+        "data": draw(_edited({"csv_path": "c.csv"}, [*_names(DataSource), *NOT_DATA_KEYS])),
         "split": draw(_edited(SPLIT, list(SPLIT))),
         "indicators": draw(_edited({}, _names(IndicatorConfig))),
         "models": ["knn_c"],
@@ -153,29 +145,17 @@ class TestRunConfig:
             ({"windows": 7}, "windows must be a list, got 7"),
             ({"out_dir": None}, "out_dir must be string, got None"),
             ({"data": {"csv_path": 5}}, "csv_path must be string, got 5"),
-            ({"data": {**FETCH_DATA, "symbol": None}}, "symbol must be string, got None"),
-            ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, "base_url must be string, got 5"),
-            ({"data": {**FETCH_DATA, "fetch": {"base_url": "http://localhost:1", "path_template": None}}},
-             "path_template must be string, got None"),
-            ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}},
-             r"data keys \['start', 'symbol'\] need a fetch block"),
-            ({"data": {"csv_path": "c.csv", "end": 5}}, r"data keys \['end'\] need a fetch block"),
             ({"data": "c.csv"}, "data must be a JSON object, got 'c.csv'"),
-            ({"data": {**FETCH_DATA, "fetch": "x"}}, "data.fetch must be a JSON object, got 'x'"),
             ({"split": "x"}, "split must be a JSON object, got 'x'"),
             ({"indicators": [1]}, r"indicators must be a JSON object, got \[1\]"),
-            ({"data": {k: v for k, v in FETCH_DATA.items() if k != "start"}}, r"^missing data keys: \['start'\]$"),
-            ({"data": {"fetch": FETCH_DATA["fetch"]}}, r"^missing data keys: \['symbol', 'start', 'end'\]$"),
-            ({"data": {k: v for k, v in FETCH_DATA.items() if k != "symbol"}}, r"^missing data keys: \['symbol'\]$"),
             ({"indicators": {"mfi_periods": 14}}, r"^unknown indicators keys: \['mfi_periods'\]$"),
-            ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_size": 5}}},
-             r"^unknown data.fetch keys: \['page_size'\]$"),
-            ({"data": {**FETCH_DATA, "fetch": {}}}, r"^missing data.fetch keys: \['base_url', 'path_template'\]$"),
-            ({"data": {**FETCH_DATA, "fetch": None}}, r"^missing data.fetch keys: \['base_url', 'path_template'\]$"),
-            ({"data": None}, r"^data source needs exactly one of csv_path or fetch settings$"),
+            ({"data": None}, r"^missing data keys: \['csv_path'\]$"),
+            ({"data": {}}, r"^missing data keys: \['csv_path'\]$"),
+            ({"data": {"csv_path": "c.csv", "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}}},
+             r"^unknown data keys: \['fetch'\]$"),
+            ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD", "start": T0, "end": T0 + DAY}},
+             r"^unknown data keys: \['end', 'start', 'symbol'\]$"),
             ({"indicators": {"bb_k": -1.0}}, r"^bb_k must be positive real, got -1\.0$"),
-            ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_limit": 0}}},
-             r"^page_limit must be positive integer, got 0$"),
             ({"windows": [[1]]}, r"^windows must be positive integer, got \[1\]$"),
             ({"windows": [{}]}, r"^windows must be positive integer, got \{\}$"),
         ],
@@ -183,11 +163,9 @@ class TestRunConfig:
              "duplicate-model", "duplicate-window", "window", "fractional-window", "bool-window", "bool-stride",
              "fractional-trials", "bool-trials", "fractional-seed", "bool-seed", "fractional-jobs",
              "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period",
-             "string-models", "int-windows", "null-out-dir", "int-csv-path", "null-symbol", "int-base-url",
-             "null-path-template", "symbol-start-without-fetch", "end-without-fetch", "string-data",
-             "string-fetch", "string-split", "list-indicators", "fetch-without-start", "fetch-only",
-             "fetch-without-symbol", "indicator-key-named", "fetch-key", "empty-fetch", "null-fetch", "null-data",
-             "bb-k-unprefixed", "fetch-page-limit-unprefixed", "list-window", "object-window"],
+             "string-models", "int-windows", "null-out-dir", "int-csv-path", "string-data", "string-split",
+             "list-indicators", "indicator-key-named", "null-data", "empty-data", "fetch-in-data",
+             "symbol-start-end-in-data", "bb-k-unprefixed", "list-window", "object-window"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -250,20 +228,6 @@ class TestRunConfig:
             "jobs": 1,
         }
 
-    def test_fetch_snapshot_round_trip(self):
-        raw = {
-            "data": {"fetch": {"base_url": "http://localhost:1", "path_template": "/c?s={start}"},
-                     "symbol": "BTCUSD", "start": "2013-01-01", "end": "2023-11-01"},
-            "models": ["knn_c"],
-        }
-        config = RunConfig.from_dict(raw)
-        assert config.to_dict()["data"] == {
-            "fetch": {"base_url": "http://localhost:1", "path_template": "/c?s={start}", "page_limit": 1000,
-                      "max_retries": 3, "retry_backoff": 1.0},
-            "symbol": "BTCUSD", "start": 1356998400, "end": 1698796800,
-        }
-        assert RunConfig.from_dict(config.to_dict()) == config
-
 
 # Each numeric setting of each config object, with its rule's description.
 SETTINGS = [
@@ -277,9 +241,6 @@ SETTINGS = [
     (TunerConfig, "n_trials", "positive integer"),
     (TunerConfig, "seed", "integer"),
     (CostModel, "fee_bps", "non-negative real"),
-    (FetchConfig, "page_limit", "positive integer"),
-    (FetchConfig, "max_retries", "non-negative integer"),
-    (FetchConfig, "retry_backoff", "non-negative real"),
     (CandleSeries, "interval", "positive integer"),
 ]
 
@@ -288,7 +249,6 @@ SETTINGS = [
 RULE_CASES = {
     "integer": ((2.5,), (-(2**70), np.int64(-3))),
     "positive integer": ((2.5, 0, -1), (1, np.int64(1))),
-    "non-negative integer": ((2.5, -1), (0, np.int64(0))),
     "positive real": ((math.nan, math.inf, -math.inf, 0.0), (5e-324, 1, np.float64(0.25))),
     "non-negative real": ((math.nan, math.inf, -math.inf, math.nextafter(0.0, -1.0)), (0.0, 0, np.float64(0.5))),
 }
@@ -297,8 +257,6 @@ RULE_CASES = {
 def build_setting(cls, name, value):
     if cls is RunConfig:
         return RunConfig(DataSource(csv_path="c.csv"), **{name: (value,) if name == "windows" else value})
-    if cls is FetchConfig:
-        return FetchConfig("http://localhost:1", "/c", **{name: value})
     if cls is CandleSeries:
         return CandleSeries([T0], [1.0], [2.0], [1.0], [1.5], [1.0], interval=value)
     if cls is IndicatorConfig:  # room for either SAR bound to take any accepted value
@@ -375,6 +333,16 @@ class TestRunExperiment:
             name = f"{row['model']}_{row['window']}_{row['segment']}.csv"
             assert (root / "equity" / name).exists()
 
+    @pytest.mark.parametrize("run_id", ["../../escape", "..", ".", "", "a/b", "a\\b", 7])
+    def test_bad_run_id_refused_before_writing(self, csv_path, tmp_path, run_id):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "a" / "b" / "runs", models=["ols_r"], windows=[7]))
+        artifact = run_experiment(config, persist=False)
+        with pytest.raises(ConfigError, match=f"^run id must be one path component, got {re.escape(repr(run_id))}$"):
+            persist_artifact(artifact, config, run_id=run_id)
+        with pytest.raises(ConfigError, match="^run id must be one path component"):
+            run_experiment(config, run_id=run_id)
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_report_has_equity_curve(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
         artifact = run_experiment(config, persist=False)
@@ -406,33 +374,36 @@ class TestRunExperiment:
 
 STARTUP_PROBE = """
 import json, sys
+sys.modules["requests"] = None  # every import of requests now fails
 import quantroll.run
-unused = [name for name in ("requests", "urllib3", "ssl", "hashlib") if name in sys.modules]
-import quantroll
-config = quantroll.run.RunConfig.from_dict(json.loads(sys.argv[3]))
-fetch = quantroll.FetchConfig(sys.argv[1], "/candles?start={start}&end={end}&limit={limit}", page_limit=2, retry_backoff=0.0)
-series = quantroll.fetch_candles(fetch, "BTCUSD", 86400, int(sys.argv[2]), int(sys.argv[2]) + 5 * 86400)
-print(json.dumps({"unused": unused, "candles": len(series), "run_id": quantroll.run.make_run_id(config)}))
+unused = [name for name in ("urllib3", "ssl", "hashlib") if name in sys.modules]
+from quantroll import cli
+config = quantroll.run.RunConfig.from_json(sys.argv[1])
+ingest_code = cli.main(["ingest", "--csv", config.data.csv_path, "--out", sys.argv[2]])
+artifact = quantroll.run.run_experiment(config, run_id="probe")
+print(json.dumps({"unused": unused, "ingest": ingest_code, "reports": len(artifact.reports),
+                  "run_id": quantroll.run.make_run_id(config)}))
 """
 
 
-def test_run_import_loads_no_http_or_hash_module(csv_path, tmp_path, candle_stub):
-    """`import quantroll.run` leaves requests, its TLS stack and hashlib
-    unloaded; HTTP fetching and run ids import them when called."""
-    t0 = 1700000000
-    candle_stub.reset()
-    candle_stub.set_rows([[t0 + i * DAY, 100.0, 101.0, 99.0, 100.5, 1.0] for i in range(5)])
-    raw = config_dict(csv_path, tmp_path)
+def test_run_import_loads_no_http_or_hash_module(csv_path, tmp_path):
+    """With requests unimportable, `ingest` and a one-model run over a CSV
+    succeed, and `import quantroll.run` loads neither the TLS stack nor
+    hashlib; run ids import hashlib when they are made."""
+    raw = config_dict(csv_path, tmp_path / "runs", models=["ols_r"], windows=[7])
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, candle_stub.base_url, str(t0), json.dumps(raw)],
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps(raw), str(tmp_path / "clean.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = json.loads(proc.stdout.splitlines()[-1])
     assert out["unused"] == []
-    assert out["candles"] == 5
+    assert out["ingest"] == 0
+    assert (tmp_path / "clean.csv").read_bytes() == csv_path.read_bytes()
+    assert out["reports"] == 2
+    assert (tmp_path / "runs" / "probe" / "report.json").exists()
     assert re.fullmatch(r"\d{8}T\d{6}Z-[0-9a-f]{8}", out["run_id"])
     assert out["run_id"].split("-")[1] == make_run_id(RunConfig.from_dict(raw)).split("-")[1]
 
@@ -630,22 +601,31 @@ BAD_CONFIGS = {
     "tune-window-0": ({}, ["tune", "--model", "knn_c", "--window", "0"]),
     "null-out-dir": ({"out_dir": None}, []),
     "int-csv-path": ({"data": {"csv_path": 5}}, []),
-    "int-base-url": ({"data": {**FETCH_DATA, "fetch": {"base_url": 5, "path_template": "/k"}}}, []),
     "string-models": ({"models": "knn_c"}, []),
     "int-windows": ({"windows": 7}, []),
-    "symbol-start-without-fetch": ({"data": {"csv_path": "c.csv", "symbol": 3, "start": "garbage"}}, []),
-    "end-without-fetch": ({"data": {"csv_path": "c.csv", "end": 5}}, []),
     "string-data": ({"data": "c.csv"}, []),
-    "string-fetch": ({"data": {**FETCH_DATA, "fetch": "x"}}, []),
     "string-split": ({"split": "x"}, []),
     "list-indicators": ({"indicators": [1]}, []),
-    "fetch-without-symbol": ({"data": {k: v for k, v in FETCH_DATA.items() if k != "symbol"}}, []),
-    "fetch-without-start": ({"data": {k: v for k, v in FETCH_DATA.items() if k != "start"}}, []),
-    "empty-fetch": ({"data": {**FETCH_DATA, "fetch": {}}}, []),
-    "fetch-key": ({"data": {**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_size": 5}}}, []),
     "indicator-key": ({"indicators": {"mfi_periods": 14}}, []),
     "list-window": ({"windows": [[1]]}, []),
+    "empty-data": ({"data": {}}, []),
+    "fetch-in-data": ({"data": {"csv_path": "c.csv", "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}}}, []),
+    "symbol-start-end-in-data": ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD", "start": T0, "end": T0 + DAY}}, []),
 }
+
+# Each command that writes an output path, given the candles, a config, a persisted run and that path.
+WRITING_COMMANDS = {
+    "ingest": lambda csv, cfg, run_dir, out: ["ingest", "--csv", csv, "--out", out],
+    "features": lambda csv, cfg, run_dir, out: ["features", "--csv", csv, "--out", out],
+    "tune": lambda csv, cfg, run_dir, out: ["tune", "--config", cfg, "--model", "knn_c", "--window", "7", "--trials", "1", "--out", out],
+    "export-equity": lambda csv, cfg, run_dir, out: [
+        "export-equity", "--run-dir", run_dir, "--model", "knn_c", "--window", "7", "--segment", "backtest", "--out", out],
+    "run": lambda csv, cfg, run_dir, out: ["run", "--config", cfg, "--models", "ols_r", "--windows", "7", "--out", out],
+}
+
+
+def no_data(config):
+    raise AssertionError("candles were read before the config was checked")
 
 
 class TestCli:
@@ -662,31 +642,6 @@ class TestCli:
     def write_config(self, path, raw):
         path.write_text(json.dumps(raw), encoding="utf-8")
         return str(path)
-
-    def test_ingest_fetch_path(self, candle_stub, tmp_path, capsys):
-        t0 = 1700000000
-        rows = []
-        price = 100.0
-        for i in range(5):
-            o = price
-            price *= 1.001
-            rows.append([t0 + i * DAY, o, max(o, price) * 1.01, min(o, price) * 0.99, price, 1.0])
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        out = tmp_path / "fetched.csv"
-        data = {
-            "fetch": {
-                "base_url": candle_stub.base_url,
-                "path_template": "/candles?symbol={symbol}&interval={interval}&start={start}&end={end}&limit={limit}",
-                "retry_backoff": 0,
-            },
-            "symbol": "BTCUSD", "start": t0, "end": t0 + 5 * DAY,
-        }
-        cfg = self.write_config(tmp_path / "fetch.json", {"data": data})
-        code = self.run_cli("ingest", "--config", cfg, "--interval", str(DAY), "--out", str(out))
-        assert code == 0
-        assert out.read_text().count("\n") == 6  # header + 5 rows
-        capsys.readouterr()
 
     def test_ingest_gap_exit_2(self, tmp_path, capsys):
         series = bars_to_series(random_walk_bars(10, seed=33))
@@ -708,24 +663,13 @@ class TestCli:
     def test_ingest_missing_csv_exit_2(self, tmp_path):
         assert self.run_cli("ingest", "--csv", str(tmp_path / "missing.csv"), "--interval", str(DAY)) == 2
 
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            ({**FETCH_DATA, "csv_path": "c.csv"}, "exactly one of csv_path or fetch"),
-            ({**FETCH_DATA, "start": T0, "end": T0}, "configuration error: fetch range requires start < end"),
-            ({**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "retry_backoff": -1.0}},
-             "configuration error: retry_backoff must be non-negative real, got -1.0"),
-            ({**FETCH_DATA, "fetch": {**FETCH_DATA["fetch"], "page_limit": 0}},
-             "configuration error: page_limit must be positive integer, got 0"),
-            ({k: v for k, v in FETCH_DATA.items() if k != "symbol"}, "configuration error: missing data keys: ['symbol']"),
-            ({k: v for k, v in FETCH_DATA.items() if k != "start"}, "configuration error: missing data keys: ['start']"),
-        ],
-        ids=["csv-and-fetch", "empty-fetch-range", "negative-retry-backoff", "bad-page-limit", "no-symbol", "no-start"],
-    )
-    def test_ingest_bad_fetch_block_exit_1(self, tmp_path, capsys, data, message):
-        cfg = self.write_config(tmp_path / "config.json", {"data": data})
-        assert self.run_cli("ingest", "--config", cfg, "--interval", str(DAY)) == 1
-        assert message in capsys.readouterr().err
+    def test_ingest_undecodable_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"timestamp,open,high,low,close,volume\n\xff\xfe,1,2,1,2,5\n")
+        assert self.run_cli("ingest", "--csv", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 37")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -743,7 +687,7 @@ class TestCli:
         assert "configuration error: missing config keys: ['data']" in capsys.readouterr().err
 
     def test_ingest_csv_replaces_config_data(self, csv_path, tmp_path, capsys):
-        cfg = self.write_config(tmp_path / "config.json", {"data": FETCH_DATA, "interval": DAY})
+        cfg = self.write_config(tmp_path / "config.json", {"data": {"csv_path": str(tmp_path / "missing.csv")}, "interval": DAY})
         assert self.run_cli("ingest", "--config", cfg, "--csv", str(csv_path)) == 0
         assert f"{N_BARS} candles" in capsys.readouterr().out
 
@@ -752,9 +696,6 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides, flags", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
     def test_bad_config_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, overrides, flags):
-        def no_data(config):
-            raise AssertionError("candles were read before the config was checked")
-
         monkeypatch.setattr(run_module, "load_candles", no_data)
         monkeypatch.setattr(cli, "load_candles", no_data)
         cfg = tmp_path / "config.json"
@@ -769,14 +710,34 @@ class TestCli:
         "overrides", [o for o, flags in BAD_CONFIGS.values() if not flags], ids=[k for k, (_, f) in BAD_CONFIGS.items() if not f]
     )
     def test_bad_config_exit_1_before_candles_read(self, csv_path, tmp_path, capsys, monkeypatch, command, overrides):
-        def no_data(config):
-            raise AssertionError("candles were read before the config was checked")
-
         monkeypatch.setattr(cli, "load_candles", no_data)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config_dict(csv_path, tmp_path / "runs", **overrides)), encoding="utf-8")
         assert self.run_cli(command, "--config", str(cfg)) == 1
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run_id", ["../../escape", "..", ".", "", "a/b", "a\\b", "/abs"])
+    def test_bad_run_id_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, run_id):
+        monkeypatch.setattr(run_module, "load_candles", no_data)
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path))
+        out = tmp_path / "a" / "b" / "runs"
+        assert self.run_cli("run", "--config", cfg, "--out", str(out), "--run-id", run_id) == 1
+        assert capsys.readouterr().err == f"configuration error: run id must be one path component, got {run_id!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.fixture(scope="class")
+    def persisted_run(self, csv_path, tmp_path_factory):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path_factory.mktemp("persisted"), models=["knn_c"], windows=[7]))
+        return persist_artifact(run_experiment(config, persist=False), config, run_id="written")
+
+    @pytest.mark.parametrize("command", list(WRITING_COMMANDS.values()), ids=list(WRITING_COMMANDS))
+    def test_unwritable_output_exit_1(self, csv_path, tmp_path, capsys, persisted_run, command):
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path / "runs"))
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"  # a path under a regular file
+        assert self.run_cli(*command(str(csv_path), cfg, str(persisted_run), str(out))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"configuration error: cannot write {out}") and "Not a directory" in err[-1]
 
     def test_split_order_checked_before_data(self, tmp_path, capsys):
         split = {**SPLIT, "backtest_start": SPLIT["forward_start"] + DAY}

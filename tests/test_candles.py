@@ -1,6 +1,5 @@
 import functools
 import io
-import re
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from quantroll.candles import (
     _CHUNK_ROWS,
     _SLICE_CHARS,
     _lines,
+    CSV_HEADER,
     CandleSeries,
-    FetchConfig,
-    fetch_candles,
     parse_candles_csv,
     serialize_candles_csv,
     validate_series,
@@ -23,9 +21,7 @@ from quantroll.errors import (
     DataError,
     DuplicateTimestamp,
     EmptyRange,
-    MalformedPayload,
     MalformedRow,
-    NetworkError,
     NonPositivePrice,
     OhlcViolation,
 )
@@ -135,6 +131,58 @@ class TestParseCsv:
         again = parse_candles_csv(serialize_candles_csv(fixture_40), fixture_40.interval)
         assert again == fixture_40
         assert serialize_candles_csv(again) == serialize_candles_csv(fixture_40)
+
+
+def _three_rows(row, column, raw):
+    """Three daily candles (file lines 2-4) with one field respelled."""
+    rows = [[str(1700000000 + i * DAY), "100", "110", "90", "105", "5"] for i in range(3)]
+    rows[row][column] = raw
+    return HEADER + "".join(",".join(fields) + "\n" for fields in rows)
+
+
+class TestCsvFields:
+    """What one CSV field is read as, and the exact error for one that is refused."""
+
+    @pytest.mark.parametrize(
+        "column, raw, value",
+        [(1, "100.5", 100.5), (5, " 2.5", 2.5), (0, "1700172800.0", 1700172800), (3, "99", 99.0), (4, "1e2", 100.0)],
+        ids=["decimal-price", "padded-volume", "float-form-timestamp", "int-price", "exponent-close"],
+    )
+    def test_spelling_read_as_number(self, column, raw, value):
+        series = parse_candles_csv(_three_rows(2, column, raw), DAY)
+        assert getattr(series, ("timestamps", *CSV_HEADER[1:])[column])[2] == value
+
+    @pytest.mark.parametrize(
+        "row, column, raw, error, message",
+        [
+            (0, 0, "1700000000.7", MalformedRow, "line 2: timestamp '1700000000.7' is not a whole number of seconds"),
+            (0, 0, "True", MalformedRow, "line 2: timestamp 'True' is not numeric"),
+            (0, 0, "-inf", MalformedRow, "line 2: timestamp '-inf' is not a whole number of seconds"),
+            (0, 0, "-1e+20", MalformedRow, "line 2: timestamp '-1e+20' is outside the int64 range"),
+            (2, 1, "True", MalformedRow, "line 4: open 'True' is not numeric"),
+            (2, 2, "abc", MalformedRow, "line 4: high 'abc' is not numeric"),
+            (2, 4, "None", MalformedRow, "line 4: close 'None' is not numeric"),
+            (2, 5, "[1]", MalformedRow, "line 4: volume '[1]' is not numeric"),
+            (2, 3, "1e400", MalformedRow,
+             "values must be finite (line 4): open=100.0, high=110.0, low=inf, close=105.0, volume=5.0"),
+            (2, 5, "nan", MalformedRow,
+             "values must be finite (line 4): open=100.0, high=110.0, low=90.0, close=105.0, volume=nan"),
+            (2, 1, "0", NonPositivePrice,
+             "prices must be > 0 (line 4): open=0.0, high=110.0, low=90.0, close=105.0, volume=5.0"),
+            (2, 5, "-1", MalformedRow,
+             "volume must be >= 0 (line 4): open=100.0, high=110.0, low=90.0, close=105.0, volume=-1.0"),
+            (2, 2, "45", OhlcViolation, "low > high (line 4): open=100.0, high=45.0, low=90.0, close=105.0, volume=5.0"),
+            (2, 4, "220", OhlcViolation,
+             "open/close outside [low, high] (line 4): open=100.0, high=110.0, low=90.0, close=220.0, volume=5.0"),
+        ],
+        ids=["fractional-timestamp", "bool-timestamp", "infinite-timestamp", "float-timestamp-below-int64",
+             "bool-open", "string-high", "null-close", "list-volume", "overflowing-low", "non-finite",
+             "non-positive", "negative-volume", "low-above-high", "close-outside"],
+    )
+    def test_refused_field_message(self, row, column, raw, error, message):
+        with pytest.raises(error) as raised:
+            parse_candles_csv(_three_rows(row, column, raw), DAY)
+        assert str(raised.value) == message
 
 
 @settings(max_examples=30, deadline=None)
@@ -374,205 +422,3 @@ class TestSeriesInvariants:
         with pytest.raises(EmptyRange):
             CandleSeries(np.array([], dtype=np.int64), np.array([]), np.array([]),
                          np.array([]), np.array([]), np.array([]), DAY)
-
-
-def _rows(n, t0=1700000000):
-    out = []
-    price = 100.0
-    for i in range(n):
-        o = price
-        price = price * (1.0 + 0.001 * ((i % 5) - 2))
-        h = max(o, price) * 1.01
-        l = min(o, price) * 0.99
-        out.append([t0 + i * DAY, o, h, l, price, 2.5])
-    return out
-
-
-def _config(stub, page_limit=2, max_retries=3):
-    return FetchConfig(
-        base_url=stub.base_url,
-        path_template="/candles?symbol={symbol}&interval={interval}&start={start}&end={end}&limit={limit}",
-        page_limit=page_limit,
-        max_retries=max_retries,
-        retry_backoff=0.0,
-    )
-
-
-class TestFetch:
-    def test_pages_concatenated(self, candle_stub):
-        rows = _rows(6)
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        series = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert len(series) == 6
-        assert list(series.timestamps) == [r[0] for r in rows]
-        assert candle_stub.server.state["requests"] >= 3  # 6 candles at 2 per page
-
-    def test_retries_then_succeeds(self, candle_stub):
-        rows = _rows(2)
-        candle_stub.reset(fail_first=2)
-        candle_stub.set_rows(rows)
-        series = fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert len(series) == 2
-
-    def test_retries_exhausted(self, candle_stub):
-        rows = _rows(2)
-        candle_stub.reset(fail_first=10)
-        candle_stub.set_rows(rows)
-        with pytest.raises(NetworkError):
-            fetch_candles(_config(candle_stub, max_retries=1), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-
-    def test_overlapping_pages_deduplicated(self, candle_stub):
-        rows = _rows(6)
-        candle_stub.reset(overlap=True)
-        candle_stub.set_rows(rows)
-        series = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert len(series) == len({r[0] for r in rows})
-
-    def test_server_overshoot_capped(self, candle_stub):
-        rows = _rows(6)
-        candle_stub.reset(overshoot=2)
-        candle_stub.set_rows(rows)
-        series = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert len(series) == 6
-
-    def test_empty_range(self, candle_stub):
-        candle_stub.reset()
-        candle_stub.set_rows([])
-        with pytest.raises(EmptyRange):
-            fetch_candles(_config(candle_stub), "BTC", DAY, 1700000000, 1700000000 + DAY)
-
-    def test_start_after_end(self, candle_stub):
-        with pytest.raises(EmptyRange):
-            fetch_candles(_config(candle_stub), "BTC", DAY, 10, 10)
-
-    def test_malformed_payload(self, candle_stub):
-        candle_stub.reset()
-        candle_stub.set_rows([[1700000000, 100, 110, 90]])  # 4 elements
-        with pytest.raises(MalformedPayload):
-            fetch_candles(_config(candle_stub), "BTC", DAY, 1700000000, 1700000000 + DAY)
-
-    def test_ohlc_violation_in_page(self, candle_stub):
-        rows = _rows(3)
-        rows[1][2] = rows[1][3] * 0.5  # high below low
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload):
-            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-
-    @pytest.mark.parametrize("column, value", [(5, float("nan")), (2, float("inf"))], ids=["nan-volume", "inf-high"])
-    def test_non_finite_value_in_page(self, candle_stub, column, value):
-        rows = _rows(3)
-        rows[1][column] = value
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match=rf"^values must be finite \(timestamp {rows[1][0]}\)"):
-            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-
-    def test_violation_outside_range_rejected(self, candle_stub):
-        rows = _rows(4)
-        rows[0][5] = -1.0  # before start; the stub repeats it at the head of the first page
-        candle_stub.reset(overlap=True)
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match=rf"^volume must be >= 0 \(timestamp {rows[0][0]}\)"):
-            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
-
-    def test_infinite_timestamp_in_page(self, candle_stub):
-        rows = _rows(3)
-        rows[0][0] = float("-inf")  # sorts before start; the stub repeats it at the head of the first page
-        candle_stub.reset(overlap=True)
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match=r"^page row 0: timestamp '-inf' is not a whole number of seconds$"):
-            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
-
-    @pytest.mark.parametrize("stamp", [-(1 << 63) - 1, -1e20], ids=["int-below", "float-below"])
-    def test_timestamp_outside_int64_in_page(self, candle_stub, stamp):
-        rows = _rows(3)
-        rows[0][0] = stamp  # sorts before start; the stub repeats it at the head of the first page
-        candle_stub.reset(overlap=True)
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload, match=rf"^page row 0: timestamp '{re.escape(str(stamp))}' is outside the int64 range$"):
-            fetch_candles(_config(candle_stub), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
-
-    def test_deterministic(self, candle_stub):
-        rows = _rows(5)
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        a = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        b = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert a == b
-
-
-def _csv(rows):
-    return HEADER + "".join(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-class TestSourceParity:
-    """CSV text and HTTP pages carrying the same rows give the same series and the same errors."""
-
-    def test_same_rows_same_series(self, candle_stub):
-        rows = _rows(6)
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        fetched = fetch_candles(_config(candle_stub), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert fetched == parse_candles_csv(_csv(rows), DAY)
-
-    @pytest.mark.parametrize(
-        "column, value_of, error",
-        [
-            (5, lambda row: float("nan"), MalformedRow),
-            (1, lambda row: 0.0, NonPositivePrice),
-            (5, lambda row: -1.0, MalformedRow),
-            (2, lambda row: row[3] * 0.5, OhlcViolation),
-            (4, lambda row: row[2] * 2.0, OhlcViolation),
-        ],
-        ids=["non-finite", "non-positive", "negative-volume", "low-above-high", "close-outside"],
-    )
-    def test_broken_rule_named_alike(self, candle_stub, column, value_of, error):
-        rows = _rows(4)
-        rows[2][column] = value_of(rows[2])
-        with pytest.raises(error, match=r" \(line 4\): ") as from_csv:
-            parse_candles_csv(_csv(rows), DAY)
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload) as from_http:
-            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert str(from_http.value) == str(from_csv.value).replace("(line 4)", f"(timestamp {rows[2][0]})")
-
-    @pytest.mark.parametrize(
-        "column, value",
-        [(1, "100.5"), (5, " 2.5"), (0, 1700172800.0), (3, 99), (4, "1e2")],
-        ids=["string-price", "padded-string-volume", "float-form-timestamp", "int-price", "exponent-string-close"],
-    )
-    def test_same_fields_same_values(self, candle_stub, column, value):
-        rows = _rows(4)
-        rows[2][column] = value
-        candle_stub.reset()
-        candle_stub.set_rows(rows)
-        fetched = fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[0][0], rows[-1][0] + DAY)
-        assert fetched == parse_candles_csv(HEADER + "".join(",".join(map(str, row)) + "\n" for row in rows), DAY)
-
-    @pytest.mark.parametrize(
-        "row, column, value",
-        [
-            (0, 0, 1700000000.7), (0, 0, True), (0, 0, float("-inf")), (0, 0, -1e20), (0, 0, -(1 << 63) - 1),
-            (2, 1, True), (2, 2, "abc"), (2, 4, None), (2, 5, [1]), (2, 3, "1e400"),
-        ],
-        ids=["fractional-timestamp", "bool-timestamp", "infinite-timestamp", "float-timestamp-below-int64",
-             "int-timestamp-below-int64", "bool-open", "string-high", "null-close", "list-volume", "overflowing-low"],
-    )
-    def test_same_fields_same_error(self, candle_stub, row, column, value):
-        """A field either side refuses gives one error text, up to the label
-        naming its row: the file line, or for a conversion error the row's
-        position in the page (`page row i`) and for a broken rule its timestamp."""
-        rows = _rows(4)
-        rows[row][column] = value
-        with pytest.raises(MalformedRow) as from_csv:
-            parse_candles_csv(HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows), DAY)
-        candle_stub.reset(overlap=True)  # row 0 comes back as page row 0, ahead of the rows in range
-        candle_stub.set_rows(rows)
-        with pytest.raises(MalformedPayload) as from_http:
-            fetch_candles(_config(candle_stub, page_limit=10), "BTC", DAY, rows[1][0], rows[-1][0] + DAY)
-        expected = str(from_csv.value).replace(f"line {row + 2}: ", f"page row {row}: ")
-        expected = expected.replace(f"(line {row + 2})", f"(timestamp {rows[row][0]})")
-        assert str(from_http.value) == expected
