@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.candles import CandleSeries, serialize_candles_csv
-from quantroll.errors import ConfigError, MixedTasks, UnknownSelector
+from quantroll.errors import ConfigError, MalformedRow, MixedTasks, UnknownSelector
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
@@ -155,6 +155,12 @@ class TestRunConfig:
              r"^unknown data keys: \['fetch'\]$"),
             ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD", "start": T0, "end": T0 + DAY}},
              r"^unknown data keys: \['end', 'start', 'symbol'\]$"),
+            ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD"}}, r"^unknown data keys: \['symbol'\]$"),
+            ({"data": {"csv_path": "c.csv", "start": T0}}, r"^unknown data keys: \['start'\]$"),
+            ({"data": {"csv_path": "c.csv", "end": T0 + DAY}}, r"^unknown data keys: \['end'\]$"),
+            ({"data": {"fetch": {"base_url": "http://localhost:1", "path_template": "/k"}}}, r"^unknown data keys: \['fetch'\]$"),
+            ({"data": {"csv_path": None}}, r"^csv_path must be string, got None$"),
+            ({"data": ["c.csv"]}, r"^data must be a JSON object, got \['c\.csv'\]$"),
             ({"indicators": {"bb_k": -1.0}}, r"^bb_k must be positive real, got -1\.0$"),
             ({"windows": [[1]]}, r"^windows must be positive integer, got \[1\]$"),
             ({"windows": [{}]}, r"^windows must be positive integer, got \{\}$"),
@@ -165,7 +171,8 @@ class TestRunConfig:
              "float-mfi-period", "bool-bb-period", "fractional-kc-ema-period", "float-kc-atr-period",
              "string-models", "int-windows", "null-out-dir", "int-csv-path", "string-data", "string-split",
              "list-indicators", "indicator-key-named", "null-data", "empty-data", "fetch-in-data",
-             "symbol-start-end-in-data", "bb-k-unprefixed", "list-window", "object-window"],
+             "symbol-start-end-in-data", "symbol-in-data", "start-in-data", "end-in-data", "fetch-only",
+             "null-csv-path", "list-data", "bb-k-unprefixed", "list-window", "object-window"],
     )
     def test_bad_config_rejected(self, csv_path, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -343,6 +350,14 @@ class TestRunExperiment:
             run_experiment(config, run_id=run_id)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("run_id", ["smoke", "a.b", "..a", "a..", "run 1"])
+    def test_one_component_run_id_used_as_given(self, csv_path, tmp_path, run_id):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "runs", models=["ols_r"], windows=[7]))
+        root = persist_artifact(run_experiment(config, persist=False), config, run_id=run_id)
+        assert root == tmp_path / "runs" / run_id
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == [run_id]
+        assert (root / "report.json").exists()
+
     def test_every_report_has_equity_curve(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
         artifact = run_experiment(config, persist=False)
@@ -370,6 +385,19 @@ class TestRunExperiment:
 
         with pytest.raises(DataError):
             run_experiment(config, persist=False)
+
+    def test_broken_row_before_split_refused(self, tmp_path):
+        """Every row of the candle file is checked, also one before train_start."""
+        series = bars_to_series(random_walk_bars(N_BARS + 5, seed=31), t0=T0 - 5 * DAY)
+        lines = serialize_candles_csv(series).splitlines(keepends=True)
+        fields = lines[1].split(",")
+        lines[1] = ",".join([*fields[:5], "-1.0\n"])
+        path = tmp_path / "candles.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        config = RunConfig.from_dict(config_dict(path, tmp_path / "runs"))
+        with pytest.raises(MalformedRow, match=r"^volume must be >= 0 \(line 2\): "):
+            run_experiment(config, persist=False)
+        assert not (tmp_path / "runs").exists()
 
 
 STARTUP_PROBE = """
@@ -611,6 +639,13 @@ BAD_CONFIGS = {
     "empty-data": ({"data": {}}, []),
     "fetch-in-data": ({"data": {"csv_path": "c.csv", "fetch": {"base_url": "http://localhost:1", "path_template": "/k"}}}, []),
     "symbol-start-end-in-data": ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD", "start": T0, "end": T0 + DAY}}, []),
+    "symbol-in-data": ({"data": {"csv_path": "c.csv", "symbol": "BTCUSD"}}, []),
+    "start-in-data": ({"data": {"csv_path": "c.csv", "start": T0}}, []),
+    "end-in-data": ({"data": {"csv_path": "c.csv", "end": T0 + DAY}}, []),
+    "fetch-only": ({"data": {"fetch": {"base_url": "http://localhost:1", "path_template": "/k"}}}, []),
+    "null-csv-path": ({"data": {"csv_path": None}}, []),
+    "list-data": ({"data": ["c.csv"]}, []),
+    "null-data": ({"data": None}, []),
 }
 
 # Each command that writes an output path, given the candles, a config, a persisted run and that path.
@@ -622,6 +657,9 @@ WRITING_COMMANDS = {
         "export-equity", "--run-dir", run_dir, "--model", "knn_c", "--window", "7", "--segment", "backtest", "--out", out],
     "run": lambda csv, cfg, run_dir, out: ["run", "--config", cfg, "--models", "ols_r", "--windows", "7", "--out", out],
 }
+
+# The commands whose --out names a file; run's names a directory, which it makes.
+FILE_WRITERS = ["ingest", "features", "tune", "export-equity"]
 
 
 def no_data(config):
@@ -670,6 +708,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 37")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["features", "--config"], ["run", "--config"], ["tune", "--model", "knn_c", "--window", "7", "--trials", "1", "--config"]],
+        ids=["features", "run", "tune"],
+    )
+    def test_undecodable_csv_exit_2_in_each_reader(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"timestamp,open,high,low,close,volume\n\xff\xfe,1,2,1,2,5\n")
+        cfg = self.write_config(tmp_path / "config.json", config_dict(path, tmp_path / "runs"))
+        assert self.run_cli(*argv, cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 37")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -738,6 +791,15 @@ class TestCli:
         assert self.run_cli(*command(str(csv_path), cfg, str(persisted_run), str(out))) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith(f"configuration error: cannot write {out}") and "Not a directory" in err[-1]
+
+    @pytest.mark.parametrize("command", [WRITING_COMMANDS[c] for c in FILE_WRITERS], ids=FILE_WRITERS)
+    def test_output_in_missing_directory_exit_1(self, csv_path, tmp_path, capsys, persisted_run, command):
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path / "runs"))
+        out = tmp_path / "missing" / "out"
+        assert self.run_cli(*command(str(csv_path), cfg, str(persisted_run), str(out))) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"configuration error: cannot write {out}") and "No such file or directory" in err[-1]
+        assert not (tmp_path / "missing").exists()
 
     def test_split_order_checked_before_data(self, tmp_path, capsys):
         split = {**SPLIT, "backtest_start": SPLIT["forward_start"] + DAY}

@@ -74,6 +74,15 @@ class TestParseCsv:
         with pytest.raises(MalformedRow):
             parse_candles_csv("time,o,h,l,c,v\n1,2,3,4,5,6\n", DAY)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty document: missing header"), (HEADER, "document contains a header but no data rows")],
+        ids=["no-header", "header-only"],
+    )
+    def test_document_without_rows_rejected(self, text, message):
+        with pytest.raises(MalformedRow, match=f"^{message}$"):
+            parse_candles_csv(text, DAY)
+
     def test_crlf_accepted(self):
         text = HEADER.replace("\n", "\r\n") + "1700000000,100,110,90,105,5\r\n"
         assert len(parse_candles_csv(text, DAY)) == 1
@@ -174,10 +183,12 @@ class TestCsvFields:
             (2, 2, "45", OhlcViolation, "low > high (line 4): open=100.0, high=45.0, low=90.0, close=105.0, volume=5.0"),
             (2, 4, "220", OhlcViolation,
              "open/close outside [low, high] (line 4): open=100.0, high=110.0, low=90.0, close=220.0, volume=5.0"),
+            (1, 2, "inf", MalformedRow,
+             "values must be finite (line 3): open=100.0, high=inf, low=90.0, close=105.0, volume=5.0"),
         ],
         ids=["fractional-timestamp", "bool-timestamp", "infinite-timestamp", "float-timestamp-below-int64",
              "bool-open", "string-high", "null-close", "list-volume", "overflowing-low", "non-finite",
-             "non-positive", "negative-volume", "low-above-high", "close-outside"],
+             "non-positive", "negative-volume", "low-above-high", "close-outside", "inf-high"],
     )
     def test_refused_field_message(self, row, column, raw, error, message):
         with pytest.raises(error) as raised:
