@@ -69,6 +69,14 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
+def _check_writable(path, directory: Path) -> None:
+    """Before any data is read: directory, or its nearest existing ancestor, is a directory; creates nothing."""
+    with _writing(path):
+        found = next(p for p in (directory, *directory.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"Not a directory: {str(found)!r}")
+
+
 def _candle_config(config_path, csv_path, interval) -> RunConfig:
     """The run config that names ingest's and features' candles: --csv replaces its data, --interval its interval."""
     return _load_config(config_path, data=None if csv_path is None else {"csv_path": csv_path}, interval=interval)
@@ -148,7 +156,6 @@ def _echo_tables(reports, tasks=tuple(REPORTS)) -> None:
 @click.option("--fee-bps", type=float, default=None)
 @click.option("--mode", type=click.Choice(["trailing", "global"]), default=None)
 @click.option("--out", "out_dir", default=None, help="Output directory for runs.")
-@click.option("--jobs", type=int, default=None)
 @click.option("--tuner-trials", type=int, default=None)
 @click.option("--run-id", default=None, help="Run directory name under --out, one path component (default: timestamp + config hash).")
 def run(config_path, models, windows, run_id, **overrides):
@@ -162,8 +169,9 @@ def run(config_path, models, windows, run_id, **overrides):
             raise ConfigError(f"bad windows list {windows!r}") from None
     config = _load_config(config_path, **overrides)
     run_id = make_run_id(config) if run_id is None else check_run_id(run_id)  # checked before any data is read
-    artifact = run_experiment(config, persist=False)
     run_dir = Path(config.out_dir) / run_id
+    _check_writable(run_dir, run_dir)
+    artifact = run_experiment(config, persist=False)
     with _writing(run_dir):
         persist_artifact(artifact, config, run_id=run_id)
     click.echo(f"run {run_id}: {len(artifact.reports)} reports under {run_dir}")
@@ -181,6 +189,8 @@ def tune(config_path, model_name, window, trials, seed, out_path):
     """Random-search one model's hyperparameters for best backtest PNL."""
     config = _load_config(config_path, tuner_trials=trials, seed=seed, windows=[window])  # checked before any data is read
     kind = coerce_kind(model_name)
+    if out_path:
+        _check_writable(out_path, Path(out_path).parent)
     series = load_candles(config)
     dataset = prepare_dataset(series, config.indicators)
     result = tune_job(config, dataset, config.segment_split(series), kind, window, config.seed)

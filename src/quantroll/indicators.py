@@ -7,6 +7,7 @@ signal into downstream model training.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,9 +102,8 @@ def ema(values: np.ndarray, period: int) -> np.ndarray:
         raise SeriesTooShort(f"need at least {period} values, got {values.size}")
     alpha = 2.0 / (period + 1.0)
     out = np.full(values.size, np.nan)
-    out[period - 1] = values[:period].mean()
-    for t in range(period, values.size):
-        out[t] = out[t - 1] + alpha * (values[t] - out[t - 1])
+    steps = values[period:].tolist()  # scalar steps run faster on Python floats
+    out[period - 1 :] = list(accumulate(steps, lambda prev, v: prev + alpha * (v - prev), initial=float(values[:period].mean())))
     return out
 
 
@@ -116,9 +116,8 @@ def wilder_atr(series: CandleSeries, period: int) -> np.ndarray:
         raise SeriesTooShort(f"need more than {period} candles, got {len(series)}")
     tr = true_range(series)
     out = np.full(len(series), np.nan)
-    out[period] = tr[1 : period + 1].mean()
-    for t in range(period + 1, len(series)):
-        out[t] = (out[t - 1] * (period - 1) + tr[t]) / period
+    steps = tr[period + 1 :].tolist()  # scalar steps run faster on Python floats
+    out[period:] = list(accumulate(steps, lambda prev, v: (prev * (period - 1) + v) / period, initial=float(tr[1 : period + 1].mean())))
     return out
 
 

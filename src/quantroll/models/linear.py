@@ -37,10 +37,10 @@ def _solve_normal_equations(X_aug: np.ndarray, y: np.ndarray, lam: float) -> np.
 
 
 class _Linear(Estimator):
-    """Scores are margins: intercept-augmented rows times weights_."""
+    """Scores are margins: each intercept-augmented row's own dot with weights_, as in `_row_margin`."""
 
     def scores(self, X) -> np.ndarray:
-        return _augment(np.asarray(X, dtype=np.float64)) @ self.weights_
+        return np.vecdot(_augment(np.asarray(X, dtype=np.float64)), self.weights_)
 
     def _row_margin(self, x: np.ndarray) -> np.ndarray:
         """The (1,) margin of one checked row, bit for bit its margin as a one-row X."""
@@ -122,7 +122,7 @@ class _GradientDescent(_Linear, StandardizerMixin):
         return self
 
     def scores(self, X) -> np.ndarray:
-        return _augment(self.standardize(np.asarray(X, dtype=np.float64))) @ self.weights_
+        return np.vecdot(_augment(self.standardize(np.asarray(X, dtype=np.float64))), self.weights_)
 
     def _row_margin(self, x: np.ndarray) -> np.ndarray:
         return _augmented_row(x, self.scaler_mean_, self.scaler_scale_).dot(self.weights_)
@@ -137,9 +137,11 @@ class LogisticClassifier(_GradientDescent):
     def _target_factor(self, y):
         return 0.5 * y
 
+    _one = np.array(1.0)  # a 0-d operand dispatches faster than a Python float
+
     def _dloss_dmargin(self, margins, half_y):
         # d/dm log(1 + exp(-y m)) = -y * sigmoid(-y m); tanh form avoids overflow
-        return half_y * (np.tanh(half_y * margins) - 1.0)
+        return half_y * (np.tanh(half_y * margins) - self._one)
 
     def scores(self, X) -> np.ndarray:
         return 0.5 * (1.0 + np.tanh(0.5 * super().scores(X))) - 0.5

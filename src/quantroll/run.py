@@ -2,14 +2,13 @@
 
 A run is fully determined by its config snapshot plus the master seed; the
 persisted report.json and trials.jsonl are byte-identical across reruns,
-including with concurrent job execution.
+including runs made at the same time on separate threads.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -120,7 +119,7 @@ class RunConfig:
     tuner_trials: int | None = None
     seed: int = 0
     out_dir: str = "runs"
-    jobs: int = 1
+    jobs: int = 1  # checked and recorded, but every run is serial; kept so configs that set it still load
 
     def __post_init__(self):
         try:
@@ -281,17 +280,18 @@ def _evaluate_job(
     seg: SegmentSplit,
     kind: ModelKind,
     window: int,
-):
-    """Evaluate one (model, window) pair on backtest + forward segments."""
+    artifact: RunArtifact,
+) -> None:
+    """Evaluate one (model, window) pair on backtest + forward segments, adding
+    its reports, curves and study to artifact."""
     cost = CostModel(config.fee_bps)
     train_view, backtest_view, forward_view = split(dataset, seg)
-    result = {"reports": [], "curves": {}, "trials": None}
 
     params: dict = {}
     if config.tuner_trials is not None:
         study = tune_job(config, dataset, seg, kind, window, _job_seed(config.seed, kind, window, 0))
         params = study.best.params
-        result["trials"] = study
+        artifact.trials[(kind.value, window)] = study
 
     spec = ModelSpec(kind, params, seed=_job_seed(config.seed, kind, window, 1))
     wf_config = WalkForwardConfig(window=window, mode=config.mode, retrain_stride=config.retrain_stride)
@@ -305,9 +305,8 @@ def _evaluate_job(
             periods_per_year=config.periods_per_year,
             train_view=train_view,
         )
-        result["reports"].append(outcome.report)
-        result["curves"][(kind.value, window, view.segment)] = outcome.curve
-    return result
+        artifact.reports.append(outcome.report)
+        artifact.curves[(kind.value, window, view.segment)] = outcome.curve
 
 
 def run_experiment(
@@ -322,26 +321,15 @@ def run_experiment(
     dataset = prepare_dataset(series, config.indicators)
     seg = config.segment_split(series)
 
-    jobs = [(kind, window) for kind in config.models for window in config.windows]
-    logger.info("running %d jobs (%d models x %d windows)", len(jobs), len(config.models), len(config.windows))
-
-    def run_one(job):
-        kind, window = job
-        return job, _evaluate_job(config, dataset, seg, kind, window)
-
+    n_models, n_windows = len(config.models), len(config.windows)
+    logger.info("running %d jobs (%d models x %d windows)", n_models * n_windows, n_models, n_windows)
     if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = dict(pool.map(run_one, jobs))
-    else:
-        outcomes = dict(run_one(job) for job in jobs)
+        logger.warning("jobs: %d has no effect; every job runs in config order on the calling thread", config.jobs)
 
     artifact = RunArtifact(config=config.to_dict(), reports=[], curves={}, trials={})
-    for job in jobs:  # deterministic merge order, independent of scheduling
-        outcome = outcomes[job]
-        artifact.reports.extend(outcome["reports"])
-        artifact.curves.update(outcome["curves"])
-        if outcome["trials"] is not None:
-            artifact.trials[(job[0].value, job[1])] = outcome["trials"]
+    for kind in config.models:
+        for window in config.windows:
+            _evaluate_job(config, dataset, seg, kind, window, artifact)
 
     if persist:
         persist_artifact(artifact, config, run_id=run_id)

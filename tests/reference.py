@@ -688,3 +688,25 @@ def ref_indicator_csv(series, ind):
     for i in range(ind.warmup_len, len(ind)):
         lines.append(f"{int(series.timestamps[i])},{float(ind.values[i])!r}")
     return "\n".join(lines) + "\n"
+
+
+def ref_ema(values, period):
+    """The EMA recurrence stepped on numpy float64 scalars; `indicators.ema`
+    steps on Python floats and must give the same bytes."""
+    alpha = 2.0 / (period + 1.0)
+    out = np.full(values.size, np.nan)
+    out[period - 1] = values[:period].mean()
+    for t in range(period, values.size):
+        out[t] = out[t - 1] + alpha * (values[t] - out[t - 1])
+    return out
+
+
+def ref_wilder_atr(tr, period):
+    """Wilder's ATR recurrence over true ranges `tr` (index 0 undefined), stepped
+    on numpy float64 scalars; `indicators.wilder_atr` steps on Python floats
+    and must give the same bytes."""
+    out = np.full(tr.size, np.nan)
+    out[period] = tr[1 : period + 1].mean()
+    for t in range(period + 1, tr.size):
+        out[t] = (out[t - 1] * (period - 1) + tr[t]) / period
+    return out

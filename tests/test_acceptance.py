@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +289,23 @@ def test_criterion_06_run_determinism(tmp_path):
         serial = RunConfig.from_dict({**raw, "jobs": 1, "out_dir": str(tmp_path / "serial")})
         c = run_experiment(serial, run_id="third")
         assert c.report_rows() == json.loads((root / "first" / "report.json").read_text())["reports"]
+
+        # Two runs at once, on two threads, into separate run directories.
+        start = threading.Barrier(2)
+
+        def run_together(run_id):
+            start.wait(timeout=60)
+            run_experiment(config, run_id=run_id)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(run_together, run_id) for run_id in ("left", "right")]:
+                future.result(timeout=110)
+        curves = sorted(p.name for p in (root / "first" / "equity").iterdir())
+        assert len(curves) == 2 * 2 * 2
+        for run_id in ("left", "right"):
+            assert sorted(p.name for p in (root / run_id / "equity").iterdir()) == curves
+            for name in ("report.json", "trials.jsonl", *(f"equity/{curve}" for curve in curves)):
+                assert (root / run_id / name).read_bytes() == (root / "first" / name).read_bytes()
 
 
 def test_criterion_07_walkforward_counting():

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -311,13 +313,23 @@ class TestRunExperiment:
         assert (root / "a" / "report.json").read_bytes() == (root / "b" / "report.json").read_bytes()
         assert (root / "a" / "trials.jsonl").read_bytes() == (root / "b" / "trials.jsonl").read_bytes()
 
-    def test_concurrent_jobs_identical(self, csv_path, tmp_path):
+    def test_concurrent_jobs_identical(self, csv_path, tmp_path, monkeypatch, caplog):
+        """jobs > 1 is accepted and recorded, but the run starts no thread and warns once."""
         serial = RunConfig.from_dict(config_dict(csv_path, tmp_path / "s", jobs=1, tuner_trials=2))
         threaded = RunConfig.from_dict(config_dict(csv_path, tmp_path / "t", jobs=4, tuner_trials=2))
         a = run_experiment(serial, persist=False)
-        b = run_experiment(threaded, persist=False)
+
+        def no_thread(thread):
+            raise AssertionError(f"a run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        with caplog.at_level(logging.WARNING, logger="quantroll.run"):
+            b = run_experiment(threaded, persist=False)
         assert a.report_rows() == b.report_rows()  # configs differ only in jobs/out_dir
         assert a.trials_jsonl() == b.trials_jsonl()
+        assert b.config["jobs"] == 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "jobs: 4 has no effect; every job runs in config order on the calling thread"]
 
     def test_persist_layout(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
@@ -404,7 +416,7 @@ STARTUP_PROBE = """
 import json, sys
 sys.modules["requests"] = None  # every import of requests now fails
 import quantroll.run
-unused = [name for name in ("urllib3", "ssl", "hashlib") if name in sys.modules]
+unused = [name for name in ("urllib3", "ssl", "hashlib", "concurrent.futures") if name in sys.modules]
 from quantroll import cli
 config = quantroll.run.RunConfig.from_json(sys.argv[1])
 ingest_code = cli.main(["ingest", "--csv", config.data.csv_path, "--out", sys.argv[2]])
@@ -416,8 +428,8 @@ print(json.dumps({"unused": unused, "ingest": ingest_code, "reports": len(artifa
 
 def test_run_import_loads_no_http_or_hash_module(csv_path, tmp_path):
     """With requests unimportable, `ingest` and a one-model run over a CSV
-    succeed, and `import quantroll.run` loads neither the TLS stack nor
-    hashlib; run ids import hashlib when they are made."""
+    succeed, and `import quantroll.run` loads neither the TLS stack, hashlib
+    nor concurrent.futures; run ids import hashlib when they are made."""
     raw = config_dict(csv_path, tmp_path / "runs", models=["ols_r"], windows=[7])
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -800,6 +812,18 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith(f"configuration error: cannot write {out}") and "No such file or directory" in err[-1]
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_unwritable_output_found_before_data_read(self, tmp_path, capsys, command):
+        """An output under a regular file fails before the candles are read: the
+        config's CSV does not exist, yet the error is the output's."""
+        cfg = self.write_config(tmp_path / "config.json", config_dict(tmp_path / "missing.csv", tmp_path / "runs"))
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        assert self.run_cli(*WRITING_COMMANDS[command]("unused", cfg, "unused", str(out))) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {out}") and "Not a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]  # nothing made
 
     def test_split_order_checked_before_data(self, tmp_path, capsys):
         split = {**SPLIT, "backtest_start": SPLIT["forward_start"] + DAY}

@@ -14,10 +14,11 @@ from quantroll.indicators import (
     parabolic_sar,
     sma,
     true_range,
+    wilder_atr,
 )
 
 from .conftest import bars_to_series, random_walk_bars
-from .reference import ref_acc_dist, ref_bollinger, ref_keltner_width, ref_mfi, ref_parabolic_sar
+from .reference import ref_acc_dist, ref_bollinger, ref_ema, ref_keltner_width, ref_mfi, ref_parabolic_sar, ref_wilder_atr
 
 
 def constant_bars(n, price=100.0, volume=5.0):
@@ -272,6 +273,19 @@ class TestSharedContracts:
         out = ema(fixture_40.close, 10)
         assert out[9] == pytest.approx(float(fixture_40.close[:10].mean()), abs=1e-12)
         assert np.isnan(out[:9]).all()
+
+    def test_ema_and_atr_bytes_match_numpy_scalar_loops(self):
+        """Lengths 20-3000, magnitudes 1e-8-1e8, periods 1-18: the Python-float
+        recurrences give the bytes of the float64-scalar loops."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n, period = int(rng.integers(20, 3001)), int(rng.integers(1, 19))
+            close = 10.0 ** rng.uniform(-8, 8) * np.exp(np.cumsum(rng.normal(0.0, 0.02, n)))
+            high = close * (1.0 + np.abs(rng.normal(0.0, 0.01, n)))
+            low = close / (1.0 + np.abs(rng.normal(0.0, 0.01, n)))
+            series = bars_to_series(list(zip(close, high, low, close, np.ones(n))))
+            assert ema(close, period).tobytes() == ref_ema(close, period).tobytes(), seed
+            assert wilder_atr(series, period).tobytes() == ref_wilder_atr(true_range(series), period).tobytes(), seed
 
     def test_true_range_first_index_nan(self, fixture_40):
         assert np.isnan(true_range(fixture_40)[0])

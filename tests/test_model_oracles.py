@@ -1,8 +1,9 @@
 """Seeded bit-identity checks of the gradient-descent epoch, the perceptron
 sweep and the one-row predict path against the straight-line loops in
 tests/reference.py, of each kind's `score_row` against its own `scores`
-on a one-row matrix, and of fits through a shared draw memo against
-fresh fits. Every comparison is exact equality, never a tolerance."""
+on a one-row matrix, of the linear kinds' batch scores against `score_row`,
+and of fits through a shared draw memo against fresh fits. Every comparison
+is exact equality, never a tolerance."""
 import dataclasses
 import math
 
@@ -182,6 +183,21 @@ def test_score_row_with_a_constant_scaler_column(kind):
     queries[::2, -1] = -3.25
     for x in queries:
         assert_row_matches_batch(model, x)
+
+
+@pytest.mark.parametrize("kind", ["ols_r", "ridge_r", "ridge_c", "sgd_r", "sgd_c", "logistic_c", "perceptron_c"])
+def test_linear_batch_scores_are_row_count_invariant(kind):
+    """`scores` on batches of 1-1000 rows gives each row the bits `score_row`
+    gives it alone, whichever BLAS kernel a matrix product would pick."""
+    rng, X, y_class, y_reg = case_data(230, n_max=40)
+    est = fit(ModelSpec(kind, seed=3), X, y_class if task_of(kind) == CLASSIFIER else y_reg).estimator
+    queries = one_row_queries(rng, X, 5550)
+    start = 0
+    while start < len(queries):
+        batch = queries[start : start + int(rng.integers(1, 1001))]
+        want = np.array([est.score_row(x) for x in batch])
+        assert est.scores(batch).tobytes() == want.tobytes()
+        start += len(batch)
 
 
 def test_logistic_score_row_saturates_like_the_batch():
