@@ -1,14 +1,15 @@
 """CART trees and forests: exhaustive (classic) and random-threshold (extra) splits.
 
-One grower builds all members of a forest together; a tree is a forest of one. Each member keeps a
-stack of open nodes. Each step takes all of a member's open nodes if it draws no random numbers
-after its bootstrap (exhaustive splits over all features), else only its next node in depth-first
-preorder, so every member draws in the order of recursive left-first growth. The exhaustive split
-search of the taken nodes is one padded pass over (node, feature, sorted row) cells, at most
-_BATCH_CELLS cells at a time, largest nodes first. It rounds as a per-node search does: +inf padding
-sorts after a node's rows, prefix sums are sequential, and means and variances reduce equal-size
-nodes stacked along the last axis. Fitted trees are flat node arrays with one root per member;
-prediction walks all members for all rows together, one level per vectorised step.
+One grower builds all members of a forest together as one array frontier; a tree is a forest of one. Member
+m's rows fill slice m of one (members x rows) index array, a node is a row of a node table (member, slice,
+depth, id), and a split stably partitions its node's slice into its left rows, then its right rows. Each step
+takes all open nodes of members that draw nothing after their bootstrap, and of the others each member's
+leftmost open node, its next in depth-first preorder, so every member draws in the order of recursive
+left-first growth. One stable sort by size orders the taken nodes, largest first, into padded batches of at
+most _BATCH_CELLS (node, column, row) cells. The search rounds as a per-node search does: +inf padding sorts
+after a node's rows, prefix sums are sequential, and means and variances reduce equal-size nodes stacked
+along the last axis. Fitted trees are flat node arrays with one root per member; prediction walks all
+members for all rows together, one level per vectorised step.
 
 A member's draws depend only on its seed, the row count and the settings, never on X or y, so a
 caller that refits on equal-length windows may pass one memo dict to every fit: the first fit
@@ -28,7 +29,6 @@ from .base import Estimator
 GINI = "gini"
 VARIANCE = "variance"
 _BATCH_CELLS = 1 << 12  # padded cells per scan: keeps its ~12 temporaries near 32 kB each
-_LOCKSTEP = 32  # members grown together
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,6 @@ def variance_impurity(y: np.ndarray) -> float:
     if y.size == 0:
         return 0.0
     return float(_mean_var(y)[1])
-
-
-def _node_impurity(y: np.ndarray, criterion: str) -> float:
-    return gini_impurity(y) if criterion == GINI else variance_impurity(y)
 
 
 def _scan(Xb: np.ndarray, Yb: np.ndarray, n: np.ndarray, parent, centre, criterion: str, min_leaf: int):
@@ -103,23 +99,28 @@ def _scan(Xb: np.ndarray, Yb: np.ndarray, n: np.ndarray, parent, centre, criteri
 
 
 def _random_split(X, y, criterion: str, parent: float, min_leaf: int, rng, features) -> Split | None:
-    """One uniform threshold per non-constant feature, drawn in feature order; the largest decrease wins."""
+    """One uniform threshold per non-constant feature, drawn in feature order; the largest decrease wins.
+    All are scored in one pass, each child's impurity rounding as on that child alone."""
     Xf = X[:, features]
-    lo, hi = Xf.min(axis=0), Xf.max(axis=0)
-    spread = np.flatnonzero(lo != hi)
+    lo, hi = np.minimum.reduce(Xf), np.maximum.reduce(Xf)
+    spread = (lo != hi).nonzero()[0]
     thresholds = rng.uniform(lo[spread], hi[spread])
+    if not spread.size:
+        return None
     left = Xf[:, spread] <= thresholds
-    n = X.shape[0]
-    best: Split | None = None
-    for j, n_l in enumerate(left.sum(axis=0).tolist()):
-        if n_l < min_leaf or n - n_l < min_leaf:
-            continue
-        mask = left[:, j]
-        child = n_l * _node_impurity(y[mask], criterion) + (n - n_l) * _node_impurity(y[~mask], criterion)
-        decrease = parent - child / n
-        if decrease > 0.0 and (best is None or decrease > best.decrease):
-            best = Split(int(features[spread[j]]), float(thresholds[j]), float(decrease))
-    return best
+    sides = np.concatenate([left, ~left], axis=1)  # (rows, children): each threshold's left child, then right
+    size, n = sides.sum(axis=0), X.shape[0]
+    if criterion == GINI:
+        impurity = _node_stats(np.where(sides.T, y, 0.0), np.maximum(size, 1), GINI)[0]  # an empty child's is 0
+    else:  # largest children first, each child's targets first, in order
+        by_size, impurity = np.argsort(-size, kind="stable"), np.empty(size.size)
+        Y = y[np.argsort(~sides[:, by_size], axis=0, kind="stable").T]
+        impurity[by_size] = _node_stats(Y, np.maximum(size[by_size], 1), VARIANCE)[0]  # one row has variance 0
+    child = size * impurity
+    decrease = parent - (child[: spread.size] + child[spread.size :]) / n
+    decrease[(size[: spread.size] < min_leaf) | (size[spread.size :] < min_leaf) | ~(decrease > 0.0)] = -np.inf
+    j = int(np.argmax(decrease))  # the first of equal decreases, as a strict > over the features keeps
+    return Split(int(features[spread[j]]), float(thresholds[j]), float(decrease[j])) if decrease[j] > -np.inf else None
 
 
 def cart_best_split(
@@ -142,7 +143,7 @@ def cart_best_split(
         return None
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.PCG64(0 if rng is None else rng))
-    parent = _node_impurity(y, criterion)
+    parent = float(_node_stats(y[None], np.array([y.size]), criterion)[0][0])
     if candidate_mode == "random":
         return _random_split(X, y, criterion, parent, min_leaf, rng, features)
     if candidate_mode != "exhaustive":
@@ -181,16 +182,16 @@ class FlatTrees:
             node = np.where(inner, self.left[node] + ~go_left, node)
 
 
-def _node_stats(y_pad: np.ndarray, R: np.ndarray, sizes: list, criterion: str):
-    """Impurity and mean target (up share under Gini) of the rows in R; sizes must be non-increasing."""
+def _node_stats(Y: np.ndarray, n: np.ndarray, criterion: str):
+    """Impurity and mean (Gini: up share) of each row's first n[k] targets, then non-UP padding; variances need n
+    non-increasing."""
     if criterion == GINI:
-        p_up = (y_pad[R] == UP).sum(axis=1) / np.array(sizes)
+        p_up = (Y == UP).sum(axis=1) / n  # the padding after a node's targets is never UP
         return 1.0 - p_up * p_up - (1.0 - p_up) * (1.0 - p_up), p_up
-    impurity, mean = np.empty(len(sizes)), np.empty(len(sizes))
-    start = 0
-    for size, run in itertools.groupby(sizes):  # equal sizes reduce together, rounding as one node does
+    impurity, mean, start = np.empty(n.size), np.empty(n.size), 0
+    for size, run in itertools.groupby(n.tolist()):  # equal sizes reduce together, rounding as one node does
         stop = start + len(list(run))
-        mean[start:stop], impurity[start:stop] = _mean_var(y_pad[R[start:stop, :size]])
+        mean[start:stop], impurity[start:stop] = _mean_var(Y[start:stop, :size])
         start = stop
     return impurity, mean
 
@@ -201,7 +202,7 @@ class _Draws:
     drawn, at every fit. A subsampling member's generator sits just after the last of `subsets`,
     the sorted column subsets drawn so far in preorder; each fit replays them before drawing more."""
 
-    __slots__ = ("rows", "rng", "start", "subsets")
+    __slots__ = ("rows", "rng", "start", "subsets", "used")
 
     def __init__(self, seed: int, n_rows: int, bootstrap: bool, random_split: bool, subsample: bool):
         rng = np.random.default_rng(np.random.PCG64(seed))
@@ -209,7 +210,16 @@ class _Draws:
         self.rows.flags.writeable = False
         self.rng = rng if random_split or subsample else None  # a generator holds ~0.9 kB
         self.start = rng.bit_generator.state if random_split else None
-        self.subsets = []
+        self.subsets, self.used = [], 0  # used: the subsets this fit has taken
+
+    def subset(self, width: int, max_features: int) -> np.ndarray:
+        if self.used == len(self.subsets):
+            self.subsets.append(np.sort(self.rng.choice(width, max_features, replace=False)))
+        self.used += 1
+        return self.subsets[self.used - 1]
+
+
+MEMBER, LO, HI, DEPTH, ID = range(5)  # node table columns; a node's rows are rows[LO:HI] in grow_forest
 
 
 def grow_forest(
@@ -227,95 +237,85 @@ def grow_forest(
     subsample = max_features is not None and max_features < width
     if random_split and subsample:
         raise ValueError("random splits draw over all columns")
-    draws = bootstrap or subsample or random_split
     key = ("tree", n_rows, bootstrap, random_split, max_features if subsample else None, width)  # + seed
     memo = {} if memo is None else memo
-    all_rows = np.arange(n_rows)  # the rows of a member that draws nothing
-    XT = np.concatenate([X.T, np.full((width, 1), np.inf)], axis=1)  # row index n_rows is padding
-    y_pad = np.append(y, 0.0)
-    depth_cap = np.inf if max_depth is None else max_depth
-    min_split = max(2, 2 * min_leaf)
-    n_nodes = len(seeds)  # node i is member i's root
-    grown = []  # (nodes, features, thresholds, left children, values) of each batch
-
-    def grow(taken):
-        nonlocal n_nodes
-        taken.sort(key=lambda node: -len(node[3]))  # largest first, so each batch pads little
-        while taken:
-            batch = taken[: max(1, _BATCH_CELLS // (width * len(taken[0][3])))]
-            del taken[: len(batch)]
-            members, ids, depths, rows = zip(*batch)
-            sizes = [len(r) for r in rows]
-            R = np.full((len(batch), sizes[0]), n_rows)
-            for k, r in enumerate(rows):
-                R[k, : sizes[k]] = r
-            parent, mean = _node_stats(y_pad, R, sizes, criterion)
-            n = np.array(sizes)
-            cand = np.flatnonzero((n >= min_split) & (np.array(depths) < depth_cap) & (parent != 0.0))
-            cols = np.arange(width)[None].repeat(cand.size, axis=0)
-            if subsample:
-                cols = np.array([subset(members[k]) for k in cand])
-            feature, threshold = np.full(len(batch), -1), np.zeros(len(batch))
-            if random_split:
-                for k, kc in zip(cand.tolist(), cols):
-                    rng = group[members[k]].rng
-                    found = _random_split(X[rows[k]], y[rows[k]], criterion, parent[k], min_leaf, rng, kc)
-                    if found is not None:
-                        feature[k], threshold[k] = found.feature, found.threshold
-            elif cand.size:
-                Rc = R[cand, : sizes[cand[0]]]
-                Xc = XT[cols[:, :, None], Rc[:, None, :]]
-                col, thr, best = _scan(Xc, y_pad[Rc], n[cand], parent[cand], mean[cand], criterion, min_leaf)
-                ok = best > 0.0
-                feature[cand[ok]], threshold[cand[ok]] = cols[ok, col[ok]], thr[ok]
-            split = np.flatnonzero(feature >= 0)
-            left = np.full(len(batch), -1)
-            left[split] = n_nodes + 2 * np.arange(split.size)
-            n_nodes += 2 * split.size
-            grown.append((np.array(ids), feature, threshold, left, mean))
-            if not split.size:
+    members = [None] * len(seeds)  # each member's _Draws, or None if it draws nothing
+    for i, seed in enumerate(seeds if bootstrap or subsample or random_split else ()):
+        member = members[i] = memo.get(key + (seed,))
+        if member is None:
+            member = members[i] = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split, subsample)
+        elif random_split:
+            member.rng.bit_generator.state = member.start
+        member.used = 0
+    pad = len(members) * n_rows  # rows[pad] pads; member m's rows sit at [m * n_rows, (m + 1) * n_rows)
+    rows = np.append(np.concatenate([m.rows for m in members]) if bootstrap else np.arange(pad) % n_rows, n_rows)
+    XT, y_pad = np.concatenate([X.T, np.full((width, 1), np.inf)], axis=1), np.append(y, 0.0)  # row n_rows pads
+    depth_cap, min_split = np.inf if max_depth is None else max_depth, max(2, 2 * min_leaf)
+    scanned = max_features if subsample else width  # the columns a split searches
+    means, splits = [], []  # of each batch: (nodes, means) and (split nodes, features, thresholds, left children)
+    n_nodes = len(members)  # node i is member i's root
+    roots = np.arange(n_nodes)
+    nodes = roots[:, None] * (1, n_rows, n_rows, 0, 1) + (0, 0, n_rows, 0, 0)  # the roots, by position in rows
+    while len(nodes):  # each step takes all nodes, level by level, but members that draw while they grow
+        taken, children = nodes, [nodes[:0]]  # take each one's leftmost open node, its next in preorder
+        if random_split or subsample:
+            open_ = ((nodes[:, HI] - nodes[:, LO] >= min_split) & (nodes[:, DEPTH] < depth_cap)).nonzero()[0]
+            if open_.size:  # else the leaves, which wait for this last step
+                member, take = nodes[open_, MEMBER], np.zeros(len(nodes), dtype=bool)
+                take[open_[member != np.concatenate([[-1], member])[:-1]] if len(members) > 1 else open_[:1]] = True
+                taken, children = nodes[take], [nodes[~take]]
+        size = taken[:, HI] - taken[:, LO]
+        if len(taken) > 1:  # largest first, _BATCH_CELLS padded cells at a time
+            order = np.argsort(-size, kind="stable")
+            taken, size = taken[order], size[order]
+        sizes, b = size.tolist(), 0
+        while b < len(sizes):
+            a, b = b, min(len(sizes), b + max(1, _BATCH_CELLS // (scanned * sizes[b])))
+            T, n, j = taken[a:b], size[a:b], np.arange(sizes[a])
+            at = T[:, LO, None] + j  # each node's positions in rows, then the padding row's
+            at[j >= n[:, None]] = pad
+            R = rows[at]
+            Y = y_pad[R]
+            parent, mean = _node_stats(Y, n, criterion)
+            means.append((T[:, ID].copy(), mean))  # a view would keep the whole table alive
+            cand = ((n >= min_split) & (T[:, DEPTH] < depth_cap) & (parent != 0.0)).nonzero()[0]
+            if not cand.size:
                 continue
-            go_left = XT[feature[split, None], R[split]] <= threshold[split, None]  # padding is +inf: never left
-            Rs = R[split[:, None], np.argsort(~go_left, axis=1, kind="stable")]  # left rows, then right, in order
-            n_left = go_left.sum(axis=1).tolist()
-            for j, (k, nl, child) in enumerate(zip(split.tolist(), n_left, left[split].tolist())):
-                m, d = members[k], depths[k] + 1
-                for node in (m, child + 1, d, Rs[j, nl : sizes[k]].copy()), (m, child, d, Rs[j, :nl].copy()):
-                    (stacks[m] if len(node[3]) >= min_split and d < depth_cap else final).append(node)
-
-    def subset(m):
-        """Member m's next sorted column subset."""
-        member = group[m]
-        k = cursor[m]
-        cursor[m] += 1
-        if k == len(member.subsets):
-            member.subsets.append(np.sort(member.rng.choice(width, max_features, replace=False)))
-        return member.subsets[k]
-
-    for first in range(0, len(seeds), _LOCKSTEP):  # members grow together in groups, which bounds memory
-        group, stacks, final = [], [], []  # stacks hold (member in group, node, depth, rows)
-        cursor = [0] * len(seeds[first : first + _LOCKSTEP])  # each member's next subset to replay
-        for j, seed in enumerate(seeds[first : first + _LOCKSTEP]):
-            member = None
-            if draws:
-                member = memo.get(key + (seed,))
-                if member is None:
-                    member = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split, subsample)
-                elif random_split:
-                    member.rng.bit_generator.state = member.start
-            group.append(member)
-            stacks.append([(j, first + j, 0, all_rows if member is None else member.rows)])
-        while any(stacks):
-            if random_split or subsample:  # members that draw grow one node at a time, in preorder
-                grow([stack.pop() for stack in stacks if stack])
-            else:  # the others grow all their open nodes, level by level
-                taken, stacks = [node for stack in stacks for node in stack], [[] for _ in stacks]
-                grow(taken)
-        grow(final)  # the children too small or too deep to split, as leaves in one pass
-    ids, feature, threshold, left, value = (np.concatenate(part) for part in zip(*grown))
-    at = np.argsort(ids)
-    label = np.where(value[at] > 0.5, UP, DOWN).astype(np.int8)  # ties resolve down
-    return FlatTrees(feature[at], threshold[at], left[at], value[at], label, np.arange(len(seeds)))
+            if random_split:
+                found = []
+                for k in cand.tolist():
+                    r, rng = R[k, : n[k]], members[T[k, MEMBER]].rng
+                    best = _random_split(X[r], y[r], criterion, parent[k], min_leaf, rng, np.arange(width))
+                    if best is not None:
+                        found.append((k, best.feature, best.threshold))
+                split, feature, threshold = map(np.array, zip(*found)) if found else (cand[:0],) * 3
+            else:
+                w, cols = n[cand[0]], np.arange(width)[None].repeat(cand.size, axis=0)
+                if subsample:
+                    cols = np.array([members[m].subset(width, max_features) for m in T[cand, MEMBER].tolist()])
+                Xc = XT[cols[:, :, None], R[cand, None, :w]]
+                col, thr, best = _scan(Xc, Y[cand, :w], n[cand], parent[cand], mean[cand], criterion, min_leaf)
+                ok = best > 0.0
+                split, feature, threshold = cand[ok], cols[ok, col[ok]], thr[ok]
+            go_left = XT[feature[:, None], R[split]] <= threshold[:, None]  # padding is +inf: never left
+            rows[at[split]] = R[split[:, None], np.argsort(~go_left, axis=1, kind="stable")]  # left rows, then right
+            kids = T[split].repeat(2, axis=0)  # each split node's left child, then its right
+            kids[0::2, HI] = kids[1::2, LO] = kids[0::2, LO] + go_left.sum(axis=1)
+            kids[:, DEPTH] += 1
+            kids[:, ID] = np.arange(n_nodes, n_nodes + 2 * split.size)
+            n_nodes += 2 * split.size
+            splits.append((T[split, ID], feature, threshold, kids[0::2, ID].copy()))
+            children.insert(-1, kids)  # before the open nodes left, so a lone member's stay in preorder
+        nodes = np.concatenate(children)
+        if len(members) > 1 and (random_split or subsample):
+            nodes = nodes[np.argsort(nodes[:, LO])]
+    value, feature, threshold, left = np.empty(n_nodes), np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
+    for ids, mean in means:
+        value[ids] = mean
+    for ids, *split in splits:
+        feature[ids], threshold[ids], left[ids] = split
+    label = np.where(value > 0.5, UP, DOWN).astype(np.int8)  # ties resolve down
+    return FlatTrees(feature, threshold, left, value, label, roots)
 
 
 def _resolve_max_features(setting: str, width: int) -> int | None:

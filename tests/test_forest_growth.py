@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from quantroll.direction import DOWN, UP
-from quantroll.models import ModelSpec, cart_best_split, fit, task_of
+from quantroll.models import ModelSpec, cart_best_split, default_space, fit, task_of
 from quantroll.models.base import classify_from_scores
 from quantroll.models.tree import _mean_var
+from quantroll.tuner import sample_params
 
 from .reference import ref_impurity, ref_random_split, ref_scan_exhaustive, ref_tree_kind
 
@@ -106,6 +107,55 @@ def test_cart_best_split_matches_reference(case):
         assert (None if found is None else (found.feature, found.threshold)) == want
 
 
+@pytest.mark.parametrize("case", range(12))
+def test_random_split_matches_reference_on_wide_nodes(case):
+    """Past 128 rows numpy sums in pairwise blocks, so each child's variance must reduce at its own size."""
+    rng = np.random.default_rng(500 + case)
+    n, width = (130, 257, 1000)[case % 3], int(rng.integers(1, 9))
+    X = np.round(rng.normal(size=(n, width)), int(rng.integers(0, 3)))
+    criterion = ("gini", "variance")[case % 2]
+    y = np.where(rng.normal(size=n) > 0, 1.0, -1.0) if criterion == "gini" else 0.01 * rng.normal(size=n) + 1.0
+    min_leaf = int(rng.integers(1, 40))
+    found = cart_best_split(X, y, criterion, "random", rng=case, min_leaf=min_leaf)
+    parent = ref_impurity(y, criterion)
+    want = ref_random_split(X, y, criterion, parent, min_leaf, np.random.default_rng(case), range(width))
+    assert (None if found is None else (found.feature, found.threshold)) == want
+    if found is not None:  # and the decrease rounds as the children's own impurities do
+        left = X[:, found.feature] <= found.threshold
+        child = left.sum() * ref_impurity(y[left], criterion) + (~left).sum() * ref_impurity(y[~left], criterion)
+        assert found.decrease == parent - child / n
+
+
+TUNED_KINDS = ("random_forest_c", "random_forest_r", "bagging_c", "bagging_r")
+TUNED_TRIALS = (1, 3, 5, 7, 28, 34, 48, 56)  # wide, root-only, deep and shallow draws; see the coverage test
+
+
+def tuned_case(kind: str, trial: int, rows: int):
+    """The tuner's draw of trial for kind, and a seeded window of rows with tied values."""
+    params = sample_params(default_space(kind), trial)
+    rng = np.random.default_rng([trial, rows])
+    X = np.round(rng.normal(size=(rows, 7)), 1)
+    noise = rng.normal(size=rows)
+    y = np.where(X[:, 0] + noise > 0, UP, DOWN) if task_of(kind) == "classifier" else 0.01 * X[:, 0] + 0.01 * noise
+    return params, X, y, np.vstack([X, np.round(rng.normal(size=(20, 7)), 1)])
+
+
+@pytest.mark.parametrize("rows", [7, 28])
+@pytest.mark.parametrize("trial", TUNED_TRIALS)
+@pytest.mark.parametrize("kind", TUNED_KINDS)
+def test_bit_identical_on_tuner_draws(kind, trial, rows):
+    params, X, y, Xq = tuned_case(kind, trial, rows)
+    assert_matches_reference(kind, params, trial, X, y, Xq)
+
+
+def test_tuner_draws_cover_wide_root_only_and_deep_forests():
+    draws = [sample_params(default_space(kind), trial) for kind in TUNED_KINDS for trial in TUNED_TRIALS]
+    assert any(p["n_members"] > 128 for p in draws)
+    assert any(2 * p["min_samples_leaf"] > 28 for p in draws)  # every member is its root, at both window sizes
+    assert any(p["min_samples_leaf"] <= 3 and p["max_depth"] >= 8 for p in draws)
+    assert {p["max_features"] for p in draws if "max_features" in p} == {"all", "sqrt", "log2"}
+
+
 def test_stacked_mean_var_rounds_as_numpy_per_row():
     rng = np.random.default_rng(5)
     for size in (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 1000):
@@ -115,18 +165,31 @@ def test_stacked_mean_var_rounds_as_numpy_per_row():
         assert [float(v) for v in var] == [float(np.var(row)) for row in Y]
 
 
-def test_forest_growth_memory_is_bounded():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(1000, 7))
-    y = 0.01 * X[:, 0] + 0.01 * rng.normal(size=1000)
-    spec = ModelSpec("random_forest_r", {"n_members": 50, "max_depth": 8})
+def peak_bytes_of_fit(spec, X, y):
     tracemalloc.start()
     try:
         fit(spec, X, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def test_forest_growth_memory_is_bounded():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 7))
+    y = 0.01 * X[:, 0] + 0.01 * rng.normal(size=1000)
+    spec = ModelSpec("random_forest_r", {"n_members": 50, "max_depth": 8})
+    assert peak_bytes_of_fit(spec, X, y) < 16 * 2**20
+
+
+def test_wide_forest_growth_memory_is_bounded():
+    """The tuner's widest forest grows as one frontier; its memory is the index array's and the fitted nodes'."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 7))
+    y = 0.01 * X[:, 0] + 0.01 * rng.normal(size=1000)
+    spec = ModelSpec("random_forest_r", {"n_members": 200, "max_depth": 8})
+    assert peak_bytes_of_fit(spec, X, y) < 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -298,7 +298,7 @@ class TestMatchesStepwiseReference:
         assert preds.value.tobytes() == preds.score.tobytes() == ds.reg_target[9:20].tobytes()
 
 
-FOREST = {"n_members": 40}  # past one 32-member lockstep group
+FOREST = {"n_members": 40}
 SEEDED_KINDS = [
     *(("random_forest_c", {**FOREST, "max_features": f, "bootstrap": b}) for f in ("all", "sqrt", "log2") for b in (True, False)),
     ("random_forest_r", {**FOREST, "max_features": "sqrt", "min_samples_leaf": 8}),  # no window splits a root
