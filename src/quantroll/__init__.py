@@ -50,6 +50,6 @@ from .models import (  # noqa: E402
 )
 from .run import RunArtifact, RunConfig, export_equity, run_experiment  # noqa: E402
 from .report import emit_table  # noqa: E402
-from .trading import CostModel, EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate  # noqa: E402
-from .tuner import TunerConfig, TunerResult, run_study, sample_params  # noqa: E402
+from .trading import EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate  # noqa: E402
+from .tuner import TunerResult, run_study, sample_params  # noqa: E402
 from .walkforward import PredictionSeries, WalkForwardConfig, run_walkforward, signal_from_predictions  # noqa: E402

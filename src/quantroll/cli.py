@@ -30,8 +30,8 @@ from .run import (
     persist_artifact,
     prepare_dataset,
     run_experiment,
-    tune_job,
 )
+from .tuner import run_study
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +69,12 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
-def _check_writable(path, directory: Path) -> None:
-    """Before any data is read: directory, or its nearest existing ancestor, is a directory; creates nothing."""
+def _check_writable(path: Path, directory: Path) -> None:
+    """Before any data is read: directory, or its nearest existing ancestor, is a directory, and a
+    file's path (one other than directory) is not a directory; creates nothing."""
     with _writing(path):
+        if path != directory and path.is_dir():
+            raise IsADirectoryError(f"Is a directory: {str(path)!r}")
         found = next(p for p in (directory, *directory.parents) if p.exists())
         if not found.is_dir():
             raise NotADirectoryError(f"Not a directory: {str(found)!r}")
@@ -190,10 +193,10 @@ def tune(config_path, model_name, window, trials, seed, out_path):
     config = _load_config(config_path, tuner_trials=trials, seed=seed, windows=[window])  # checked before any data is read
     kind = coerce_kind(model_name)
     if out_path:
-        _check_writable(out_path, Path(out_path).parent)
+        _check_writable(Path(out_path), Path(out_path).parent)
     series = load_candles(config)
     dataset = prepare_dataset(series, config.indicators)
-    result = tune_job(config, dataset, config.segment_split(series), kind, window, config.seed)
+    result = run_study(kind, dataset, config.segment_split(series), config.walk(window), trials, config.seed)
     if out_path:
         with _writing(out_path):
             Path(out_path).write_text(result.to_jsonl(), encoding="utf-8")

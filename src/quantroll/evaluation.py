@@ -6,14 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetView
-from .metrics import (
-    ClassifierReport,
-    RegressorReport,
-    build_classifier_report,
-    build_regressor_report,
-)
+from .metrics import ClassifierReport, RegressorReport, build_classifier_report, build_regressor_report
 from .models import CLASSIFIER, ModelSpec
-from .trading import CostModel, EquityCurve, simulate
+from .trading import EquityCurve, simulate
 from .walkforward import WalkForwardConfig, run_walkforward, signal_from_predictions
 
 
@@ -26,25 +21,15 @@ class SegmentEvaluation:
 def evaluate_segment(
     view: DatasetView,
     spec: ModelSpec,
-    wf_config: WalkForwardConfig,
-    cost: CostModel = CostModel(),
-    dead_band: float = 0.0,
-    periods_per_year: float = 365.0,
+    config: WalkForwardConfig,
     train_view: DatasetView | None = None,
 ) -> SegmentEvaluation:
-    preds = run_walkforward(view, spec, wf_config, train_view=train_view)
-    threshold = 0.0 if preds.task == CLASSIFIER else dead_band
+    preds = run_walkforward(view, spec, config, train_view=train_view)
+    threshold = 0.0 if preds.task == CLASSIFIER else config.dead_band
     positions = signal_from_predictions(preds, threshold=threshold)
-    simple = np.expm1(preds.realized_return)
-    curve, ledger = simulate(positions, simple, cost)
+    curve, ledger = simulate(positions, np.expm1(preds.realized_return), config.fee_bps)
     builder = build_classifier_report if preds.task == CLASSIFIER else build_regressor_report
     report = builder(
-        spec.kind.value,
-        wf_config.window,
-        view.segment,
-        preds,
-        curve,
-        ledger,
-        periods_per_year=periods_per_year,
+        spec.kind.value, config.window, view.segment, preds, curve, ledger, periods_per_year=config.periods_per_year
     )
     return SegmentEvaluation(curve, report)

@@ -16,13 +16,13 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import INTEGER, NON_NEGATIVE_REAL, POSITIVE_INTEGER, STRING, ConfigError, DataError, UnknownSelector, check_fields
+from .errors import INTEGER, POSITIVE_INTEGER, STRING, ConfigError, DataError, UnknownSelector, check_fields
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
 from .metrics import report_row
 from .models import ALL_KINDS, ModelKind, ModelSpec, coerce_kind
-from .trading import CostModel, EquityCurve
-from .tuner import TunerConfig, TunerResult, _derive_seed, run_study
+from .trading import EquityCurve
+from .tuner import TunerResult, _derive_seed, run_study
 from .walkforward import WalkForwardConfig
 
 logger = logging.getLogger(__name__)
@@ -123,15 +123,12 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            check_fields(
-                self, interval=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER, fee_bps=NON_NEGATIVE_REAL,
-                dead_band=NON_NEGATIVE_REAL, seed=INTEGER, out_dir=STRING, jobs=POSITIVE_INTEGER,
-            )
+            check_fields(self, interval=POSITIVE_INTEGER, seed=INTEGER, out_dir=STRING, jobs=POSITIVE_INTEGER)
+            self.walk(1)  # the rules of mode, retrain_stride, fee_bps and dead_band
             for window in self.windows:
                 POSITIVE_INTEGER.check("windows", window)
             if self.tuner_trials is not None:
                 POSITIVE_INTEGER.check("tuner_trials", self.tuner_trials)
-            WalkForwardConfig(mode=self.mode)  # the mode's rule
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.models or not self.windows:
@@ -141,9 +138,12 @@ class RunConfig:
                 raise ConfigError(f"{name} has duplicate entries")
         self._segments(self.backtest_start - 1, self.forward_start + 1)  # the bounds' order, before any data is read
 
-    @property
-    def periods_per_year(self) -> float:
-        return SECONDS_PER_YEAR / self.interval
+    def walk(self, window: int) -> WalkForwardConfig:
+        """How this run walks, trades and scores a model at window."""
+        return WalkForwardConfig(
+            window=window, mode=self.mode, retrain_stride=self.retrain_stride, fee_bps=self.fee_bps,
+            dead_band=self.dead_band, periods_per_year=SECONDS_PER_YEAR / self.interval,
+        )
 
     def segment_split(self, series: CandleSeries) -> SegmentSplit:
         return self._segments(int(series.timestamps[0]), int(series.timestamps[-1]) + 1)
@@ -250,30 +250,6 @@ def _job_seed(master: int, kind: ModelKind, window: int, salt: int) -> int:
     return _derive_seed(master, ALL_KINDS.index(kind), window, salt)
 
 
-def tune_job(
-    config: RunConfig,
-    dataset: LabeledDataset,
-    seg: SegmentSplit,
-    kind: ModelKind,
-    window: int,
-    seed: int,
-) -> TunerResult:
-    """The study of one (model, window): config.tuner_trials trials from the
-    study seed, under the run's fee, mode, retrain stride, dead band and interval."""
-    return run_study(
-        kind,
-        window,
-        dataset,
-        seg,
-        CostModel(config.fee_bps),
-        TunerConfig(config.tuner_trials, seed=seed),
-        mode=config.mode,
-        retrain_stride=config.retrain_stride,
-        dead_band=config.dead_band,
-        periods_per_year=config.periods_per_year,
-    )
-
-
 def _evaluate_job(
     config: RunConfig,
     dataset: LabeledDataset,
@@ -284,27 +260,18 @@ def _evaluate_job(
 ) -> None:
     """Evaluate one (model, window) pair on backtest + forward segments, adding
     its reports, curves and study to artifact."""
-    cost = CostModel(config.fee_bps)
+    walk = config.walk(window)
     train_view, backtest_view, forward_view = split(dataset, seg)
 
     params: dict = {}
     if config.tuner_trials is not None:
-        study = tune_job(config, dataset, seg, kind, window, _job_seed(config.seed, kind, window, 0))
+        study = run_study(kind, dataset, seg, walk, config.tuner_trials, _job_seed(config.seed, kind, window, 0))
         params = study.best.params
         artifact.trials[(kind.value, window)] = study
 
     spec = ModelSpec(kind, params, seed=_job_seed(config.seed, kind, window, 1))
-    wf_config = WalkForwardConfig(window=window, mode=config.mode, retrain_stride=config.retrain_stride)
     for view in (backtest_view, forward_view):
-        outcome = evaluate_segment(
-            view,
-            spec,
-            wf_config,
-            cost,
-            dead_band=config.dead_band,
-            periods_per_year=config.periods_per_year,
-            train_view=train_view,
-        )
+        outcome = evaluate_segment(view, spec, walk, train_view=train_view)
         artifact.reports.append(outcome.report)
         artifact.curves[(kind.value, window, view.segment)] = outcome.curve
 
@@ -318,6 +285,8 @@ def run_experiment(
     """Execute the full pipeline and (optionally) persist under out_dir/run_id."""
     if series is None:
         series = load_candles(config)
+    if series.interval != config.interval:  # Sharpe is annualized from config.interval
+        raise DataError(f"series interval {series.interval}s differs from the config's interval {config.interval}s")
     dataset = prepare_dataset(series, config.indicators)
     seg = config.segment_split(series)
 
@@ -367,8 +336,15 @@ def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | Non
     (root / "report.json").write_text(artifact.report_json(), encoding="utf-8")
     if artifact.trials:
         (root / "trials.jsonl").write_text(artifact.trials_jsonl(), encoding="utf-8")
-    for (model, window, segment), curve in artifact.curves.items():
-        equity_path(root, model, window, segment).write_text(curve.to_csv(), encoding="utf-8")
+    else:  # an earlier run's trial log in this run directory goes, as do its curves below
+        (root / "trials.jsonl").unlink(missing_ok=True)
+    stale = set((root / "equity").glob("*.csv"))
+    for key, curve in artifact.curves.items():
+        path = equity_path(root, *key)
+        path.write_text(curve.to_csv(), encoding="utf-8")
+        stale.discard(path)
+    for path in stale:
+        path.unlink()
     logger.info("persisted run to %s", root)
     return root
 

@@ -12,17 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .candles import csv_text
-from .errors import NON_NEGATIVE_REAL, LengthMismatch, check_fields
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Fee in basis points of notional, charged per position change."""
-
-    fee_bps: float = 0.0
-
-    def __post_init__(self):
-        check_fields(self, fee_bps=NON_NEGATIVE_REAL)
+from .errors import NON_NEGATIVE_REAL, LengthMismatch
 
 
 @dataclass
@@ -75,14 +65,15 @@ class TradeLedger:
 def simulate(
     positions: PositionSeries,
     simple_returns: np.ndarray,
-    cost: CostModel = CostModel(),
+    fee_bps: float = 0.0,
 ) -> tuple[EquityCurve, TradeLedger]:
     """Run the position series against realized per-step simple returns.
 
-    The position at step t earns pos_t * r_t over (t, t+1]; fees apply on
-    every change from the previous position, with flat (0) as the state
-    before the first step.
+    The position at step t earns pos_t * r_t over (t, t+1]; a fee of fee_bps
+    basis points of notional applies on every change from the previous
+    position, with flat (0) as the state before the first step.
     """
+    NON_NEGATIVE_REAL.check("fee_bps", fee_bps)
     returns = np.asarray(simple_returns, dtype=np.float64)
     if returns.size != len(positions):
         raise LengthMismatch(f"{len(positions)} positions vs {returns.size} returns")
@@ -90,7 +81,7 @@ def simulate(
         raise ValueError("returns must be finite")
 
     pos = positions.positions.astype(np.float64)
-    fee = cost.fee_bps / 1e4
+    fee = fee_bps / 1e4
     prev = np.concatenate([[0.0], pos[:-1]])
     changed = pos != prev
     step = pos * returns - fee * changed

@@ -14,25 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabeledDataset, SegmentSplit, split
-from .errors import INTEGER, POSITIVE_INTEGER, AllTrialsFailed, check_fields
+from .errors import INTEGER, POSITIVE_INTEGER, AllTrialsFailed
 from .metrics import ClassifierReport, RegressorReport
 from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, Uniform, default_space
-from .trading import CostModel
 from .evaluation import evaluate_segment
 from .walkforward import WalkForwardConfig
 
 logger = logging.getLogger(__name__)
 
 _U64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class TunerConfig:
-    n_trials: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self, n_trials=POSITIVE_INTEGER, seed=INTEGER)
 
 
 @dataclass
@@ -102,43 +92,33 @@ def sample_params(space: HyperParamSpace, trial_seed: int) -> dict:
 
 def run_study(
     kind,
-    window: int,
     data: LabeledDataset,
     seg_split: SegmentSplit,
-    cost: CostModel,
-    config: TunerConfig,
-    mode: str = "trailing",
-    retrain_stride: int = 1,
-    dead_band: float = 0.0,
-    periods_per_year: float = 365.0,
+    config: WalkForwardConfig,
+    n_trials: int = 100,
+    seed: int = 0,
 ) -> TunerResult:
-    """Random-search study over one model kind at one window size, scoring
-    each trial by its PNL on the backtest segment.
+    """Random-search study of n_trials trials from the study seed over one
+    model kind, walked, traded and scored by config, each trial scored by its
+    PNL on the backtest segment.
 
     Failed trials score -inf (with the error recorded) instead of aborting
     the study; they can never become best unless every trial failed, which
     raises AllTrialsFailed.
     """
+    POSITIVE_INTEGER.check("n_trials", n_trials)
+    INTEGER.check("seed", seed)
     train_view, backtest_view, _ = split(data, seg_split)
     space = default_space(kind)
-    wf_config = WalkForwardConfig(window=window, mode=mode, retrain_stride=retrain_stride)
 
     trials: list[Trial] = []
     best: Trial | None = None
-    for index in range(config.n_trials):
-        trial_seed = derive_trial_seed(config.seed, index)
+    for index in range(n_trials):
+        trial_seed = derive_trial_seed(seed, index)
         params = sample_params(space, trial_seed)
         spec = ModelSpec(kind, params, seed=trial_seed)
         try:
-            outcome = evaluate_segment(
-                backtest_view,
-                spec,
-                wf_config,
-                cost,
-                dead_band=dead_band,
-                periods_per_year=periods_per_year,
-                train_view=train_view,
-            )
+            outcome = evaluate_segment(backtest_view, spec, config, train_view=train_view)
             trial = Trial(index, params, outcome.report.pnl_percent, report=outcome.report)
         except Exception as exc:  # noqa: BLE001 - a bad draw must not sink the study
             logger.warning("trial %d failed: %s", index, exc)
@@ -148,5 +128,5 @@ def run_study(
             best = trial
 
     if best is None:
-        raise AllTrialsFailed(f"all {config.n_trials} trials failed")
-    return TunerResult(space.kind, window, best, trials)
+        raise AllTrialsFailed(f"all {n_trials} trials failed")
+    return TunerResult(space.kind, config.window, best, trials)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DatasetView
-from .errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, InsufficientHistory, check_fields
+from .errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, POSITIVE_REAL, InsufficientHistory, check_fields
 from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
 from .models.base import classify_from_scores
 from .trading import PositionSeries
@@ -22,14 +22,23 @@ GLOBAL = "global"
 
 @dataclass(frozen=True)
 class WalkForwardConfig:
-    """window counts candle intervals (days at the default daily interval)."""
+    """How one (model, window) is walked, traded and scored: window counts
+    candle intervals (days at the default daily interval), fee_bps is charged
+    per position change, dead_band is a regressor's signal threshold, and
+    periods_per_year annualizes Sharpe."""
 
     window: int = 7
     mode: str = TRAILING
     retrain_stride: int = 1
+    fee_bps: float = 0.0
+    dead_band: float = 0.0
+    periods_per_year: float = 365.0
 
     def __post_init__(self):
-        check_fields(self, window=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER)  # both index rows
+        check_fields(
+            self, window=POSITIVE_INTEGER, retrain_stride=POSITIVE_INTEGER,  # both index rows
+            fee_bps=NON_NEGATIVE_REAL, dead_band=NON_NEGATIVE_REAL, periods_per_year=POSITIVE_REAL,
+        )
         if self.mode not in (TRAILING, GLOBAL):
             raise ValueError(f"mode must be {TRAILING!r} or {GLOBAL!r}")
 

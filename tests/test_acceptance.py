@@ -32,8 +32,8 @@ from quantroll.models import ALL_KINDS, ModelSpec, cart_best_split, fit, predict
 from quantroll.models.tree import gini_impurity, variance_impurity
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
 from quantroll.run import RunConfig, run_experiment
-from quantroll.trading import CostModel, PositionSeries, simulate
-from quantroll.tuner import TunerConfig, run_study
+from quantroll.trading import PositionSeries, simulate
+from quantroll.tuner import run_study
 from quantroll.walkforward import WalkForwardConfig, run_walkforward
 
 from .conftest import DAY, T0, bars_to_series, momentum_bars, random_walk_bars, trend_cycle_bars
@@ -153,18 +153,18 @@ def test_criterion_03_trading_properties():
             ts = np.arange(n, dtype=np.int64) * DAY + T0
             series = PositionSeries(ts, pos)
 
-            zero_fee, _ = simulate(series, rets, CostModel(0.0))
+            zero_fee, _ = simulate(series, rets, 0.0)
             expected = 0.0
             for p, r in zip(pos, rets):
                 expected += p * r
             assert zero_fee.equity[-1] == expected  # additivity, exact
 
-            finals = [simulate(series, rets, CostModel(f))[0].equity[-1] for f in (0.0, 2.0, 20.0, 200.0)]
+            finals = [simulate(series, rets, f)[0].equity[-1] for f in (0.0, 2.0, 20.0, 200.0)]
             assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))  # fee monotonicity
 
             assert zero_fee.equity[-1] <= np.abs(rets).sum() + 1e-12  # perfect-foresight bound
 
-            mirrored, _ = simulate(PositionSeries(ts, -pos), rets, CostModel(0.0))
+            mirrored, _ = simulate(PositionSeries(ts, -pos), rets, 0.0)
             np.testing.assert_allclose(mirrored.equity, -zero_fee.equity, rtol=0, atol=1e-15)  # sign symmetry
 
         best = np.array([0.01, -0.02, 0.0, 0.03])
@@ -382,12 +382,12 @@ def test_criterion_09_tuner_selects_k1(momentum_series, monkeypatch):
         # pre-establish the optimum by exhaustive sweep
         sweep = {}
         for k in range(1, 26):
-            out = evaluate_segment(back, ModelSpec("knn_c", {"k": k}), WalkForwardConfig(window=8), CostModel(), train_view=train)
+            out = evaluate_segment(back, ModelSpec("knn_c", {"k": k}), WalkForwardConfig(window=8), train_view=train)
             sweep[k] = out.report.pnl_percent
         best_k = max(sorted(sweep), key=lambda k: sweep[k])
         assert best_k in (1, 2)
 
-        result = run_study("knn_c", 8, ds, seg, CostModel(), TunerConfig(n_trials=100, seed=41))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=8), n_trials=100, seed=41)
         assert len(result.trials) == 100
         assert result.best.params["k"] in (1, 2)
         assert result.best.objective == pytest.approx(sweep[result.best.params["k"]], abs=1e-9)
@@ -404,7 +404,7 @@ def test_criterion_09_tuner_selects_k1(momentum_series, monkeypatch):
             return real(view, spec, *args, **kwargs)
 
         monkeypatch.setattr(tuner_mod, "evaluate_segment", flaky)
-        flaky_result = run_study("knn_c", 8, ds, seg, CostModel(), TunerConfig(n_trials=40, seed=42))
+        flaky_result = run_study("knn_c", ds, seg, WalkForwardConfig(window=8), n_trials=40, seed=42)
         failed = [t for t in flaky_result.trials if t.error is not None]
         assert failed
         assert all(t.objective == float("-inf") for t in failed)

@@ -15,15 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.candles import CandleSeries, serialize_candles_csv
-from quantroll.errors import ConfigError, MalformedRow, MixedTasks, UnknownSelector
+from quantroll.errors import ConfigError, DataError, MalformedRow, MixedTasks, UnknownSelector
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
 from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, persist_artifact, run_experiment
-from quantroll.trading import CostModel
-from quantroll.tuner import TunerConfig
 from quantroll.walkforward import WalkForwardConfig
-from quantroll import cli, run as run_module
+from quantroll import cli, run as run_module, tuner as tuner_mod
 
 from .conftest import DAY, T0, bars_to_series, random_walk_bars
 
@@ -247,9 +245,8 @@ SETTINGS = [
     *((IndicatorConfig, name, "positive real") for name in ("bb_k", "kc_mult", "sar_af_start", "sar_af_step", "sar_af_max")),
     (WalkForwardConfig, "window", "positive integer"),
     (WalkForwardConfig, "retrain_stride", "positive integer"),
-    (TunerConfig, "n_trials", "positive integer"),
-    (TunerConfig, "seed", "integer"),
-    (CostModel, "fee_bps", "non-negative real"),
+    *((WalkForwardConfig, name, "non-negative real") for name in ("fee_bps", "dead_band")),
+    (WalkForwardConfig, "periods_per_year", "positive real"),
     (CandleSeries, "interval", "positive integer"),
 ]
 
@@ -397,6 +394,16 @@ class TestRunExperiment:
 
         with pytest.raises(DataError):
             run_experiment(config, persist=False)
+
+    def test_series_of_another_interval_refused(self, csv_path, tmp_path, monkeypatch):
+        """A series passed in is held to the config's interval, which annualizes Sharpe."""
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path, models=["ols_r"], windows=[7]))
+        daily = bars_to_series(random_walk_bars(N_BARS, seed=31))
+        assert run_experiment(config, series=daily, persist=False).report_rows() == run_experiment(config, persist=False).report_rows()
+        hourly = bars_to_series(random_walk_bars(N_BARS * 24, seed=31), interval=3600)
+        monkeypatch.setattr(run_module, "prepare_dataset", lambda *args: pytest.fail("a job ran"))
+        with pytest.raises(DataError, match="^series interval 3600s differs from the config's interval 86400s$"):
+            run_experiment(config, series=hourly, persist=False)
 
     def test_broken_row_before_split_refused(self, tmp_path):
         """Every row of the candle file is checked, also one before train_start."""
@@ -813,6 +820,17 @@ class TestCli:
         assert err[-1].startswith(f"configuration error: cannot write {out}") and "No such file or directory" in err[-1]
         assert not (tmp_path / "missing").exists()
 
+    def test_tune_out_naming_a_directory_exit_1_before_any_trial(self, csv_path, tmp_path, capsys, monkeypatch):
+        trials = []
+        monkeypatch.setattr(tuner_mod, "evaluate_segment", lambda *args, **kwargs: trials.append(args))
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path / "runs"))
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert self.run_cli(*WRITING_COMMANDS["tune"](str(csv_path), cfg, "unused", str(out))) == 1
+        assert capsys.readouterr().err == f"configuration error: cannot write {out}: Is a directory: {str(out)!r}\n"
+        assert trials == []
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["run", "tune"])
     def test_unwritable_output_found_before_data_read(self, tmp_path, capsys, command):
         """An output under a regular file fails before the candles are read: the
@@ -875,6 +893,26 @@ class TestCli:
 
         assert self.run_cli("export-equity", "--run-dir", str(run_dir), "--model", "bogus", "--window", "7", "--segment", "backtest") == 1
         assert "configuration error: unknown model kind 'bogus'" in capsys.readouterr().err
+
+    def test_rerun_into_a_run_id_replaces_its_trials_and_curves(self, csv_path, tmp_path, capsys):
+        """An untuned run into the directory of a tuned one leaves no trial log
+        or curve of the first run behind, and no other file is touched."""
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path / "runs"))
+        argv = ["run", "--config", cfg, "--run-id", "same"]
+        assert self.run_cli(*argv, "--models", "knn_c,ols_r", "--windows", "3,5", "--tuner-trials", "2") == 0
+        run_dir = tmp_path / "runs" / "same"
+        assert (run_dir / "trials.jsonl").exists() and len(list((run_dir / "equity").iterdir())) == 8
+        (run_dir / "notes.txt").write_text("kept", encoding="utf-8")
+        (run_dir / "equity" / "notes.txt").write_text("kept", encoding="utf-8")
+        assert self.run_cli(*argv, "--models", "ridge_c", "--windows", "3") == 0
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.json", "equity", "notes.txt", "report.json"]
+        assert sorted(p.name for p in (run_dir / "equity").iterdir()) == [
+            "notes.txt", "ridge_c_3_backtest.csv", "ridge_c_3_forward.csv"]
+        capsys.readouterr()
+        export = ["export-equity", "--run-dir", str(run_dir), "--window", "3", "--segment", "backtest"]
+        assert self.run_cli(*export, "--model", "knn_c") == 3
+        assert "no equity curve at" in capsys.readouterr().err
+        assert self.run_cli(*export, "--model", "ridge_c") == 0
 
     REPORT_ROW = {
         "task": "classifier", "model": "knn_c", "window": 7, "segment": "backtest", "pnl_percent": 1, "sharpe": None,

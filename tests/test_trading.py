@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.errors import LengthMismatch
-from quantroll.trading import CostModel, EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate
+from quantroll.trading import EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate
 
 from .conftest import DAY, T0
 from .reference import ref_simulate
@@ -22,7 +22,7 @@ class TestSimulate:
         assert ledger.count == 1
 
     def test_three_flips_at_ten_bps(self):
-        curve, ledger = simulate(positions_of([1, -1, 1]), np.zeros(3), CostModel(fee_bps=10.0))
+        curve, ledger = simulate(positions_of([1, -1, 1]), np.zeros(3), fee_bps=10.0)
         assert curve.equity[-1] == pytest.approx(-0.003, abs=1e-15)
         assert ledger.count == 3
 
@@ -32,11 +32,11 @@ class TestSimulate:
         assert ledger.count == 0
 
     def test_entry_is_charged(self):
-        curve, _ = simulate(positions_of([1]), np.array([0.0]), CostModel(fee_bps=25.0))
+        curve, _ = simulate(positions_of([1]), np.array([0.0]), fee_bps=25.0)
         assert curve.equity[0] == pytest.approx(-0.0025)
 
     def test_flip_is_one_fee(self):
-        _, ledger = simulate(positions_of([1, -1]), np.zeros(2), CostModel(fee_bps=10.0))
+        _, ledger = simulate(positions_of([1, -1]), np.zeros(2), fee_bps=10.0)
         assert ledger.count == 2  # entry + one flip
         assert ledger.old_positions[1] == 1
         assert ledger.new_positions[1] == -1
@@ -52,7 +52,7 @@ class TestSimulate:
             pos = rng.choice([-1, 0, 1], size=n)
             rets = rng.normal(0, 0.02, n)
             fee = float(rng.choice([0.0, 5.0, 25.0]))
-            curve, ledger = simulate(positions_of(pos), rets, CostModel(fee))
+            curve, ledger = simulate(positions_of(pos), rets, fee)
             ref_equity, ref_trades = ref_simulate(list(pos), list(rets), fee)
             np.testing.assert_allclose(curve.equity, ref_equity, rtol=0, atol=1e-12)
             assert ledger.count == ref_trades
@@ -112,7 +112,7 @@ def test_zero_fee_additivity(pos, seed):
 def test_fee_monotonicity_and_bound_and_symmetry(pos, seed):
     rets = np.random.default_rng(seed).normal(0, 0.05, len(pos))
     fees = [0.0, 1.0, 10.0, 100.0]
-    finals = [simulate(positions_of(pos), rets, CostModel(f))[0].equity[-1] for f in fees]
+    finals = [simulate(positions_of(pos), rets, f)[0].equity[-1] for f in fees]
     assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))
 
     assert finals[0] <= np.abs(rets).sum() + 1e-12
@@ -136,7 +136,7 @@ class TestTypes:
 
     def test_negative_fee_rejected(self):
         with pytest.raises(ValueError):
-            CostModel(fee_bps=-1.0)
+            simulate(positions_of([1]), np.zeros(1), fee_bps=-1.0)
 
     def test_equity_csv(self):
         curve, _ = simulate(positions_of([1, -1]), np.array([0.01, 0.02]))

@@ -8,8 +8,8 @@ from quantroll.dataset import SegmentSplit, build_features, label, log_diff
 from quantroll.errors import AllTrialsFailed
 from quantroll.indicators import IndicatorConfig
 from quantroll.models import HyperParamSpace, IntRange, LogUniform, Uniform, default_space
-from quantroll.trading import CostModel
-from quantroll.tuner import TunerConfig, derive_trial_seed, run_study, sample_params
+from quantroll.tuner import derive_trial_seed, run_study, sample_params
+from quantroll.walkforward import WalkForwardConfig
 
 from .conftest import DAY, T0, bars_to_series, random_walk_bars
 
@@ -81,21 +81,21 @@ class TestSampling:
 class TestRunStudy:
     def test_single_trial_is_best(self, study_data):
         ds, seg = study_data
-        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=1, seed=3))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=1, seed=3)
         assert result.best.index == 0
         assert len(result.trials) == 1
         assert result.best.objective == result.best.report.pnl_percent
 
     def test_rerun_byte_identical(self, study_data):
         ds, seg = study_data
-        a = run_study("ridge_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=8, seed=11))
-        b = run_study("ridge_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=8, seed=11))
+        a = run_study("ridge_c", ds, seg, WalkForwardConfig(window=7), n_trials=8, seed=11)
+        b = run_study("ridge_c", ds, seg, WalkForwardConfig(window=7), n_trials=8, seed=11)
         assert a.to_jsonl() == b.to_jsonl()
         assert a.best.index == b.best.index
 
     def test_best_is_max_with_lowest_index_on_ties(self, study_data):
         ds, seg = study_data
-        result = run_study("ols_r", 7, ds, seg, CostModel(), TunerConfig(n_trials=5, seed=2))
+        result = run_study("ols_r", ds, seg, WalkForwardConfig(window=7), n_trials=5, seed=2)
         # ols_r has an empty space: every trial scores identically; ties -> index 0
         objectives = [t.objective for t in result.trials]
         assert all(o == objectives[0] for o in objectives)
@@ -111,7 +111,7 @@ class TestRunStudy:
             return real(view, spec, *args, **kwargs)
 
         monkeypatch.setattr(tuner_mod, "evaluate_segment", flaky)
-        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=30, seed=5))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=30, seed=5)
         failed = [t for t in result.trials if t.error is not None]
         assert failed, "expected some simulated failures"
         for trial in failed:
@@ -128,13 +128,13 @@ class TestRunStudy:
 
         monkeypatch.setattr(tuner_mod, "evaluate_segment", never)
         with pytest.raises(AllTrialsFailed):
-            run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=3, seed=1))
+            run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=3, seed=1)
 
     def test_trial_log_format(self, study_data):
         import json
 
         ds, seg = study_data
-        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=3, seed=9))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=3, seed=9)
         lines = result.to_jsonl().strip().split("\n")
         assert len(lines) == 3
         for i, line in enumerate(lines):
@@ -144,20 +144,23 @@ class TestRunStudy:
 
     def test_trial_independence(self, study_data):
         ds, seg = study_data
-        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=12, seed=6))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=12, seed=6)
         survivors = [t for t in result.trials if t.index != result.best.index + 1]
         best_again = max(survivors, key=lambda t: (t.objective, -t.index))
         assert best_again.params == result.best.params
 
     def test_objective_is_backtest_pnl(self, study_data):
         ds, seg = study_data
-        result = run_study("knn_c", 7, ds, seg, CostModel(), TunerConfig(n_trials=3, seed=4))
+        result = run_study("knn_c", ds, seg, WalkForwardConfig(window=7), n_trials=3, seed=4)
         assert {t.report.segment for t in result.trials} == {"backtest"}
         assert [t.objective for t in result.trials] == [t.report.pnl_percent for t in result.trials]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="n_trials must be positive integer, got 0"):
-            TunerConfig(n_trials=0)
-        for bad in (2.5, True):
+    def test_config_validation(self, study_data):
+        ds, seg = study_data
+        config = WalkForwardConfig(window=7)
+        for bad in (0, 2.5, True):
             with pytest.raises(ValueError, match=f"n_trials must be positive integer, got {bad!r}"):
-                TunerConfig(n_trials=bad)
+                run_study("knn_c", ds, seg, config, n_trials=bad)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"seed must be integer, got {bad!r}"):
+                run_study("knn_c", ds, seg, config, n_trials=1, seed=bad)
