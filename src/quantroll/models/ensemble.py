@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .base import last_axis_mean
 from .tree import GINI, VARIANCE, _Grown
 
 
@@ -25,14 +26,14 @@ class _ForestClassifierBase(_ForestBase):
     criterion = GINI
 
     def scores(self, X) -> np.ndarray:
-        return self.member_predictions(X).astype(np.float64).mean(axis=0) / 2.0  # up share of the votes - 0.5
+        return last_axis_mean(self.member_predictions(X).astype(np.float64)) / 2.0  # up share of the votes - 0.5
 
 
 class _ForestRegressorBase(_ForestBase):
     criterion = VARIANCE
 
     def scores(self, X) -> np.ndarray:
-        return self.member_predictions(X).mean(axis=0)
+        return last_axis_mean(self.member_predictions(X))  # each C-order row of members sums as it would alone
 
 
 class BaggingClassifier(_ForestClassifierBase):

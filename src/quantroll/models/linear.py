@@ -114,8 +114,8 @@ class _GradientDescent(_Linear, StandardizerMixin):
         batches = [(Xo[s : s + batch], to[s : s + batch], np.array(float(min(batch, n - s)))) for s in range(0, n, batch)]
         dloss, lr = self._dloss_dmargin, np.array(float(self.learning_rate))
         for order in orders:
-            np.take(Xz, order, axis=0, out=Xo)
-            np.take(t, order, out=to)
+            Xz.take(order, 0, Xo)
+            t.take(order, out=to)
             for Xb, tb, size in batches:
                 w = w - Xb.T.dot(dloss(Xb.dot(w), tb)) / size * lr
         self.weights_ = w
@@ -180,12 +180,14 @@ class PerceptronClassifier(_Linear):
     def fit(self, X, y, memo: dict | None = None) -> "PerceptronClassifier":
         Xa = _augment(X)
         w = np.zeros(Xa.shape[1])
-        rows = [(yi, xi, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]
+        # yi * m <= 0 is m <= 0 for an up row and m >= 0 for a down row, for +-0, +-inf and NaN alike
+        rows = [(xi.dot, yi > 0, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]
         for _ in range(self.epochs):
             mistakes = 0
-            for yi, xi, update in rows:
-                if yi * xi.dot(w) <= 0:
-                    w = w + update
+            for dot, up, update in rows:
+                m = dot(w)
+                if m <= 0.0 if up else m >= 0.0:
+                    w += update
                     mistakes += 1
             if mistakes == 0:
                 break

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Estimator, StandardizerMixin
+from .base import Estimator, StandardizerMixin, last_axis_mean
 
 
 class _KNNBase(Estimator, StandardizerMixin):
@@ -22,8 +22,8 @@ class _KNNBase(Estimator, StandardizerMixin):
         """
         Xz = self.standardize(np.asarray(X, dtype=np.float64))
         k = min(self.k, self.rows_.shape[0])
-        d2 = ((Xz[:, None, :] - self.rows_[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        d2 = np.add.reduce((Xz[:, None, :] - self.rows_[None, :, :]) ** 2, 2)
+        order = d2.argsort(axis=1, kind="stable")[:, :k]
         return self.targets_[order]
 
 
@@ -31,11 +31,11 @@ class KNNClassifier(_KNNBase):
     """Vote of the k nearest neighbours; the score is the up-share minus 0.5."""
 
     def scores(self, X) -> np.ndarray:
-        return self._neighbor_targets(X).mean(axis=1) / 2.0
+        return last_axis_mean(self._neighbor_targets(X)) / 2.0
 
 
 class KNNRegressor(_KNNBase):
     """Mean target of the k nearest neighbours."""
 
     def scores(self, X) -> np.ndarray:
-        return self._neighbor_targets(X).mean(axis=1)
+        return last_axis_mean(self._neighbor_targets(X))

@@ -8,8 +8,9 @@ leftmost open node, its next in depth-first preorder, so every member draws in t
 left-first growth. One stable sort by size orders the taken nodes, largest first, into padded batches of at
 most _BATCH_CELLS (node, column, row) cells. The search rounds as a per-node search does: +inf padding sorts
 after a node's rows, prefix sums are sequential, and means and variances reduce equal-size nodes stacked
-along the last axis. Fitted trees are flat node arrays with one root per member; prediction walks all
-members for all rows together, one level per vectorised step.
+along the last axis. Fitted trees are flat node arrays with one root per member, in which a leaf is its own
+child; prediction moves all rows through all members together in exactly as many vectorised steps as the
+deepest leaf's depth, with no test for which rows have arrived.
 
 A member's draws depend only on its seed, the row count and the settings, never on X or y, so a
 caller that refits on equal-length windows may pass one memo dict to every fit: the first fit
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..direction import DOWN, UP
-from .base import Estimator
+from .base import Estimator, last_axis_mean
 
 GINI = "gini"
 VARIANCE = "variance"
@@ -47,10 +48,9 @@ def gini_impurity(y: np.ndarray) -> float:
 
 def _mean_var(Y: np.ndarray):
     """np.mean and np.var along the last axis, in their exact steps but without their per-call overhead."""
-    n = Y.shape[-1]
-    mean = np.add.reduce(Y, axis=-1) / n
+    mean = last_axis_mean(Y)
     d = Y - mean[..., None]
-    return mean, np.add.reduce(d * d, axis=-1) / n
+    return mean, last_axis_mean(d * d)
 
 
 def variance_impurity(y: np.ndarray) -> float:
@@ -155,31 +155,29 @@ def cart_best_split(
 
 @dataclass(frozen=True)
 class FlatTrees:
-    """Fitted trees as flat node arrays; member i's root is node roots[i].
+    """Fitted trees as flat node arrays; member i's root is node roots[i], and no leaf is deeper than depth.
 
-    Node j's children are left[j] and left[j] + 1, and feature[j] is -1 at a leaf. value is a node's
-    mean target (up share under Gini) and label its majority class, ties down.
+    A row goes from node j to child[j, x[feature[j]] <= threshold[j]]: child[j] holds j's right child, then its
+    left one, and a leaf's holds the leaf itself twice. feature[j] is -1 at a leaf. value is a node's mean
+    target (up share under Gini) and label its majority class, ties down.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
+    child: np.ndarray
     value: np.ndarray
     label: np.ndarray
     roots: np.ndarray
+    depth: int
 
     def leaves(self, X) -> np.ndarray:
-        """(members, rows) index of the leaf each member sends each row of X to."""
+        """(rows, members) index of the leaf each member sends each row of X to, in C order."""
         X = np.asarray(X, dtype=np.float64)
-        rows = np.arange(X.shape[0])
-        node = np.repeat(self.roots[:, None], X.shape[0], axis=1)
-        while True:
-            feature = self.feature[node]
-            inner = feature >= 0
-            if not inner.any():
-                return node
-            go_left = X[rows, feature] <= self.threshold[node]
-            node = np.where(inner, self.left[node] + ~go_left, node)
+        rows = np.arange(X.shape[0])[:, None]
+        node = np.repeat(self.roots[None], X.shape[0], axis=0)
+        for _ in range(self.depth):  # a NaN fails the <= test and goes right
+            node = self.child[node, (X[rows, self.feature[node]] <= self.threshold[node]).view(np.int8)]
+        return node
 
 
 def _node_stats(Y: np.ndarray, n: np.ndarray, criterion: str):
@@ -252,8 +250,8 @@ def grow_forest(
     XT, y_pad = np.concatenate([X.T, np.full((width, 1), np.inf)], axis=1), np.append(y, 0.0)  # row n_rows pads
     depth_cap, min_split = np.inf if max_depth is None else max_depth, max(2, 2 * min_leaf)
     scanned = max_features if subsample else width  # the columns a split searches
-    means, splits = [], []  # of each batch: (nodes, means) and (split nodes, features, thresholds, left children)
-    n_nodes = len(members)  # node i is member i's root
+    means, splits = [], []  # of each batch: (nodes, means) and (split nodes, features, thresholds, child rows)
+    n_nodes, depth = len(members), 0  # node i is member i's root
     roots = np.arange(n_nodes)
     nodes = roots[:, None] * (1, n_rows, n_rows, 0, 1) + (0, 0, n_rows, 0, 0)  # the roots, by position in rows
     while len(nodes):  # each step takes all nodes, level by level, but members that draw while they grow
@@ -304,18 +302,20 @@ def grow_forest(
             kids[:, DEPTH] += 1
             kids[:, ID] = np.arange(n_nodes, n_nodes + 2 * split.size)
             n_nodes += 2 * split.size
-            splits.append((T[split, ID], feature, threshold, kids[0::2, ID].copy()))
+            splits.append((T[split, ID], feature, threshold, kids[:, ID].reshape(-1, 2)[:, ::-1]))  # right, left
+            depth = max(depth, int(kids[:, DEPTH].max(initial=0)))
             children.insert(-1, kids)  # before the open nodes left, so a lone member's stay in preorder
         nodes = np.concatenate(children)
         if len(members) > 1 and (random_split or subsample):
             nodes = nodes[np.argsort(nodes[:, LO])]
-    value, feature, threshold, left = np.empty(n_nodes), np.full(n_nodes, -1), np.zeros(n_nodes), np.full(n_nodes, -1)
+    value, feature, threshold = np.empty(n_nodes), np.full(n_nodes, -1), np.zeros(n_nodes)
+    child = np.arange(n_nodes)[:, None].repeat(2, axis=1)  # a leaf is its own child on both sides
     for ids, mean in means:
         value[ids] = mean
     for ids, *split in splits:
-        feature[ids], threshold[ids], left[ids] = split
+        feature[ids], threshold[ids], child[ids] = split
     label = np.where(value > 0.5, UP, DOWN).astype(np.int8)  # ties resolve down
-    return FlatTrees(feature, threshold, left, value, label, roots)
+    return FlatTrees(feature, threshold, child, value, label, roots, depth)
 
 
 def _resolve_max_features(setting: str, width: int) -> int | None:
@@ -345,7 +345,7 @@ class _Grown(Estimator):
         return self
 
     def member_predictions(self, X) -> np.ndarray:
-        """(n_members, rows): each member's label (Gini) or value (variance)."""
+        """(rows, members), C order: each member's label (Gini) or value (variance)."""
         leaves = self.trees_.leaves(X)
         return (self.trees_.label if self.criterion == GINI else self.trees_.value)[leaves]
 
@@ -357,7 +357,7 @@ class _TreeBase(_Grown):
         self.seed = seed
 
     def scores(self, X) -> np.ndarray:
-        return self.member_predictions(X)[0]
+        return self.member_predictions(X)[:, 0]
 
 
 class DecisionTreeClassifier(_TreeBase):
@@ -366,7 +366,7 @@ class DecisionTreeClassifier(_TreeBase):
     criterion = GINI
 
     def scores(self, X) -> np.ndarray:
-        return self.trees_.value[self.trees_.leaves(X)[0]] - 0.5
+        return self.trees_.value[self.trees_.leaves(X)[:, 0]] - 0.5
 
 
 class DecisionTreeRegressor(_TreeBase):

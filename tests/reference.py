@@ -357,15 +357,14 @@ def ref_leaf_for(root, x):
     return node
 
 
-def ref_tree_kind(kind, X, y, Xq, params, seed):
-    """(predict, decision_function or None) of one tree or forest kind, fitted the recursive way.
+def ref_tree_roots(kind, X, y, params, seed):
+    """The root RefNode of each member of one tree or forest kind, grown the recursive way.
 
     y holds +1/-1 labels for the _c kinds. params are the kind's
     hyperparameters as the estimators take them.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    Xq = np.asarray(Xq, dtype=np.float64)
     criterion = "gini" if kind.endswith("_c") else "variance"
     max_depth = params.get("max_depth")
     min_leaf = params.get("min_samples_leaf", 1)
@@ -387,6 +386,14 @@ def ref_tree_kind(kind, X, y, Xq, params, seed):
             else:
                 Xs, ys = X, y
             roots.append(ref_grow(Xs, ys, 0, rng, criterion, False, max_depth, min_leaf, max_features))
+    return roots
+
+
+def ref_tree_kind(kind, X, y, Xq, params, seed):
+    """(predict, decision_function or None) of one tree or forest kind, fitted the recursive way."""
+    Xq = np.asarray(Xq, dtype=np.float64)
+    criterion = "gini" if kind.endswith("_c") else "variance"
+    roots = ref_tree_roots(kind, X, y, params, seed)
     if len(roots) == 1 and kind.startswith(("decision_tree", "extra_tree")):
         leaves = [ref_leaf_for(roots[0], row) for row in Xq]
         if criterion == "gini":
@@ -400,7 +407,7 @@ def ref_tree_kind(kind, X, y, Xq, params, seed):
         scores = votes.astype(np.float64).mean(axis=0) / 2.0
         return np.where(scores > 0, UP, DOWN).astype(np.int8), scores
     values = np.stack([np.array([ref_leaf_for(r, row).value for row in Xq]) for r in roots])
-    return values.mean(axis=0), None
+    return np.array([np.mean(values[:, q]) for q in range(len(Xq))]), None  # each row's members alone
 
 
 def ref_augment(X):

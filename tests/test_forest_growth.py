@@ -1,4 +1,5 @@
-"""The batched forest grower against the recursive reference, its memory bound, and the generators it builds."""
+"""The batched forest grower and the fixed-depth leaf walk against the recursive reference, the grower's memory
+bound, and the generators it builds."""
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,14 @@ from quantroll.models.base import classify_from_scores
 from quantroll.models.tree import _mean_var
 from quantroll.tuner import sample_params
 
-from .reference import ref_impurity, ref_random_split, ref_scan_exhaustive, ref_tree_kind
+from .reference import (
+    ref_impurity,
+    ref_leaf_for,
+    ref_random_split,
+    ref_scan_exhaustive,
+    ref_tree_kind,
+    ref_tree_roots,
+)
 
 TREE_KINDS = (
     "decision_tree_c", "extra_tree_c", "random_forest_c", "bagging_c",
@@ -154,6 +162,59 @@ def test_tuner_draws_cover_wide_root_only_and_deep_forests():
     assert any(2 * p["min_samples_leaf"] > 28 for p in draws)  # every member is its root, at both window sizes
     assert any(p["min_samples_leaf"] <= 3 and p["max_depth"] >= 8 for p in draws)
     assert {p["max_features"] for p in draws if "max_features" in p} == {"all", "sqrt", "log2"}
+
+
+def reference_nodes(trees, roots):
+    """Each flat node's RefNode, found by walking every member's flat tree and its recursive twin together; both
+    must split alike at every node, and a flat leaf must be its own child on both sides."""
+    found, stack = {}, list(zip(trees.roots.tolist(), roots))
+    while stack:
+        j, node = stack.pop()
+        found[j] = node
+        assert (trees.feature[j] >= 0) == (node.left is not None)
+        if node.left is None:
+            assert trees.child[j].tolist() == [j, j]
+        else:
+            assert (trees.feature[j], trees.threshold[j]) == (node.feature, node.threshold)
+            stack += [(int(trees.child[j, 1]), node.left), (int(trees.child[j, 0]), node.right)]
+    return found
+
+
+def ref_depth(node):
+    return 0 if node.left is None else 1 + max(ref_depth(node.left), ref_depth(node.right))
+
+
+def chain_forest(kind):
+    """A 100-member, max_depth 12 forest on 28 rows whose labels alternate along three monotone columns, so that
+    splits peel off one row at a time, beside five constant columns; a member whose drawn columns are all
+    constant at its root stays a root."""
+    X = np.ones((28, 8))
+    X[:, 5], X[:, 6], X[:, 7] = np.arange(28), 2.0 * np.arange(28), np.arange(28) ** 1.5
+    y = np.where(np.arange(28) % 2 == 0, UP, DOWN).astype(np.float64)
+    if task_of(kind) == "regressor":
+        y = 0.01 * y
+    params = {"n_members": 100, "max_depth": 12, "max_features": "log2", "bootstrap": False}
+    return fit(ModelSpec(kind, params, seed=0), X, y).estimator.trees_, ref_tree_roots(kind, X, y, params, 0)
+
+
+@pytest.mark.parametrize("kind", ["random_forest_c", "random_forest_r"])
+def test_leaf_walk_matches_reference_leaves(kind):
+    """Root-only and depth-12 members in one forest; one-row and 300-row batches; NaN, +-inf and +-0 entries
+    go to FlatTrees.leaves directly and route as the recursive walk's `x <= threshold` does."""
+    trees, roots = chain_forest(kind)
+    nodes = reference_nodes(trees, roots)
+    depths = [ref_depth(root) for root in roots]
+    assert trees.depth == max(depths) == 12 and 0 in depths
+    rng = np.random.default_rng(12)
+    Xq = rng.uniform(-3.0, 160.0, size=(300, 8))
+    special = rng.random(Xq.shape) < 0.2
+    Xq[special] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=int(special.sum()))
+    Xq[:5, 5:] = [[np.nan], [np.inf], [-np.inf], [0.0], [-0.0]]
+    leaves = trees.leaves(Xq)
+    assert leaves.shape == (300, 100) and leaves.flags.c_contiguous
+    for q, x in enumerate(Xq):
+        assert [nodes[j] for j in leaves[q].tolist()] == [ref_leaf_for(root, x) for root in roots]
+        assert trees.leaves(x[None]).tolist() == [leaves[q].tolist()]
 
 
 def test_stacked_mean_var_rounds_as_numpy_per_row():

@@ -1,9 +1,10 @@
 """Seeded bit-identity checks of the gradient-descent epoch, the perceptron
 sweep and the one-row predict path against the straight-line loops in
-tests/reference.py, of each kind's `score_row` against its own `scores`
-on a one-row matrix, of the linear kinds' batch scores against `score_row`,
-and of fits through a shared draw memo against fresh fits. Every comparison
-is exact equality, never a tolerance."""
+tests/reference.py, of the scaler's and the vote scores' direct reductions
+against numpy's mean and std, of each kind's `score_row` against its own
+`scores` on a one-row matrix, of batch scores against `score_row`, and of
+fits through a shared draw memo against fresh fits. Every comparison is exact
+equality, never a tolerance."""
 import dataclasses
 import math
 
@@ -33,6 +34,7 @@ from quantroll.models.linear import (
     SGDRegressor,
 )
 from quantroll.models.naive_bayes import BernoulliNBClassifier
+from quantroll.models.neighbors import KNNClassifier, KNNRegressor
 
 from .reference import ref_gd_weights, ref_perceptron_weights, ref_row_score
 
@@ -83,6 +85,49 @@ def test_perceptron_weights_match_indexed_sweep(seed):
     epochs = int(rng.integers(1, 201))
     est = PerceptronClassifier(learning_rate=learning_rate, epochs=epochs).fit(X, y)
     assert np.array_equal(est.weights_, ref_perceptron_weights(X, y, learning_rate, epochs))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_perceptron_sweep_on_zero_inf_and_nan_margins(seed):
+    """Entries fitted directly, past the fit checks, make margins of +-0, +-inf and NaN; the sweep's sign tests
+    treat each as `y * margin <= 0` does."""
+    rng, X, y, _ = case_data(300 + seed, n_max=20)
+    special = rng.random(X.shape) < 0.2
+    X[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308], size=int(special.sum()))
+    X[: 1 + seed % 3] = 0.0  # all-zero rows: the first margins are exactly zero
+    learning_rate, epochs = float(10 ** rng.uniform(-4.0, 0.3)), int(rng.integers(1, 30))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = PerceptronClassifier(learning_rate=learning_rate, epochs=epochs).fit(X, y).weights_
+        want = ref_perceptron_weights(X, y, learning_rate, epochs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 7, 8, 9, 28, 129, 1000, 3000])
+def test_direct_reductions_equal_numpy_mean_and_std(rows):
+    """The scaler's and the KNN and forest vote scores' add.reduce steps give the bits of X.mean(axis=0),
+    X.std(axis=0) and the np.mean vote formulas, constant columns included."""
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, 6)) * 10.0 ** rng.uniform(-3.0, 6.0, size=6) + rng.normal(size=6) * 1e3
+    X[:, 1], X[:, 4], X[:, 5] = 2.5, -0.0, 7.3  # 7.3's mean rounds, so its deviation is tiny but not zero
+    y = np.where(rng.normal(size=rows) > 0, UP, DOWN).astype(np.float64)
+    y[:2] = (UP, DOWN)
+    est = SGDRegressor()
+    est._fit_scaler(X)
+    std = X.std(axis=0)
+    assert est.scaler_mean_.tobytes() == X.mean(axis=0).tobytes()
+    assert est.scaler_scale_.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+    assert est.scaler_scale_[1] == est.scaler_scale_[4] == 1.0
+    Q = X[rng.integers(0, rows, size=40)] + rng.normal(size=(40, 6))
+    k = int(rng.integers(1, 26))
+    knn_c, knn_r = KNNClassifier(k).fit(X, y), KNNRegressor(k).fit(X, y * rng.uniform(0.0, 0.02, rows))
+    assert knn_c.scores(Q).tobytes() == (np.mean(knn_c._neighbor_targets(Q), axis=1) / 2.0).tobytes()
+    assert knn_r.scores(Q).tobytes() == np.mean(knn_r._neighbor_targets(Q), axis=1).tobytes()
+    if rows <= 129:  # forests: the rows are the query's
+        for kind, target in (("random_forest_c", y), ("bagging_r", y * 0.01)):
+            est = fit(ModelSpec(kind, {"n_members": int(rng.integers(1, 40))}, seed=rows), X, target).estimator
+            votes = est.member_predictions(Q)
+            want = np.mean(votes.astype(np.float64), axis=1) / 2.0 if kind.endswith("_c") else [np.mean(v) for v in votes]
+            assert est.scores(Q).tobytes() == np.asarray(want).tobytes()
 
 
 @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
@@ -188,11 +233,12 @@ def test_score_row_with_a_constant_scaler_column(kind):
 @pytest.mark.parametrize("kind", [
     "ols_r", "ridge_r", "ridge_c", "sgd_r", "sgd_c", "logistic_c", "perceptron_c",
     "knn_c", "knn_r", "decision_tree_c", "decision_tree_r", "extra_tree_c", "extra_tree_r", "random_forest_c", "bagging_c",
+    "random_forest_r", "bagging_r",
 ])
 def test_batch_scores_are_row_count_invariant(kind):
     """`scores` on batches of 1-1000 rows gives each row the bits `score_row`
     gives it alone, whichever BLAS kernel a matrix product would pick.
-    bernoulli_nb_c, random_forest_r and bagging_r do not hold to this yet."""
+    bernoulli_nb_c does not hold to this yet."""
     rng, X, y_class, y_reg = case_data(230, n_max=40)
     est = fit(ModelSpec(kind, seed=3), X, y_class if task_of(kind) == CLASSIFIER else y_reg).estimator
     queries = one_row_queries(rng, X, 5550)
@@ -269,7 +315,7 @@ SHARED_MEMO_CASES = {
 def fitted_arrays(model):
     est = model.estimator
     if hasattr(est, "trees_"):
-        return [getattr(est.trees_, f.name) for f in dataclasses.fields(est.trees_)]
+        return [np.asarray(getattr(est.trees_, f.name)) for f in dataclasses.fields(est.trees_)]  # depth is an int
     return [est.weights_]
 
 

@@ -401,7 +401,7 @@ class TestForests:
         X, y_class, _ = blob_data(40, seed=20)
         model = fit(ModelSpec("bagging_c", {"n_members": 2, "max_depth": 1}, seed=8), X, y_class)
         votes = model.estimator.member_predictions(X)
-        split = np.nonzero(votes.sum(axis=0) == 0)[0]
+        split = np.nonzero(votes.sum(axis=1) == 0)[0]
         assert split.size > 0
         for i in split:
             assert predict_class(model, X[i]) == (DOWN, 0.0)
