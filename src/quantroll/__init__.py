@@ -12,7 +12,6 @@ from .candles import (  # noqa: E402
 from .dataset import (  # noqa: E402
     FeatureFrame,
     LabeledDataset,
-    ReturnSeries,
     SegmentSplit,
     build_features,
     label,
@@ -48,8 +47,8 @@ from .models import (  # noqa: E402
     predict_class,
     predict_value,
 )
-from .run import RunArtifact, RunConfig, export_equity, run_experiment  # noqa: E402
+from .run import RunArtifact, RunConfig, run_experiment  # noqa: E402
 from .report import emit_table  # noqa: E402
-from .trading import EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate  # noqa: E402
+from .trading import EquityCurve, PositionSeries, TradeLedger, pnl_percent, simulate  # noqa: E402
 from .tuner import TunerResult, run_study, sample_params  # noqa: E402
 from .walkforward import PredictionSeries, WalkForwardConfig, run_walkforward, signal_from_predictions  # noqa: E402

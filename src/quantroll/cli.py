@@ -15,7 +15,6 @@ from pathlib import Path
 import click
 
 from .candles import csv_text, serialize_candles_csv, validate_series
-from .dataset import build_features, label, log_diff
 from .errors import ConfigError, DataError, QuantrollError, UnknownSelector
 from .indicators import acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from .metrics import REPORTS, SEGMENTS, report_from_row
@@ -24,6 +23,7 @@ from .report import emit_table
 from .run import (
     RunConfig,
     check_run_id,
+    check_spacing,
     equity_path,
     load_candles,
     make_run_id,
@@ -117,13 +117,14 @@ _INDICATORS = ("acc_dist", "mfi", "bb_bandwidth", "kc_width", "parabolic_sar")
 @click.option("--indicator", type=click.Choice(_INDICATORS), default=None, help="Dump one raw indicator instead of the feature frame.")
 @click.option("--out", "out_path", default=None, help="Output CSV path (default: stdout).")
 def features(config_path, csv_path, interval, indicator, out_path):
-    """Dump the labeled feature frame (or one raw indicator) as CSV."""
+    """Dump the labeled feature frame (or one raw indicator) of a gap-free series as CSV."""
     config = _candle_config(config_path, csv_path, interval)
     ind_config = config.indicators
     series = load_candles(config)
     if indicator is None:
-        text = label(build_features(series, ind_config), log_diff(series)).to_csv()
+        text = prepare_dataset(series, ind_config).to_csv()
     else:
+        check_spacing(series)
         if indicator == "acc_dist":
             ind = acc_dist(series)
         elif indicator == "mfi":

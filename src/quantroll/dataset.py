@@ -8,12 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .candles import CandleSeries, csv_text
 from .direction import DOWN, UP, direction_name
 from .errors import EmptySegment, LengthMismatch, SeriesTooShort
-from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
+from .indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar, sma
 
 FEATURE_NAMES = (
     "logret",
@@ -27,17 +26,6 @@ FEATURE_NAMES = (
 
 
 @dataclass
-class ReturnSeries:
-    """Log-difference returns aligned to the candle series; index 0 is NaN."""
-
-    values: np.ndarray
-    warmup_len: int = 1
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass
 class FeatureFrame:
     """Timestamp-aligned feature matrix; rows before valid_from may hold NaN."""
 
@@ -48,10 +36,6 @@ class FeatureFrame:
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.rows.shape[1])
 
 
 @dataclass
@@ -111,12 +95,6 @@ class SegmentSplit:
         if self.train[1] > self.backtest[0] or self.backtest[1] > self.forward[0]:
             raise ValueError("segments must be ordered train < backtest < forward without overlap")
 
-    def range_of(self, segment: str) -> tuple[int, int]:
-        try:
-            return getattr(self, segment)
-        except AttributeError:
-            raise ValueError(f"unknown segment {segment!r}") from None
-
 
 @dataclass
 class DatasetView:
@@ -130,14 +108,14 @@ class DatasetView:
         return int(self.indices.size)
 
 
-def log_diff(series: CandleSeries) -> ReturnSeries:
-    """Log-difference transform of closes; stabilizes variance across regimes."""
+def log_diff(series: CandleSeries) -> np.ndarray:
+    """Log-difference transform of closes, aligned to the series (index 0 is NaN); stabilizes variance across regimes."""
     if len(series) < 2:
         raise SeriesTooShort(f"log returns need at least 2 candles, got {len(series)}")
     values = np.full(len(series), np.nan)
     logc = np.log(series.close)
     values[1:] = logc[1:] - logc[:-1]
-    return ReturnSeries(values)
+    return values
 
 
 def build_features(series: CandleSeries, config: IndicatorConfig | None = None) -> FeatureFrame:
@@ -162,9 +140,8 @@ def build_features(series: CandleSeries, config: IndicatorConfig | None = None) 
     ad_diff = np.full(n, np.nan)
     ad_warmup = max(1, config.bb_period - 1)
     if n > ad_warmup:
-        vol_mean = sliding_window_view(series.volume, config.bb_period).mean(axis=1)
         diff = ad.values[ad_warmup:] - ad.values[ad_warmup - 1 : -1]
-        denom = vol_mean[ad_warmup - (config.bb_period - 1) :]
+        denom = sma(series.volume, config.bb_period)[ad_warmup:]
         ad_diff[ad_warmup:] = np.where(denom > 0, diff / np.where(denom > 0, denom, 1.0), 0.0)
 
     band_span = bands.upper.values - bands.lower.values
@@ -179,7 +156,7 @@ def build_features(series: CandleSeries, config: IndicatorConfig | None = None) 
     sar_side[: sar.warmup_len] = np.nan
 
     columns = (
-        returns.values,
+        returns,
         ad_diff,
         mfi_s.values / 100.0,
         percent_b,
@@ -188,7 +165,7 @@ def build_features(series: CandleSeries, config: IndicatorConfig | None = None) 
         sar_side,
     )
     warmups = (
-        returns.warmup_len,
+        1,  # the log return needs the prior close
         ad_warmup,
         mfi_s.warmup_len,
         bands.upper.warmup_len,
@@ -204,8 +181,8 @@ def build_features(series: CandleSeries, config: IndicatorConfig | None = None) 
     return FeatureFrame(FEATURE_NAMES, rows, series.timestamps.copy(), valid_from)
 
 
-def label(frame: FeatureFrame, returns: ReturnSeries) -> LabeledDataset:
-    """Attach next-interval targets; a zero next-return labels down."""
+def label(frame: FeatureFrame, returns: np.ndarray) -> LabeledDataset:
+    """Attach next-interval targets from log_diff's returns; a zero next-return labels down."""
     n = len(frame)
     if len(returns) != n:
         raise LengthMismatch(f"frame has {n} rows but returns has {len(returns)}")
@@ -213,7 +190,7 @@ def label(frame: FeatureFrame, returns: ReturnSeries) -> LabeledDataset:
         raise SeriesTooShort("no usable rows: warm-up leaves nothing before the final row")
 
     reg_target = np.full(n, np.nan)
-    reg_target[:-1] = returns.values[1:]
+    reg_target[:-1] = returns[1:]
     class_target = np.zeros(n, dtype=np.int8)
     class_target[:-1] = np.where(reg_target[:-1] > 0, UP, DOWN)
     return LabeledDataset(frame, class_target, reg_target, (frame.valid_from, n - 2))
@@ -225,7 +202,7 @@ def split(dataset: LabeledDataset, seg: SegmentSplit) -> tuple[DatasetView, Data
     ts = dataset.timestamps[usable]
     views = []
     for name in ("train", "backtest", "forward"):
-        start, end = seg.range_of(name)
+        start, end = getattr(seg, name)
         members = usable[(ts >= start) & (ts < end)]
         if members.size == 0:
             raise EmptySegment(f"segment {name} [{start}, {end}) contains no usable rows")

@@ -13,10 +13,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .candles import CandleSeries
+from .direction import DOWN, UP
 from .errors import POSITIVE_INTEGER, POSITIVE_REAL, SeriesTooShort, check_fields
-
-UP_TREND = 1
-DOWN_TREND = -1
 
 
 @dataclass(frozen=True)
@@ -45,9 +43,8 @@ class IndicatorConfig:
 
 @dataclass
 class IndicatorSeries:
-    """Named per-timestamp values; NaN marks the warm-up prefix."""
+    """Per-timestamp values; NaN marks the warm-up prefix."""
 
-    name: str
     values: np.ndarray
     warmup_len: int
 
@@ -128,7 +125,7 @@ def acc_dist(series: CandleSeries) -> IndicatorSeries:
     nz = spread != 0
     clv[nz] = ((series.close[nz] - series.low[nz]) - (series.high[nz] - series.close[nz])) / spread[nz]
     ad = np.cumsum(clv * series.volume)
-    return IndicatorSeries("acc_dist", ad, warmup_len=0)
+    return IndicatorSeries(ad, warmup_len=0)
 
 
 def mfi(series: CandleSeries, period: int = 14) -> IndicatorSeries:
@@ -149,7 +146,7 @@ def mfi(series: CandleSeries, period: int = 14) -> IndicatorSeries:
     total = pos_sum + neg_sum
     out = np.full(len(series), np.nan)
     out[period:] = np.where(total > 0, 100.0 * pos_sum / np.where(total > 0, total, 1.0), 50.0)
-    return IndicatorSeries("mfi", out, warmup_len=period)
+    return IndicatorSeries(out, warmup_len=period)
 
 
 def bollinger(series: CandleSeries, period: int = 20, k: float = 2.0) -> BollingerBands:
@@ -164,10 +161,10 @@ def bollinger(series: CandleSeries, period: int = 20, k: float = 2.0) -> Bolling
     lower = middle - k * sigma
     bandwidth = (upper - lower) / middle
     return BollingerBands(
-        middle=IndicatorSeries("bb_middle", middle, warmup),
-        upper=IndicatorSeries("bb_upper", upper, warmup),
-        lower=IndicatorSeries("bb_lower", lower, warmup),
-        bandwidth=IndicatorSeries("bb_bandwidth", bandwidth, warmup),
+        middle=IndicatorSeries(middle, warmup),
+        upper=IndicatorSeries(upper, warmup),
+        lower=IndicatorSeries(lower, warmup),
+        bandwidth=IndicatorSeries(bandwidth, warmup),
     )
 
 
@@ -184,7 +181,7 @@ def keltner_width(
     middle = ema(typical_price(series), ema_period)
     atr = wilder_atr(series, atr_period)
     width = (2.0 * mult * atr) / middle
-    return IndicatorSeries("kc_width", _nan_prefix(width, warmup), warmup_len=warmup)
+    return IndicatorSeries(_nan_prefix(width, warmup), warmup_len=warmup)
 
 
 def parabolic_sar(
@@ -213,7 +210,7 @@ def parabolic_sar(
 
     up = bool(series.close[1] >= series.close[0])
     sar[1] = low[0] if up else high[0]
-    trend[1] = UP_TREND if up else DOWN_TREND
+    trend[1] = UP if up else DOWN
     ep = max(high[0], high[1]) if up else min(low[0], low[1])
     af = af_start
 
@@ -243,6 +240,6 @@ def parabolic_sar(
                 if low[t] < ep:
                     ep = low[t]
                     af = min(af + af_step, af_max)
-        trend[t] = UP_TREND if up else DOWN_TREND
+        trend[t] = UP if up else DOWN
 
-    return IndicatorSeries("parabolic_sar", sar, warmup_len=1), np.array(trend, dtype=np.int8)
+    return IndicatorSeries(sar, warmup_len=1), np.array(trend, dtype=np.int8)

@@ -23,7 +23,7 @@ from .errors import (
     ZeroVolatility,
 )
 from .models import ALL_KINDS, CLASSIFIER, REGRESSOR, task_of
-from .trading import EquityCurve, TradeLedger, count_trades, pnl_percent
+from .trading import EquityCurve, TradeLedger, pnl_percent
 from .walkforward import PredictionSeries
 
 SEGMENTS = ("backtest", "forward")
@@ -176,7 +176,7 @@ def _maybe(fn, *args, **kwargs):
 def _report(cls, model, window, segment, curve, ledger, periods_per_year, **metrics):
     """A report of class cls: the fields every report has, plus its task's metrics."""
     sharpe_ratio = _maybe(sharpe, curve.step_returns, periods_per_year=periods_per_year)
-    return cls(model, window, segment, pnl_percent(curve), sharpe_ratio, n_trades=count_trades(ledger), **metrics)
+    return cls(model, window, segment, pnl_percent(curve), sharpe_ratio, n_trades=ledger.count, **metrics)
 
 
 def build_classifier_report(

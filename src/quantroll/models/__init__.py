@@ -34,7 +34,7 @@ from .linear import (
 )
 from .naive_bayes import BernoulliNBClassifier
 from .neighbors import KNNClassifier, KNNRegressor
-from .spaces import RANGES, RULES, Categorical, HyperParamSpace, IntRange, LogUniform, Uniform
+from .spaces import RANGES, RULES, Categorical, HyperParamSpace, IntRange, LogUniform
 from .tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -234,7 +234,6 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "TrainedModel",
-    "Uniform",
     "build_estimator",
     "cart_best_split",
     "coerce_kind",

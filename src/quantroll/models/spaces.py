@@ -7,16 +7,6 @@ from ..errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, POSITIVE_REAL, Rule
 
 
 @dataclass(frozen=True)
-class Uniform:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("uniform requires lo < hi")
-
-
-@dataclass(frozen=True)
 class LogUniform:
     lo: float
     hi: float
@@ -47,7 +37,7 @@ class Categorical:
             raise ValueError("categorical requires at least one choice")
 
 
-Distribution = Uniform | LogUniform | IntRange | Categorical
+Distribution = LogUniform | IntRange | Categorical
 
 
 @dataclass(frozen=True)

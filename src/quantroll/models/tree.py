@@ -40,10 +40,7 @@ class Split:
 
 
 def gini_impurity(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
-    p_up = float(np.count_nonzero(y == UP)) / y.size
-    return 1.0 - p_up * p_up - (1.0 - p_up) * (1.0 - p_up)
+    return float(_node_stats(y[None], np.array([max(y.size, 1)]), GINI)[0][0])  # no rows: p_up 0, impurity 0
 
 
 def _mean_var(Y: np.ndarray):
@@ -54,9 +51,7 @@ def _mean_var(Y: np.ndarray):
 
 
 def variance_impurity(y: np.ndarray) -> float:
-    if y.size == 0:
-        return 0.0
-    return float(_mean_var(y)[1])
+    return float(_mean_var(y)[1]) if y.size else 0.0
 
 
 def _scan(Xb: np.ndarray, Yb: np.ndarray, n: np.ndarray, parent, centre, criterion: str, min_leaf: int):

@@ -16,13 +16,13 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import INTEGER, POSITIVE_INTEGER, STRING, ConfigError, DataError, UnknownSelector, check_fields
+from .errors import INTEGER, POSITIVE_INTEGER, STRING, ConfigError, DataError, check_fields
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
 from .metrics import report_row
 from .models import ALL_KINDS, ModelKind, ModelSpec, coerce_kind
 from .trading import EquityCurve
-from .tuner import TunerResult, _derive_seed, run_study
+from .tuner import TunerResult, derive_seed, run_study
 from .walkforward import WalkForwardConfig
 
 logger = logging.getLogger(__name__)
@@ -235,7 +235,8 @@ def load_candles(config: RunConfig) -> CandleSeries:
     return parse_candles_csv(text, config.interval)
 
 
-def prepare_dataset(series: CandleSeries, indicators: IndicatorConfig) -> LabeledDataset:
+def check_spacing(series: CandleSeries) -> None:
+    """A series with a missing or misplaced candle is a data error; nothing is forward-filled."""
     report = validate_series(series)
     if not report.is_clean:
         first = report.findings[0]
@@ -243,11 +244,15 @@ def prepare_dataset(series: CandleSeries, indicators: IndicatorConfig) -> Labele
             f"series has {len(report.findings)} spacing violation(s); first gap of {first.gap}s "
             f"between {first.prev_timestamp} and {first.next_timestamp}"
         )
+
+
+def prepare_dataset(series: CandleSeries, indicators: IndicatorConfig) -> LabeledDataset:
+    check_spacing(series)
     return label(build_features(series, indicators), log_diff(series))
 
 
 def _job_seed(master: int, kind: ModelKind, window: int, salt: int) -> int:
-    return _derive_seed(master, ALL_KINDS.index(kind), window, salt)
+    return derive_seed(master, ALL_KINDS.index(kind), window, salt)
 
 
 def _evaluate_job(
@@ -347,11 +352,3 @@ def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | Non
         path.unlink()
     logger.info("persisted run to %s", root)
     return root
-
-
-def export_equity(artifact: RunArtifact, model: str, window: int, segment: str) -> str:
-    """CSV text of one persisted equity curve (timestamp,equity_fraction)."""
-    key = (getattr(model, "value", model), int(window), segment)
-    if key not in artifact.curves:
-        raise UnknownSelector(f"no equity curve for model={key[0]} window={key[1]} segment={key[2]}")
-    return artifact.curves[key].to_csv()

@@ -98,7 +98,3 @@ def pnl_percent(curve: EquityCurve) -> float:
     if len(curve) == 0:
         raise ValueError("empty equity curve")
     return 100.0 * float(curve.equity[-1])
-
-
-def count_trades(ledger: TradeLedger) -> int:
-    return ledger.count

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import LabeledDataset, SegmentSplit, split
 from .errors import INTEGER, POSITIVE_INTEGER, AllTrialsFailed
 from .metrics import ClassifierReport, RegressorReport
-from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, Uniform, default_space
+from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, default_space
 from .evaluation import evaluate_segment
 from .walkforward import WalkForwardConfig
 
@@ -57,14 +57,10 @@ class TunerResult:
         return "".join(json.dumps({**study, **t.to_record()}, sort_keys=True) + "\n" for t in self.trials)
 
 
-def _derive_seed(*parts: int) -> int:
+def derive_seed(*parts: int) -> int:
     """Stable 64-bit seed from integers, each masked to 64 bits; never Python's salted hash()."""
     ss = np.random.SeedSequence([int(p) & _U64 for p in parts])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    return _derive_seed(master_seed, trial_index)
 
 
 def _dimension_rng(trial_seed: int, dim_index: int) -> np.random.Generator:
@@ -77,9 +73,7 @@ def sample_params(space: HyperParamSpace, trial_seed: int) -> dict:
     params = {}
     for dim_index, (name, dist) in enumerate(space.dims):
         rng = _dimension_rng(trial_seed, dim_index)
-        if isinstance(dist, Uniform):
-            params[name] = float(rng.uniform(dist.lo, dist.hi))
-        elif isinstance(dist, LogUniform):
+        if isinstance(dist, LogUniform):
             params[name] = float(math.exp(rng.uniform(math.log(dist.lo), math.log(dist.hi))))
         elif isinstance(dist, IntRange):
             params[name] = int(rng.integers(dist.lo, dist.hi + 1))
@@ -114,7 +108,7 @@ def run_study(
     trials: list[Trial] = []
     best: Trial | None = None
     for index in range(n_trials):
-        trial_seed = derive_trial_seed(seed, index)
+        trial_seed = derive_seed(seed, index)
         params = sample_params(space, trial_seed)
         spec = ModelSpec(kind, params, seed=trial_seed)
         try:

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.candles import CandleSeries, serialize_candles_csv
-from quantroll.errors import ConfigError, DataError, MalformedRow, MixedTasks, UnknownSelector
+from quantroll.errors import ConfigError, DataError, MalformedRow, MixedTasks
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import DataSource, RunConfig, export_equity, make_run_id, parse_instant, persist_artifact, run_experiment
+from quantroll.run import DataSource, RunConfig, make_run_id, parse_instant, persist_artifact, run_experiment
 from quantroll.walkforward import WalkForwardConfig
 from quantroll import cli, run as run_module, tuner as tuner_mod
 
@@ -459,20 +459,13 @@ class TestExportEquity:
     def test_row_count_and_order(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
         artifact = run_experiment(config, persist=False)
-        text = export_equity(artifact, "knn_c", 7, "backtest")
-        lines = text.strip().split("\n")
         curve = artifact.curves[("knn_c", 7, "backtest")]
+        lines = curve.to_csv().strip().split("\n")
         assert len(lines) == len(curve) + 1
-        back = export_equity(artifact, "knn_c", 7, "backtest").strip().split("\n")[1:]
-        fwd = export_equity(artifact, "knn_c", 7, "forward").strip().split("\n")[1:]
+        back = lines[1:]
+        fwd = artifact.curves[("knn_c", 7, "forward")].to_csv().strip().split("\n")[1:]
         stamps = [int(line.split(",")[0]) for line in back + fwd]
         assert stamps == sorted(stamps)
-
-    def test_unknown_selector(self, csv_path, tmp_path):
-        config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
-        artifact = run_experiment(config, persist=False)
-        with pytest.raises(UnknownSelector):
-            export_equity(artifact, "sgd_c", 7, "backtest")
 
     def test_flat_strategy_exports_zero_column(self):
         from quantroll.run import RunArtifact
@@ -481,7 +474,7 @@ class TestExportEquity:
         n = 5
         curve = EquityCurve(np.arange(n, dtype=np.int64) * DAY + T0, np.zeros(n), np.zeros(n))
         artifact = RunArtifact(config={}, reports=[], curves={("knn_r", 7, "backtest"): curve}, trials={})
-        lines = export_equity(artifact, "knn_r", 7, "backtest").strip().split("\n")[1:]
+        lines = artifact.curves[("knn_r", 7, "backtest")].to_csv().strip().split("\n")[1:]
         assert all(line.split(",")[1] == "0.0" for line in lines)
 
     def test_persisted_config_reproduces_run(self, csv_path, tmp_path):
@@ -871,6 +864,22 @@ class TestCli:
         ts, value = lines[1].split(",")
         int(ts), float(value)  # plain decimal text, no numpy reprs
 
+    @pytest.mark.parametrize("mode", [[], ["--indicator", "mfi"]], ids=["frame", "indicator"])
+    def test_features_gap_exit_2_as_run(self, tmp_path, capsys, mode):
+        """features refuses a series with a missing candle, in both modes, with the message run gives."""
+        lines = serialize_candles_csv(bars_to_series(random_walk_bars(60, seed=34))).splitlines(keepends=True)
+        path = tmp_path / "gap.csv"
+        path.write_text("".join(lines[:31] + lines[32:]), encoding="utf-8")  # drops the candle at T0 + 30 days
+        assert self.run_cli("features", "--csv", str(path), "--interval", str(DAY), *mode) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: series has 1 spacing violation(s); first gap of {2 * DAY}s "
+            f"between {T0 + 29 * DAY} and {T0 + 31 * DAY}\n"
+        )
+        cfg = self.write_config(tmp_path / "config.json", config_dict(path, tmp_path / "runs"))
+        assert self.run_cli("run", "--config", cfg) == 2
+        assert capsys.readouterr().err == err
+
     def test_run_report_export_cycle(self, csv_path, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config_dict(csv_path, tmp_path / "runs")), encoding="utf-8")
@@ -954,3 +963,19 @@ class TestCli:
         assert all(r["model"] == "knn_c" and r["window"] == 7 for r in records)
         best = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert "params" in best and "objective" in best
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written on a daily CSV spanning its three segments."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    snippet = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    start = int(parse_instant("2022-06-01"))
+    series = bars_to_series(random_walk_bars(560, seed=36), t0=start)  # through 2023-12-12
+    (tmp_path / "clean.csv").write_text(serialize_candles_csv(series), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert len(namespace["preds"]) == len(namespace["back"]) == 181  # 2023-02-01 up to 2023-08-01
+    pnl, trades = capsys.readouterr().out.split()
+    assert float(pnl) == namespace["q"].pnl_percent(namespace["curve"])
+    assert int(trades) == namespace["ledger"].count > 0

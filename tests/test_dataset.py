@@ -34,18 +34,18 @@ def constant_bars(n, price=100.0, volume=5.0):
 class TestLogDiff:
     def test_constant_price(self):
         out = log_diff(bars_to_series(constant_bars(5)))
-        assert np.isnan(out.values[0])
-        np.testing.assert_allclose(out.values[1:], 0.0)
+        assert np.isnan(out[0])
+        np.testing.assert_allclose(out[1:], 0.0)
 
     def test_doubling(self):
         bars = [(p, p * 1.01, p * 0.99, p, 1.0) for p in (1.0, 2.0, 4.0, 8.0)]
         out = log_diff(bars_to_series(bars))
-        np.testing.assert_allclose(out.values[1:], math.log(2.0), rtol=1e-12)
+        np.testing.assert_allclose(out[1:], math.log(2.0), rtol=1e-12)
 
     def test_hand_value(self):
         bars = [(100, 101, 99, 100, 1.0), (100, 106, 99, 105, 1.0)]
         out = log_diff(bars_to_series(bars))
-        assert out.values[1] == pytest.approx(math.log(1.05), abs=1e-12)
+        assert out[1] == pytest.approx(math.log(1.05), abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -141,9 +141,7 @@ class TestLabel:
         rows = np.zeros((n, 2))
         frame = FeatureFrame(("a", "b"), rows, np.arange(n, dtype=np.int64) * DAY + T0, 0)
         values = np.concatenate([[np.nan], returns_after])
-        from quantroll.dataset import ReturnSeries
-
-        return label(frame, ReturnSeries(values))
+        return label(frame, values)
 
     def test_sign_rule(self):
         ds = self.make([0.01, -0.02])
@@ -162,11 +160,9 @@ class TestLabel:
             assert len(ds) == extra + 1
 
     def test_length_mismatch(self):
-        from quantroll.dataset import ReturnSeries
-
         frame = FeatureFrame(("a",), np.zeros((4, 1)), np.arange(4, dtype=np.int64), 0)
         with pytest.raises(LengthMismatch):
-            label(frame, ReturnSeries(np.zeros(5)))
+            label(frame, np.zeros(5))
 
     def test_locality_of_targets(self, fixture_40):
         series = fixture_40
@@ -174,11 +170,9 @@ class TestLabel:
         returns = log_diff(series)
         ds = label(frame, returns)
         t = 25
-        mutated = returns.values.copy()
+        mutated = returns.copy()
         mutated[t + 2 :] = 99.0
-        from quantroll.dataset import ReturnSeries
-
-        ds2 = label(frame, ReturnSeries(mutated))
+        ds2 = label(frame, mutated)
         assert ds2.class_target[t] == ds.class_target[t]
         assert ds2.reg_target[t] == ds.reg_target[t]
 

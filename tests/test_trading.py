@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantroll.errors import LengthMismatch
-from quantroll.trading import EquityCurve, PositionSeries, TradeLedger, count_trades, pnl_percent, simulate
+from quantroll.trading import EquityCurve, PositionSeries, TradeLedger, pnl_percent, simulate
 
 from .conftest import DAY, T0
 from .reference import ref_simulate
@@ -78,16 +78,16 @@ class TestPnl:
 class TestTrades:
     def test_enumerated_changes(self):
         _, ledger = simulate(positions_of([1, 1, -1, -1, 1]), np.zeros(5))
-        assert count_trades(ledger) == 3
+        assert ledger.count == 3
 
     def test_never_trading(self):
-        assert count_trades(TradeLedger()) == 0
+        assert TradeLedger().count == 0
 
     def test_alternating(self):
         n = 9
         pos = [1 if i % 2 == 0 else -1 for i in range(n)]
         _, ledger = simulate(positions_of(pos), np.zeros(n))
-        assert count_trades(ledger) == n
+        assert ledger.count == n
 
 
 @settings(max_examples=100, deadline=None)
