@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 engine error.
 A config file that cannot be read and an output path that cannot be written
-are configuration errors; a candle file that cannot be read is a data error.
+are configuration errors; a candle, report or equity-curve file that cannot be
+read (or is not UTF-8) is a data error.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .run import (
     make_run_id,
     persist_artifact,
     prepare_dataset,
+    read_text,
     run_experiment,
 )
 from .tuner import run_study
@@ -52,20 +54,16 @@ def _load_config(path: str | None, **overrides) -> RunConfig:
     given = {name: value for name, value in overrides.items() if value is not None}
     if path is None:
         return RunConfig.from_dict(given)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    config = RunConfig.from_json(text)
+    config = RunConfig.from_json(read_text(path, ConfigError, f"config {path}"))
     return RunConfig.from_dict({**config.to_dict(), **given}) if given else config
 
 
 @contextmanager
 def _writing(path):
-    """Around the writes to an output path: one that fails is a configuration error."""
+    """Around the writes to an output path: one that fails, or a path holding a NUL, is a configuration error."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
@@ -73,6 +71,8 @@ def _check_writable(path: Path, directory: Path) -> None:
     """Before any data is read: directory, or its nearest existing ancestor, is a directory, and a
     file's path (one other than directory) is not a directory; creates nothing."""
     with _writing(path):
+        if "\0" in str(path):  # pathlib's tests below take such a path for a missing one
+            raise ValueError("embedded null byte")
         if path != directory and path.is_dir():
             raise IsADirectoryError(f"Is a directory: {str(path)!r}")
         found = next(p for p in (directory, *directory.parents) if p.exists())
@@ -211,9 +211,7 @@ def report_cmd(run_dir, task):
     """Re-render the metrics tables from a persisted run."""
     path = Path(run_dir) / "report.json"
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        payload = json.loads(read_text(path, DataError))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path} is not valid JSON: {exc}") from None
     try:
@@ -236,7 +234,7 @@ def export_equity_cmd(run_dir, model_name, window, segment, out_path):
     path = equity_path(Path(run_dir), coerce_kind(model_name).value, window, segment)
     if not path.exists():
         raise UnknownSelector(f"no equity curve at {path}")
-    text = path.read_text(encoding="utf-8")
+    text = read_text(path, DataError)
     if out_path:
         with _writing(out_path):
             Path(out_path).write_text(text, encoding="utf-8")

@@ -180,13 +180,12 @@ class PerceptronClassifier(_Linear):
     def fit(self, X, y, memo: dict | None = None) -> "PerceptronClassifier":
         Xa = _augment(X)
         w = np.zeros(Xa.shape[1])
-        # yi * m <= 0 is m <= 0 for an up row and m >= 0 for a down row, for +-0, +-inf and NaN alike
-        rows = [(xi.dot, yi > 0, self.learning_rate * yi * xi) for yi, xi in zip(y.tolist(), Xa)]
+        # negation is exact, so (y * x) . w <= 0 is y * (x . w) <= 0, for +-0, +-inf and NaN margins alike
+        rows = [(z.dot, self.learning_rate * z) for z in y[:, None] * Xa]
         for _ in range(self.epochs):
             mistakes = 0
-            for dot, up, update in rows:
-                m = dot(w)
-                if m <= 0.0 if up else m >= 0.0:
+            for dot, update in rows:
+                if dot(w) <= 0.0:
                     w += update
                     mistakes += 1
             if mistakes == 0:

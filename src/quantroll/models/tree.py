@@ -14,8 +14,9 @@ deepest leaf's depth, with no test for which rows have arrived.
 
 A member's draws depend only on its seed, the row count and the settings, never on X or y, so a
 caller that refits on equal-length windows may pass one memo dict to every fit: the first fit
-stores each member's bootstrap rows and generator in it, later fits reuse them and draw the same
-numbers. A member that draws nothing (no bootstrap, subsampling or random split) builds no generator.
+stores each member's bootstrap rows and, if it subsamples columns, its generator and column subsets in
+it; later fits reuse them and draw the same numbers. A random-split tree draws afresh from its seed at
+every fit. A member that draws nothing (no bootstrap, subsampling or random split) builds no generator.
 """
 from __future__ import annotations
 
@@ -191,18 +192,16 @@ def _node_stats(Y: np.ndarray, n: np.ndarray, criterion: str):
 
 class _Draws:
     """A member's draws from its seed: its bootstrap rows, then, if it draws while it grows, its
-    generator. A random-split member's generator restarts from `start`, its state once the rows are
-    drawn, at every fit. A subsampling member's generator sits just after the last of `subsets`,
-    the sorted column subsets drawn so far in preorder; each fit replays them before drawing more."""
+    generator. A subsampling member's generator sits just after the last of `subsets`, the sorted
+    column subsets drawn so far in preorder; each fit replays them before drawing more."""
 
-    __slots__ = ("rows", "rng", "start", "subsets", "used")
+    __slots__ = ("rows", "rng", "subsets", "used")
 
-    def __init__(self, seed: int, n_rows: int, bootstrap: bool, random_split: bool, subsample: bool):
+    def __init__(self, seed: int, n_rows: int, bootstrap: bool, draws_while_growing: bool):
         rng = np.random.default_rng(np.random.PCG64(seed))
         self.rows = rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows)
         self.rows.flags.writeable = False
-        self.rng = rng if random_split or subsample else None  # a generator holds ~0.9 kB
-        self.start = rng.bit_generator.state if random_split else None
+        self.rng = rng if draws_while_growing else None  # a generator holds ~0.9 kB
         self.subsets, self.used = [], 0  # used: the subsets this fit has taken
 
     def subset(self, width: int, max_features: int) -> np.ndarray:
@@ -222,23 +221,21 @@ def grow_forest(
 ) -> FlatTrees:
     """Grow one tree per seed, which draws the tree's bootstrap sample of X's rows, then its splits.
 
-    Random splits draw their thresholds over all columns, never with column subsampling: the random-split
-    members the estimators grow are single, bootstrap-free, all-column trees. memo, if given, keeps each
-    member's draws (keyed by seed, row count and settings) for later calls.
+    Random splits grow one tree, which draws its thresholds over all columns and afresh from its seed at every
+    fit: the estimators' random-split trees are single, bootstrap-free, all-column trees. memo, if given, keeps
+    every other member's draws (keyed by seed, row count and settings) for later calls.
     """
     n_rows, width = X.shape
     subsample = max_features is not None and max_features < width
-    if random_split and subsample:
-        raise ValueError("random splits draw over all columns")
-    key = ("tree", n_rows, bootstrap, random_split, max_features if subsample else None, width)  # + seed
-    memo = {} if memo is None else memo
+    if random_split and (subsample or len(seeds) != 1):
+        raise ValueError("random splits draw over all columns" if subsample else "random splits grow one tree")
+    key = ("tree", n_rows, bootstrap, max_features if subsample else None, width)  # + seed
+    memo = {} if memo is None or random_split else memo  # a random-split tree draws afresh at every fit
     members = [None] * len(seeds)  # each member's _Draws, or None if it draws nothing
     for i, seed in enumerate(seeds if bootstrap or subsample or random_split else ()):
         member = members[i] = memo.get(key + (seed,))
         if member is None:
-            member = members[i] = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split, subsample)
-        elif random_split:
-            member.rng.bit_generator.state = member.start
+            member = members[i] = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split or subsample)
         member.used = 0
     pad = len(members) * n_rows  # rows[pad] pads; member m's rows sit at [m * n_rows, (m + 1) * n_rows)
     rows = np.append(np.concatenate([m.rows for m in members]) if bootstrap else np.arange(pad) % n_rows, n_rows)
@@ -255,7 +252,7 @@ def grow_forest(
             open_ = ((nodes[:, HI] - nodes[:, LO] >= min_split) & (nodes[:, DEPTH] < depth_cap)).nonzero()[0]
             if open_.size:  # else the leaves, which wait for this last step
                 member, take = nodes[open_, MEMBER], np.zeros(len(nodes), dtype=bool)
-                take[open_[member != np.concatenate([[-1], member])[:-1]] if len(members) > 1 else open_[:1]] = True
+                take[open_[member != np.concatenate([[-1], member])[:-1]]] = True
                 taken, children = nodes[take], [nodes[~take]]
         size = taken[:, HI] - taken[:, LO]
         if len(taken) > 1:  # largest first, _BATCH_CELLS padded cells at a time
@@ -275,9 +272,9 @@ def grow_forest(
             if not cand.size:
                 continue
             if random_split:
-                found = []
+                found, rng = [], members[0].rng
                 for k in cand.tolist():
-                    r, rng = R[k, : n[k]], members[T[k, MEMBER]].rng
+                    r = R[k, : n[k]]
                     best = _random_split(X[r], y[r], criterion, parent[k], min_leaf, rng, np.arange(width))
                     if best is not None:
                         found.append((k, best.feature, best.threshold))
@@ -299,9 +296,9 @@ def grow_forest(
             n_nodes += 2 * split.size
             splits.append((T[split, ID], feature, threshold, kids[:, ID].reshape(-1, 2)[:, ::-1]))  # right, left
             depth = max(depth, int(kids[:, DEPTH].max(initial=0)))
-            children.insert(-1, kids)  # before the open nodes left, so a lone member's stay in preorder
+            children.append(kids)
         nodes = np.concatenate(children)
-        if len(members) > 1 and (random_split or subsample):
+        if random_split or subsample:  # by position in rows: each member's nodes in left-to-right order
             nodes = nodes[np.argsort(nodes[:, LO])]
     value, feature, threshold = np.empty(n_nodes), np.full(n_nodes, -1), np.zeros(n_nodes)
     child = np.arange(n_nodes)[:, None].repeat(2, axis=1)  # a leaf is its own child on both sides

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .candles import CandleSeries, parse_candles_csv, validate_series
 from .dataset import LabeledDataset, SegmentSplit, build_features, label, log_diff, split
-from .errors import INTEGER, POSITIVE_INTEGER, STRING, ConfigError, DataError, check_fields
+from .errors import INTEGER, POSITIVE_INTEGER, STRING, ConfigError, DataError, QuantrollError, check_fields
 from .evaluation import evaluate_segment
 from .indicators import IndicatorConfig
 from .metrics import report_row
@@ -224,15 +224,17 @@ class RunArtifact:
         return "".join(self.trials[key].to_jsonl() for key in sorted(self.trials))
 
 
-def load_candles(config: RunConfig) -> CandleSeries:
-    """The candles of the config's CSV file; a file that cannot be read or
-    decoded as UTF-8 is a data error."""
-    path = config.data.csv_path
+def read_text(path, error: type[QuantrollError], name: str | None = None) -> str:
+    """The file's UTF-8 text; one that cannot be read or decoded, or a path holding a NUL, raises error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    return parse_candles_csv(text, config.interval)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and an embedded NUL are ValueErrors
+        raise error(f"cannot read {path if name is None else name}: {exc}") from None
+
+
+def load_candles(config: RunConfig) -> CandleSeries:
+    """The candles of the config's CSV file; one that cannot be read is a data error."""
+    return parse_candles_csv(read_text(config.data.csv_path, DataError), config.interval)
 
 
 def check_spacing(series: CandleSeries) -> None:

@@ -19,7 +19,7 @@ from quantroll.errors import ConfigError, DataError, MalformedRow, MixedTasks
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import DataSource, RunConfig, make_run_id, parse_instant, persist_artifact, run_experiment
+from quantroll.run import DataSource, RunConfig, equity_path, make_run_id, parse_instant, persist_artifact, run_experiment
 from quantroll.walkforward import WalkForwardConfig
 from quantroll import cli, run as run_module, tuner as tuner_mod
 
@@ -737,6 +737,43 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [["features", "--config"], ["run", "--config"], ["tune", "--model", "knn_c", "--window", "7", "--trials", "1", "--config"]],
+        ids=["features", "run", "tune"],
+    )
+    def test_csv_path_holding_a_nul_exit_2_in_each_reader(self, tmp_path, capsys, argv):
+        cfg = self.write_config(tmp_path / "config.json", config_dict("candles\0.csv", tmp_path / "runs"))
+        assert self.run_cli(*argv, cfg) == 2
+        assert capsys.readouterr().err == "data error: cannot read candles\0.csv: embedded null byte\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"data": "\xff"}')
+        assert self.run_cli("run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config {path}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_undecodable_report_exit_2(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_bytes(b'{"reports": ["\xff"]}')
+        assert self.run_cli("report", "--run-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {tmp_path / 'report.json'}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("curve", ["directory", "undecodable"])
+    def test_unreadable_equity_curve_exit_2(self, tmp_path, capsys, curve):
+        path = equity_path(tmp_path, "knn_c", 7, "backtest")
+        path.parent.mkdir()
+        path.mkdir() if curve == "directory" else path.write_bytes(b"timestamp,equity_fraction\n\xff")
+        argv = ["export-equity", "--run-dir", str(tmp_path), "--model", "knn_c", "--window", "7", "--segment", "backtest"]
+        assert self.run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read {path}: ") and err.count("\n") == 1
+        assert ("Is a directory" if curve == "directory" else "can't decode byte 0xff") in err
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--base-url", "http://localhost:1"), ("--path-template", "/k"), ("--symbol", "BTC"), ("--start", "garbage"),
          ("--end", "5"), ("--page-limit", "0"), ("--max-retries", "3"), ("--retry-backoff", "1")],
@@ -788,6 +825,20 @@ class TestCli:
         out = tmp_path / "a" / "b" / "runs"
         assert self.run_cli("run", "--config", cfg, "--out", str(out), "--run-id", run_id) == 1
         assert capsys.readouterr().err == f"configuration error: run id must be one path component, got {run_id!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    def test_output_holding_a_nul_exit_1_before_any_run(self, csv_path, tmp_path, capsys, monkeypatch, command):
+        """pathlib's exists() and is_dir() are False for such a path; it is refused before any candle is read."""
+        monkeypatch.setattr(run_module, "load_candles", no_data)
+        monkeypatch.setattr(cli, "load_candles", no_data)
+        cfg = self.write_config(tmp_path / "config.json", config_dict(csv_path, tmp_path / "ru\0ns"))
+        out = tmp_path / "ru\0ns" / "x"
+        argv = WRITING_COMMANDS[command]("unused", cfg, "unused", str(out))
+        if command == "run":  # out_dir's run directory x, as the config names it
+            argv = [*argv[:-2], "--run-id", "x"]
+        assert self.run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"configuration error: cannot write {out}: embedded null byte\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.fixture(scope="class")

@@ -261,13 +261,14 @@ def test_wide_forest_growth_memory_is_bounded():
         ("random_forest_r", {"n_members": 40, "bootstrap": False}, 0, 0),
         ("bagging_c", {"n_members": 40}, 40, 0),  # a memo hit reuses the bootstrap rows
         ("random_forest_c", {"n_members": 40, "max_features": "sqrt"}, 40, 0),
-        ("extra_tree_r", {}, 1, 0),  # the generator restarts from its stored state
+        ("extra_tree_r", {}, 1, 1),  # draws afresh from its seed at every fit
         ("sgd_r", {"epochs": 5}, 1, 0),  # a memo hit reuses the epochs' permutations
     ],
 )
 def test_generators_built_per_fit(monkeypatch, kind, params, fresh, reused):
     """Members that draw nothing build no generator; a fit through a memo that
-    already holds a member's draws builds none either."""
+    already holds a member's draws builds none either. A random-split tree
+    keeps nothing in the memo and builds one at every fit."""
     built = []
     real = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or real(seed))

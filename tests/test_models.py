@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -265,7 +266,11 @@ class TestFitContract:
         with pytest.raises(ValueError, match=r"classification targets must be \+1/-1"):
             fit(ModelSpec(kind), X, y)
 
-    DRAW_NOTHING = {"ols_r", "ridge_r", "ridge_c", "perceptron_c", "knn_c", "knn_r", "bernoulli_nb_c", "decision_tree_c", "decision_tree_r"}
+    # memo stays empty for these: they draw nothing, or (extra trees) draw afresh from their seed at every fit
+    DRAW_NOTHING = {
+        "ols_r", "ridge_r", "ridge_c", "perceptron_c", "knn_c", "knn_r", "bernoulli_nb_c", "decision_tree_c",
+        "decision_tree_r", "extra_tree_c", "extra_tree_r",
+    }
 
     @pytest.mark.parametrize("kind", KIND_NAMES)
     def test_every_estimator_fit_takes_a_memo(self, kind):
@@ -438,8 +443,23 @@ class TestForests:
 class TestRandomSplits:
     def test_random_splits_take_no_column_subsets(self):
         X, _, y = blob_data(10, seed=24)
-        with pytest.raises(ValueError, match="^random splits draw over all columns$"):
-            grow_forest(X, y, "variance", range(1), max_features=2, random_split=True)
+        for seeds in (range(1), range(2)):
+            with pytest.raises(ValueError, match="^random splits draw over all columns$"):
+                grow_forest(X, y, "variance", seeds, max_features=2, random_split=True)
+
+    @pytest.mark.parametrize("seeds", [range(2), range(5, 8), range(0)])
+    def test_random_splits_grow_one_tree(self, seeds):
+        X, _, y = blob_data(10, seed=24)
+        with pytest.raises(ValueError, match="^random splits grow one tree$"):
+            grow_forest(X, y, "variance", seeds, random_split=True)
+
+    def test_a_bootstrapped_random_split_tree_redraws_through_a_memo(self):
+        X, y_class, _ = blob_data(30, seed=26)
+        y, memo = y_class.astype(np.float64), {}
+        grown = [grow_forest(X, y, "gini", range(3, 4), bootstrap=True, random_split=True, memo=m) for m in (memo, memo, None)]
+        for a, *others in zip(*(dataclasses.astuple(t) for t in grown)):
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for b in others)
+        assert memo == {}
 
 
 class TestRegistry:
