@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -23,13 +22,14 @@ from .models import coerce_kind
 from .report import emit_table
 from .run import (
     RunConfig,
-    check_run_id,
+    _check_writable,
+    _writing,
     check_spacing,
     equity_path,
     load_candles,
     make_run_id,
-    persist_artifact,
     prepare_dataset,
+    printable,
     read_text,
     run_experiment,
 )
@@ -54,30 +54,8 @@ def _load_config(path: str | None, **overrides) -> RunConfig:
     given = {name: value for name, value in overrides.items() if value is not None}
     if path is None:
         return RunConfig.from_dict(given)
-    config = RunConfig.from_json(read_text(path, ConfigError, f"config {path}"))
+    config = RunConfig.from_json(read_text(path, ConfigError, f"config {printable(path)}"))
     return RunConfig.from_dict({**config.to_dict(), **given}) if given else config
-
-
-@contextmanager
-def _writing(path):
-    """Around the writes to an output path: one that fails, or a path holding a NUL, is a configuration error."""
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
-
-
-def _check_writable(path: Path, directory: Path) -> None:
-    """Before any data is read: directory, or its nearest existing ancestor, is a directory, and a
-    file's path (one other than directory) is not a directory; creates nothing."""
-    with _writing(path):
-        if "\0" in str(path):  # pathlib's tests below take such a path for a missing one
-            raise ValueError("embedded null byte")
-        if path != directory and path.is_dir():
-            raise IsADirectoryError(f"Is a directory: {str(path)!r}")
-        found = next(p for p in (directory, *directory.parents) if p.exists())
-        if not found.is_dir():
-            raise NotADirectoryError(f"Not a directory: {str(found)!r}")
 
 
 def _candle_config(config_path, csv_path, interval) -> RunConfig:
@@ -107,42 +85,43 @@ def ingest(config_path, csv_path, interval, out_path):
     click.echo(f"{len(series)} candles, {series.timestamps[0]}..{series.timestamps[-1]}, no gaps")
 
 
-_INDICATORS = ("acc_dist", "mfi", "bb_bandwidth", "kc_width", "parabolic_sar")
+def _write_or_echo(text: str, out_path) -> None:
+    """text into out_path, reported as written, else to stdout."""
+    if out_path:
+        with _writing(out_path):
+            Path(out_path).write_text(text, encoding="utf-8")
+        click.echo(f"wrote {printable(out_path)}")
+    else:
+        click.echo(text, nl=False)
+
+
+_INDICATORS = {  # --indicator's raw series, from the candles and the config's indicators block
+    "acc_dist": lambda series, c: acc_dist(series),
+    "mfi": lambda series, c: mfi(series, c.mfi_period),
+    "bb_bandwidth": lambda series, c: bollinger(series, c.bb_period, c.bb_k).bandwidth,
+    "kc_width": lambda series, c: keltner_width(series, c.kc_ema_period, c.kc_atr_period, c.kc_mult),
+    "parabolic_sar": lambda series, c: parabolic_sar(series, c.sar_af_start, c.sar_af_step, c.sar_af_max)[0],
+}
 
 
 @cli.command()
 @click.option("--config", "config_path", default=None, help="Run config whose data block names the candles.")
 @click.option("--csv", "csv_path", default=None, help="Input candles CSV; replaces the config's data.")
 @click.option("--interval", type=int, default=None, help="Candle interval in seconds (default: the config's, else 86400).")
-@click.option("--indicator", type=click.Choice(_INDICATORS), default=None, help="Dump one raw indicator instead of the feature frame.")
+@click.option("--indicator", type=click.Choice(list(_INDICATORS)), default=None, help="Dump one raw indicator instead of the feature frame.")
 @click.option("--out", "out_path", default=None, help="Output CSV path (default: stdout).")
 def features(config_path, csv_path, interval, indicator, out_path):
     """Dump the labeled feature frame (or one raw indicator) of a gap-free series as CSV."""
     config = _candle_config(config_path, csv_path, interval)
-    ind_config = config.indicators
     series = load_candles(config)
     if indicator is None:
-        text = prepare_dataset(series, ind_config).to_csv()
+        text = prepare_dataset(series, config.indicators).to_csv()
     else:
         check_spacing(series)
-        if indicator == "acc_dist":
-            ind = acc_dist(series)
-        elif indicator == "mfi":
-            ind = mfi(series, ind_config.mfi_period)
-        elif indicator == "bb_bandwidth":
-            ind = bollinger(series, ind_config.bb_period, ind_config.bb_k).bandwidth
-        elif indicator == "kc_width":
-            ind = keltner_width(series, ind_config.kc_ema_period, ind_config.kc_atr_period, ind_config.kc_mult)
-        else:
-            ind, _ = parabolic_sar(series, ind_config.sar_af_start, ind_config.sar_af_step, ind_config.sar_af_max)
+        ind = _INDICATORS[indicator](series, config.indicators)
         rows = slice(ind.warmup_len, len(ind))
         text = csv_text(("timestamp", "value"), map(str, series.timestamps[rows].tolist()), map(repr, ind.values[rows].tolist()))
-    if out_path:
-        with _writing(out_path):
-            Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+    _write_or_echo(text, out_path)
 
 
 def _echo_tables(reports, tasks=tuple(REPORTS)) -> None:
@@ -172,13 +151,10 @@ def run(config_path, models, windows, run_id, **overrides):
         except ValueError:
             raise ConfigError(f"bad windows list {windows!r}") from None
     config = _load_config(config_path, **overrides)
-    run_id = make_run_id(config) if run_id is None else check_run_id(run_id)  # checked before any data is read
+    run_id = make_run_id(config) if run_id is None else run_id
+    artifact = run_experiment(config, run_id=run_id)  # checks run_id and its directory before any data is read
     run_dir = Path(config.out_dir) / run_id
-    _check_writable(run_dir, run_dir)
-    artifact = run_experiment(config, persist=False)
-    with _writing(run_dir):
-        persist_artifact(artifact, config, run_id=run_id)
-    click.echo(f"run {run_id}: {len(artifact.reports)} reports under {run_dir}")
+    click.echo(f"run {printable(run_id)}: {len(artifact.reports)} reports under {printable(run_dir)}")
     _echo_tables(artifact.reports)
 
 
@@ -213,13 +189,13 @@ def report_cmd(run_dir, task):
     try:
         payload = json.loads(read_text(path, DataError))
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from None
+        raise DataError(f"{printable(path)} is not valid JSON: {exc}") from None
     try:
         reports = [report_from_row(row) for row in payload["reports"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path} holds no valid report rows: {exc!r}") from None
+        raise DataError(f"{printable(path)} holds no valid report rows: {exc!r}") from None
     if len({(r.model, r.window, r.segment) for r in reports}) < len(reports):
-        raise DataError(f"{path} holds more than one row for a (model, window, segment)")
+        raise DataError(f"{printable(path)} holds more than one row for a (model, window, segment)")
     _echo_tables(reports, tuple(REPORTS) if task == "both" else (task,))
 
 
@@ -233,14 +209,8 @@ def export_equity_cmd(run_dir, model_name, window, segment, out_path):
     """Print one persisted equity curve as timestamp,equity_fraction CSV."""
     path = equity_path(Path(run_dir), coerce_kind(model_name).value, window, segment)
     if not path.exists():
-        raise UnknownSelector(f"no equity curve at {path}")
-    text = read_text(path, DataError)
-    if out_path:
-        with _writing(out_path):
-            Path(out_path).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {out_path}")
-    else:
-        click.echo(text, nl=False)
+        raise UnknownSelector(f"no equity curve at {printable(path)}")
+    _write_or_echo(read_text(path, DataError), out_path)
 
 
 def main(argv=None) -> int:

@@ -174,11 +174,11 @@ def fit(spec: ModelSpec, X, y, memo: dict | None = None) -> TrainedModel:
     constant model. Any other window reaches the estimator as float64 arrays.
 
     memo, if given, is a dict the caller passes to every refit of a run; it goes
-    to every estimator's fit. The GD kinds, and forests that bootstrap or subsample
-    columns, keep their seed's draws in it, keyed by everything they depend on, so
-    a later fit draws nothing and returns what a fresh fit would; the other kinds
-    ignore it, the extra trees drawing afresh from their seed at every fit. No
-    fitted model refers to it.
+    to every estimator's fit. Forests that bootstrap or subsample columns keep
+    their members' draws in it, keyed by everything they depend on, so a later
+    fit draws nothing and returns what a fresh fit would; the other kinds ignore
+    it, the extra trees and the GD kinds drawing afresh from their seed at every
+    fit. No fitted model refers to it.
     """
     X, y = check_fit_inputs(X, y)
     task = spec.task

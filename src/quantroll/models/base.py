@@ -3,8 +3,8 @@
 Every estimator in this package has one fit signature, `fit(X, y, memo=None)`,
 which returns self; its constructor's arguments are its hyperparameters (and,
 for a kind that draws random numbers, its seed). memo is a dict a caller may
-pass to every refit of a run: a GD kind, or a forest that bootstraps or
-subsamples columns, keeps its seed-determined draws in it; the others ignore it.
+pass to every refit of a run: a forest that bootstraps or subsamples columns
+keeps its members' seed-determined draws in it; the others ignore it.
 """
 from __future__ import annotations
 

@@ -229,7 +229,7 @@ def grow_forest(
     subsample = max_features is not None and max_features < width
     if random_split and (subsample or len(seeds) != 1):
         raise ValueError("random splits draw over all columns" if subsample else "random splits grow one tree")
-    key = ("tree", n_rows, bootstrap, max_features if subsample else None, width)  # + seed
+    key = (n_rows, bootstrap, max_features if subsample else None, width)  # + seed
     memo = {} if memo is None or random_split else memo  # a random-split tree draws afresh at every fit
     members = [None] * len(seeds)  # each member's _Draws, or None if it draws nothing
     for i, seed in enumerate(seeds if bootstrap or subsample or random_split else ()):

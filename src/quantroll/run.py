@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -224,12 +225,39 @@ class RunArtifact:
         return "".join(self.trials[key].to_jsonl() for key in sorted(self.trials))
 
 
+def printable(path) -> str:
+    """A path as a one-line message shows it: each non-printable character escaped as repr escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
+
+
 def read_text(path, error: type[QuantrollError], name: str | None = None) -> str:
     """The file's UTF-8 text; one that cannot be read or decoded, or a path holding a NUL, raises error."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # UnicodeDecodeError and an embedded NUL are ValueErrors
-        raise error(f"cannot read {path if name is None else name}: {exc}") from None
+        raise error(f"cannot read {printable(path) if name is None else name}: {exc}") from None
+
+
+@contextmanager
+def _writing(path):
+    """Around the writes to an output path: one that fails, or a path holding a NUL, is a configuration error."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot write {printable(path)}: {exc}") from None
+
+
+def _check_writable(path: Path, directory: Path) -> None:
+    """Before any data is read: directory, or its nearest existing ancestor, is a directory, and a
+    file's path (one other than directory) is not a directory; creates nothing."""
+    with _writing(path):
+        if "\0" in str(path):  # pathlib's tests below take such a path for a missing one
+            raise ValueError("embedded null byte")
+        if path != directory and path.is_dir():
+            raise IsADirectoryError(f"Is a directory: {str(path)!r}")
+        found = next(p for p in (directory, *directory.parents) if p.exists())
+        if not found.is_dir():
+            raise NotADirectoryError(f"Not a directory: {str(found)!r}")
 
 
 def load_candles(config: RunConfig) -> CandleSeries:
@@ -289,7 +317,12 @@ def run_experiment(
     run_id: str | None = None,
     persist: bool = True,
 ) -> RunArtifact:
-    """Execute the full pipeline and (optionally) persist under out_dir/run_id."""
+    """Execute the full pipeline and (optionally) persist under out_dir/run_id, whose run id and directory
+    are checked before any candle is read; a write that fails there is a ConfigError."""
+    if persist:
+        run_id = make_run_id(config) if run_id is None else check_run_id(run_id)
+        run_dir = Path(config.out_dir) / run_id
+        _check_writable(run_dir, run_dir)
     if series is None:
         series = load_candles(config)
     if series.interval != config.interval:  # Sharpe is annualized from config.interval
@@ -308,7 +341,8 @@ def run_experiment(
             _evaluate_job(config, dataset, seg, kind, window, artifact)
 
     if persist:
-        persist_artifact(artifact, config, run_id=run_id)
+        with _writing(run_dir):
+            persist_artifact(artifact, config, run_id=run_id)
     return artifact
 
 
@@ -352,5 +386,5 @@ def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | Non
         stale.discard(path)
     for path in stale:
         path.unlink()
-    logger.info("persisted run to %s", root)
+    logger.info("persisted run to %s", printable(root))
     return root

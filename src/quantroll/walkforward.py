@@ -72,7 +72,7 @@ def run_walkforward(
     retrain_stride reuse the most recent model. Only the current model is
     held: each refit replaces it before the next prediction. Every trailing
     refit has the same spec and row count, so all of them share one memo of
-    seeded draws (see models.fit), which lives only as long as this call.
+    forest draws (see models.fit), which lives only as long as this call.
     """
     parent = view.parent
     X = parent.frame.rows

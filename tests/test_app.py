@@ -405,6 +405,28 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="^series interval 3600s differs from the config's interval 86400s$"):
             run_experiment(config, series=hourly, persist=False)
 
+    def test_unwritable_run_directory_refused_before_any_candle_is_read(self, csv_path, tmp_path, monkeypatch):
+        """out_dir under a regular file fails before the candles are read, as a ConfigError."""
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "file" / "runs"))
+        monkeypatch.setattr(run_module, "load_candles", no_data)
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(tmp_path / 'file' / 'runs' / 'x'))}: Not a directory"):
+            run_experiment(config, run_id="x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_failed_persist_write_is_a_config_error(self, csv_path, tmp_path):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path, models=["ols_r"], windows=[7]))
+        (tmp_path / "x").mkdir()
+        (tmp_path / "x" / "equity").write_text("", encoding="utf-8")  # a file where the curves' directory goes
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(tmp_path / 'x'))}: .*File exists"):
+            run_experiment(config, run_id="x")
+
+    def test_persisted_log_line_escapes_its_path(self, csv_path, tmp_path, caplog):
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "ru\nns", models=["ols_r"], windows=[7]))
+        with caplog.at_level(logging.INFO, logger="quantroll.run"):
+            run_experiment(config, run_id="x")
+        assert caplog.messages[-1] == f"persisted run to {tmp_path}/ru\\nns/x"
+
     def test_broken_row_before_split_refused(self, tmp_path):
         """Every row of the candle file is checked, also one before train_start."""
         series = bars_to_series(random_walk_bars(N_BARS + 5, seed=31), t0=T0 - 5 * DAY)
@@ -744,7 +766,7 @@ class TestCli:
     def test_csv_path_holding_a_nul_exit_2_in_each_reader(self, tmp_path, capsys, argv):
         cfg = self.write_config(tmp_path / "config.json", config_dict("candles\0.csv", tmp_path / "runs"))
         assert self.run_cli(*argv, cfg) == 2
-        assert capsys.readouterr().err == "data error: cannot read candles\0.csv: embedded null byte\n"
+        assert capsys.readouterr().err == "data error: cannot read candles\\x00.csv: embedded null byte\n"
         assert not (tmp_path / "runs").exists()
 
     def test_undecodable_config_exit_1(self, tmp_path, capsys):
@@ -772,6 +794,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot read {path}: ") and err.count("\n") == 1
         assert ("Is a directory" if curve == "directory" else "can't decode byte 0xff") in err
+
+    @pytest.mark.parametrize("name, shown", [("ru\0ns", "ru\\x00ns"), ("ru\nns", "ru\\nns"), ("rün s", "rün s")])
+    def test_paths_in_messages_escape_non_printable_characters(self, tmp_path, capsys, name, shown):
+        """A user-named path shows as repr shows its characters, printable non-ASCII kept, so each message is one line."""
+        argv = ["export-equity", "--run-dir", str(tmp_path / name), "--model", "ols_r", "--window", "3", "--segment", "backtest"]
+        assert self.run_cli(*argv) == 3
+        assert capsys.readouterr().err == f"engine error: no equity curve at {tmp_path / shown}/equity/ols_r_3_backtest.csv\n"
+        assert self.run_cli("features", "--csv", str(tmp_path / name)) == 2
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {tmp_path / shown}: ")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -838,7 +869,8 @@ class TestCli:
         if command == "run":  # out_dir's run directory x, as the config names it
             argv = [*argv[:-2], "--run-id", "x"]
         assert self.run_cli(*argv) == 1
-        assert capsys.readouterr().err == f"configuration error: cannot write {out}: embedded null byte\n"
+        shown = str(out).replace("\0", "\\x00")
+        assert capsys.readouterr().err == f"configuration error: cannot write {shown}: embedded null byte\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.fixture(scope="class")

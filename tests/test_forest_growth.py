@@ -1,5 +1,5 @@
-"""The batched forest grower and the fixed-depth leaf walk against the recursive reference, the grower's memory
-bound, and the generators it builds."""
+"""The batched forest grower and the fixed-depth leaf walk against the recursive reference, the grower's and a
+GD fit's memory bounds, and the generators they build."""
 import tracemalloc
 
 import numpy as np
@@ -253,6 +253,15 @@ def test_wide_forest_growth_memory_is_bounded():
     assert peak_bytes_of_fit(spec, X, y) < 16 * 2**20
 
 
+def test_gd_epoch_orders_memory_is_bounded():
+    """A GD fit's epoch orders are one int32 epochs x rows table shuffled in place: 2.3 MiB here, and the whole
+    fit peaks at about 2.9 MiB. int64 orders (4.6 MiB), or a shuffled copy of the table, would exceed the bound."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(3000, 7))
+    y = 0.01 * X[:, 0] + 0.01 * rng.normal(size=3000)
+    assert peak_bytes_of_fit(ModelSpec("sgd_r", {"epochs": 200}), X, y) < 4 * 2**20
+
+
 @pytest.mark.parametrize(
     "kind, params, fresh, reused",
     [
@@ -262,13 +271,13 @@ def test_wide_forest_growth_memory_is_bounded():
         ("bagging_c", {"n_members": 40}, 40, 0),  # a memo hit reuses the bootstrap rows
         ("random_forest_c", {"n_members": 40, "max_features": "sqrt"}, 40, 0),
         ("extra_tree_r", {}, 1, 1),  # draws afresh from its seed at every fit
-        ("sgd_r", {"epochs": 5}, 1, 0),  # a memo hit reuses the epochs' permutations
+        ("sgd_r", {"epochs": 5}, 1, 1),  # draws every epoch's permutation afresh at every fit
     ],
 )
 def test_generators_built_per_fit(monkeypatch, kind, params, fresh, reused):
     """Members that draw nothing build no generator; a fit through a memo that
     already holds a member's draws builds none either. A random-split tree
-    keeps nothing in the memo and builds one at every fit."""
+    and a GD fit keep nothing in the memo and build one at every fit."""
     built = []
     real = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda seed: built.append(seed) or real(seed))

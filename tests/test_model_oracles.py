@@ -76,6 +76,16 @@ def test_gd_weights_match_per_batch_gathers(kind, seed, batch):
     assert np.array_equal(weights, expected, equal_nan=True)
 
 
+def test_gd_weights_match_per_batch_gathers_at_global_fit_shape():
+    """global_long's GD fit shape, 3,000 rows, 100 epochs and batches of 32: the
+    fit's one `permuted` call must draw what one `permutation` per epoch draws."""
+    rng = np.random.default_rng(3000)
+    X = rng.normal(size=(3000, 7))
+    y = 0.01 * X[:, 0] + rng.normal(0.0, 0.01, 3000)
+    weights = SGDRegressor(learning_rate=0.01, epochs=100, batch_size=32, seed=3).fit(X, y).weights_
+    assert np.array_equal(weights, ref_gd_weights("sgd_r", X, y, 0.01, 100, 32, 3))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_perceptron_weights_match_indexed_sweep(seed):
     rng, X, y, _ = case_data(seed)
@@ -323,8 +333,8 @@ def fitted_arrays(model):
 def test_shared_memo_fits_equal_fresh_fits(kind):
     """One memo serves specs that share a seed but differ in their settings,
     and windows of several lengths, in an order that revisits each: every
-    fit's arrays equal a fresh fit's byte for byte. The extra trees draw
-    afresh at every fit and leave the memo empty."""
+    fit's arrays equal a fresh fit's byte for byte. The extra trees and the
+    GD kinds draw afresh at every fit and leave the memo empty."""
     rng = np.random.default_rng(260)
     X = rng.normal(size=(80, 7))
     y = np.where(X[:, 0] + rng.normal(size=80) > 0, UP, DOWN) if task_of(kind) == CLASSIFIER else rng.normal(0.0, 0.01, 80)
@@ -335,4 +345,4 @@ def test_shared_memo_fits_equal_fresh_fits(kind):
             got, want = fit(spec, X[lo : lo + n], y[lo : lo + n], memo), fit(spec, X[lo : lo + n], y[lo : lo + n])
             for a, b in zip(fitted_arrays(got), fitted_arrays(want)):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert (not memo) == kind.startswith("extra_tree")
+    assert (not memo) == (kind.startswith("extra_tree") or kind in GD_CLASSES)

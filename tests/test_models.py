@@ -266,10 +266,10 @@ class TestFitContract:
         with pytest.raises(ValueError, match=r"classification targets must be \+1/-1"):
             fit(ModelSpec(kind), X, y)
 
-    # memo stays empty for these: they draw nothing, or (extra trees) draw afresh from their seed at every fit
+    # memo stays empty for these: they draw nothing, or (extra trees, GD kinds) draw afresh from their seed at every fit
     DRAW_NOTHING = {
         "ols_r", "ridge_r", "ridge_c", "perceptron_c", "knn_c", "knn_r", "bernoulli_nb_c", "decision_tree_c",
-        "decision_tree_r", "extra_tree_c", "extra_tree_r",
+        "decision_tree_r", "extra_tree_c", "extra_tree_r", "logistic_c", "sgd_c", "sgd_r",
     }
 
     @pytest.mark.parametrize("kind", KIND_NAMES)
