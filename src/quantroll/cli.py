@@ -71,14 +71,12 @@ def _candle_config(config_path, csv_path, interval) -> RunConfig:
 def ingest(config_path, csv_path, interval, out_path):
     """Parse a candle CSV, validate spacing, and store a normalized copy."""
     series = load_candles(_candle_config(config_path, csv_path, interval))
-    report = validate_series(series)
-    if not report.is_clean:
-        for finding in report.findings[:10]:
-            click.echo(
-                f"gap of {finding.gap}s between {finding.prev_timestamp} and {finding.next_timestamp}",
-                err=True,
-            )
-        raise DataError(f"series has {len(report.findings)} spacing violation(s)")
+    try:
+        check_spacing(series)
+    except DataError:  # the first 10 gaps, then the message features, run and tune give
+        for finding in validate_series(series).findings[:10]:
+            click.echo(f"gap of {finding.gap}s between {finding.prev_timestamp} and {finding.next_timestamp}", err=True)
+        raise
     if out_path:
         with _writing(out_path):
             Path(out_path).write_text(serialize_candles_csv(series), encoding="utf-8")

@@ -27,7 +27,8 @@ class Estimator:
     labels. An estimator fitted directly must be given arrays that meet the
     same contract. Every estimator scores rows through one batch method,
     `scores(X)`: one float64 per row, a classifier's decision score (up iff
-    positive, see classify_from_scores) or a regressor's predicted return.
+    positive, see classify_from_scores) or a regressor's predicted return:
+    the float `score_row` gives that row alone, whatever rows come with it.
     """
 
     @classmethod

@@ -12,7 +12,8 @@ class BernoulliNBClassifier(Estimator):
 
     Likelihoods are Laplace-smoothed with `alpha`; priors are empirical.
     A row's score depends on its binarized pattern alone, so `score_row`
-    memoizes it per pattern: at most 2**width entries per fit.
+    computes it once per pattern and memoizes it: at most 2**width one-row
+    posteriors per fit. `scores` returns each row's `score_row`.
     """
 
     def __init__(self, alpha: float = 1.0):
@@ -20,7 +21,7 @@ class BernoulliNBClassifier(Estimator):
 
     def fit(self, X, y, memo: dict | None = None) -> "BernoulliNBClassifier":
         self.medians_ = np.median(X, axis=0)
-        B = self._binarize(X)
+        B = X > self.medians_
         self.classes_ = np.array([UP, DOWN], dtype=np.int8)
         log_prior, log_p1, log_p0 = [], [], []
         for cls in self.classes_:
@@ -36,24 +37,17 @@ class BernoulliNBClassifier(Estimator):
         self.pattern_scores_: dict[bytes, float] = {}
         return self
 
-    def _binarize(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) > self.medians_).astype(np.float64)
-
-    def _log_posteriors(self, X) -> np.ndarray:
-        B = self._binarize(X)
-        return self.log_prior_ + B @ self.log_p1_.T + (1.0 - B) @ self.log_p0_.T
-
     def scores(self, X) -> np.ndarray:
         """Posterior probability of up, minus 0.5."""
-        log_post = self._log_posteriors(X)
-        shifted = log_post - log_post.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs[:, 0] - 0.5  # classes_ puts UP first
+        return np.array([self.score_row(x) for x in np.asarray(X, dtype=np.float64)], dtype=np.float64)
 
     def score_row(self, x: np.ndarray) -> float:
-        pattern = (x > self.medians_).tobytes()
-        score = self.pattern_scores_.get(pattern)
+        pattern = x > self.medians_
+        key = pattern.tobytes()
+        score = self.pattern_scores_.get(key)
         if score is None:
-            score = self.pattern_scores_[pattern] = super().score_row(x)
+            b = pattern[None].astype(np.float64)  # one (1, width) row: the products reduce it as one row alone
+            log_post = (self.log_prior_ + b @ self.log_p1_.T + (1.0 - b) @ self.log_p0_.T)[0]
+            probs = np.exp(log_post - log_post.max())
+            score = self.pattern_scores_[key] = float(probs[0] / (probs[0] + probs[1])) - 0.5  # classes_: UP first
         return score

@@ -15,8 +15,8 @@ deepest leaf's depth, with no test for which rows have arrived.
 A member's draws depend only on its seed, the row count and the settings, never on X or y, so a
 caller that refits on equal-length windows may pass one memo dict to every fit: the first fit
 stores each member's bootstrap rows and, if it subsamples columns, its generator and column subsets in
-it; later fits reuse them and draw the same numbers. A random-split tree draws afresh from its seed at
-every fit. A member that draws nothing (no bootstrap, subsampling or random split) builds no generator.
+it; later fits reuse them and draw the same numbers. A random-split tree never touches the memo: it builds
+its generator from its seed at every fit. A member that draws nothing builds no generator.
 """
 from __future__ import annotations
 
@@ -191,17 +191,17 @@ def _node_stats(Y: np.ndarray, n: np.ndarray, criterion: str):
 
 
 class _Draws:
-    """A member's draws from its seed: its bootstrap rows, then, if it draws while it grows, its
-    generator. A subsampling member's generator sits just after the last of `subsets`, the sorted
-    column subsets drawn so far in preorder; each fit replays them before drawing more."""
+    """What a memo keeps of a forest member's draws from its seed: its bootstrap rows, then, if it
+    subsamples columns, its generator, which sits just after the last of `subsets`, the sorted column
+    subsets drawn so far in preorder; each fit replays them before drawing more."""
 
     __slots__ = ("rows", "rng", "subsets", "used")
 
-    def __init__(self, seed: int, n_rows: int, bootstrap: bool, draws_while_growing: bool):
+    def __init__(self, seed: int, n_rows: int, bootstrap: bool, subsample: bool):
         rng = np.random.default_rng(np.random.PCG64(seed))
         self.rows = rng.integers(0, n_rows, size=n_rows) if bootstrap else np.arange(n_rows)
         self.rows.flags.writeable = False
-        self.rng = rng if draws_while_growing else None  # a generator holds ~0.9 kB
+        self.rng = rng if subsample else None  # a generator holds ~0.9 kB
         self.subsets, self.used = [], 0  # used: the subsets this fit has taken
 
     def subset(self, width: int, max_features: int) -> np.ndarray:
@@ -221,21 +221,24 @@ def grow_forest(
 ) -> FlatTrees:
     """Grow one tree per seed, which draws the tree's bootstrap sample of X's rows, then its splits.
 
-    Random splits grow one tree, which draws its thresholds over all columns and afresh from its seed at every
-    fit: the estimators' random-split trees are single, bootstrap-free, all-column trees. memo, if given, keeps
-    every other member's draws (keyed by seed, row count and settings) for later calls.
+    Random splits grow one tree on every row, which draws its thresholds over all columns from a generator built
+    from its seed at every fit, never touching memo. memo, if given, keeps the forest members' draws (keyed by
+    seed, row count and settings) for later calls.
     """
     n_rows, width = X.shape
     subsample = max_features is not None and max_features < width
-    if random_split and (subsample or len(seeds) != 1):
-        raise ValueError("random splits draw over all columns" if subsample else "random splits grow one tree")
+    if random_split and (subsample or bootstrap or len(seeds) != 1):
+        rule = "draw over all columns" if subsample else "grow on every row" if bootstrap else "grow one tree"
+        raise ValueError(f"random splits {rule}")
+    rng = np.random.default_rng(np.random.PCG64(seeds[0])) if random_split else None
+    preorder = random_split or subsample  # members that draw while they grow take their nodes in preorder
     key = (n_rows, bootstrap, max_features if subsample else None, width)  # + seed
-    memo = {} if memo is None or random_split else memo  # a random-split tree draws afresh at every fit
+    memo = {} if memo is None else memo
     members = [None] * len(seeds)  # each member's _Draws, or None if it draws nothing
-    for i, seed in enumerate(seeds if bootstrap or subsample or random_split else ()):
+    for i, seed in enumerate(seeds if bootstrap or subsample else ()):
         member = members[i] = memo.get(key + (seed,))
         if member is None:
-            member = members[i] = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, random_split or subsample)
+            member = members[i] = memo[key + (seed,)] = _Draws(seed, n_rows, bootstrap, subsample)
         member.used = 0
     pad = len(members) * n_rows  # rows[pad] pads; member m's rows sit at [m * n_rows, (m + 1) * n_rows)
     rows = np.append(np.concatenate([m.rows for m in members]) if bootstrap else np.arange(pad) % n_rows, n_rows)
@@ -248,7 +251,7 @@ def grow_forest(
     nodes = roots[:, None] * (1, n_rows, n_rows, 0, 1) + (0, 0, n_rows, 0, 0)  # the roots, by position in rows
     while len(nodes):  # each step takes all nodes, level by level, but members that draw while they grow
         taken, children = nodes, [nodes[:0]]  # take each one's leftmost open node, its next in preorder
-        if random_split or subsample:
+        if preorder:
             open_ = ((nodes[:, HI] - nodes[:, LO] >= min_split) & (nodes[:, DEPTH] < depth_cap)).nonzero()[0]
             if open_.size:  # else the leaves, which wait for this last step
                 member, take = nodes[open_, MEMBER], np.zeros(len(nodes), dtype=bool)
@@ -272,7 +275,7 @@ def grow_forest(
             if not cand.size:
                 continue
             if random_split:
-                found, rng = [], members[0].rng
+                found = []
                 for k in cand.tolist():
                     r = R[k, : n[k]]
                     best = _random_split(X[r], y[r], criterion, parent[k], min_leaf, rng, np.arange(width))
@@ -298,7 +301,7 @@ def grow_forest(
             depth = max(depth, int(kids[:, DEPTH].max(initial=0)))
             children.append(kids)
         nodes = np.concatenate(children)
-        if random_split or subsample:  # by position in rows: each member's nodes in left-to-right order
+        if preorder:  # by position in rows: each member's nodes in left-to-right order
             nodes = nodes[np.argsort(nodes[:, LO])]
     value, feature, threshold = np.empty(n_nodes), np.full(n_nodes, -1), np.zeros(n_nodes)
     child = np.arange(n_nodes)[:, None].repeat(2, axis=1)  # a leaf is its own child on both sides

@@ -317,11 +317,11 @@ def run_experiment(
     run_id: str | None = None,
     persist: bool = True,
 ) -> RunArtifact:
-    """Execute the full pipeline and (optionally) persist under out_dir/run_id, whose run id and directory
-    are checked before any candle is read; a write that fails there is a ConfigError."""
+    """Execute the full pipeline and (optionally) persist under out_dir/run_id. The run id (by default the time
+    and the config's hash) and its directory are checked before any candle is read; a write that fails there
+    is a ConfigError."""
     if persist:
-        run_id = make_run_id(config) if run_id is None else check_run_id(run_id)
-        run_dir = Path(config.out_dir) / run_id
+        run_dir = Path(config.out_dir) / (make_run_id(config) if run_id is None else check_run_id(run_id))
         _check_writable(run_dir, run_dir)
     if series is None:
         series = load_candles(config)
@@ -341,8 +341,7 @@ def run_experiment(
             _evaluate_job(config, dataset, seg, kind, window, artifact)
 
     if persist:
-        with _writing(run_dir):
-            persist_artifact(artifact, config, run_id=run_id)
+        persist_artifact(artifact, run_dir)
     return artifact
 
 
@@ -367,24 +366,26 @@ def check_run_id(run_id: str) -> str:
     return run_id
 
 
-def persist_artifact(artifact: RunArtifact, config: RunConfig, run_id: str | None = None) -> Path:
-    run_id = make_run_id(config) if run_id is None else check_run_id(run_id)
-    root = Path(config.out_dir) / run_id
-    (root / "equity").mkdir(parents=True, exist_ok=True)
-    (root / "config.json").write_text(
-        json.dumps(artifact.config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (root / "report.json").write_text(artifact.report_json(), encoding="utf-8")
-    if artifact.trials:
-        (root / "trials.jsonl").write_text(artifact.trials_jsonl(), encoding="utf-8")
-    else:  # an earlier run's trial log in this run directory goes, as do its curves below
-        (root / "trials.jsonl").unlink(missing_ok=True)
-    stale = set((root / "equity").glob("*.csv"))
-    for key, curve in artifact.curves.items():
-        path = equity_path(root, *key)
-        path.write_text(curve.to_csv(), encoding="utf-8")
-        stale.discard(path)
-    for path in stale:
-        path.unlink()
+def persist_artifact(artifact: RunArtifact, run_dir) -> Path:
+    """Write the artifact's files into run_dir, creating it, and return it as a Path. A write that fails, or
+    a path holding a NUL, is a ConfigError (`cannot write <run_dir>: ...`)."""
+    root = Path(run_dir)
+    with _writing(root):
+        (root / "equity").mkdir(parents=True, exist_ok=True)
+        (root / "config.json").write_text(
+            json.dumps(artifact.config, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        (root / "report.json").write_text(artifact.report_json(), encoding="utf-8")
+        if artifact.trials:
+            (root / "trials.jsonl").write_text(artifact.trials_jsonl(), encoding="utf-8")
+        else:  # an earlier run's trial log in this run directory goes, as do its curves below
+            (root / "trials.jsonl").unlink(missing_ok=True)
+        stale = set((root / "equity").glob("*.csv"))
+        for key, curve in artifact.curves.items():
+            path = equity_path(root, *key)
+            path.write_text(curve.to_csv(), encoding="utf-8")
+            stale.discard(path)
+        for path in stale:
+            path.unlink()
     logger.info("persisted run to %s", printable(root))
     return root

@@ -352,20 +352,27 @@ class TestRunExperiment:
     @pytest.mark.parametrize("run_id", ["../../escape", "..", ".", "", "a/b", "a\\b", 7])
     def test_bad_run_id_refused_before_writing(self, csv_path, tmp_path, run_id):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "a" / "b" / "runs", models=["ols_r"], windows=[7]))
-        artifact = run_experiment(config, persist=False)
         with pytest.raises(ConfigError, match=f"^run id must be one path component, got {re.escape(repr(run_id))}$"):
-            persist_artifact(artifact, config, run_id=run_id)
-        with pytest.raises(ConfigError, match="^run id must be one path component"):
             run_experiment(config, run_id=run_id)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("run_id", ["smoke", "a.b", "..a", "a..", "run 1"])
     def test_one_component_run_id_used_as_given(self, csv_path, tmp_path, run_id):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "runs", models=["ols_r"], windows=[7]))
-        root = persist_artifact(run_experiment(config, persist=False), config, run_id=run_id)
-        assert root == tmp_path / "runs" / run_id
+        run_experiment(config, run_id=run_id)
         assert [p.name for p in (tmp_path / "runs").iterdir()] == [run_id]
-        assert (root / "report.json").exists()
+        assert (tmp_path / "runs" / run_id / "report.json").exists()
+
+    def test_persist_artifact_write_failure_is_a_config_error(self, csv_path, tmp_path):
+        """persist_artifact called directly maps a failed write as run_experiment does."""
+        config = RunConfig.from_dict(config_dict(csv_path, tmp_path / "runs", models=["ols_r"], windows=[7]))
+        artifact = run_experiment(config, persist=False)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        run_dir = tmp_path / "file" / "run"  # a directory under a regular file
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(str(run_dir))}: .*Not a directory"):
+            persist_artifact(artifact, run_dir)
+        assert persist_artifact(artifact, tmp_path / "run") == tmp_path / "run"
+        assert (tmp_path / "run" / "report.json").read_text(encoding="utf-8") == artifact.report_json()
 
     def test_every_report_has_equity_curve(self, csv_path, tmp_path):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path))
@@ -726,6 +733,25 @@ class TestCli:
         path.write_text(serialize_candles_csv(gapped), encoding="utf-8")
         assert self.run_cli("ingest", "--csv", str(path), "--interval", str(DAY)) == 2
 
+    def test_ingest_gap_lists_gaps_then_the_shared_line(self, tmp_path, capsys):
+        """ingest lists the first 10 gaps, then refuses the series with the line features, run and tune give."""
+        lines = serialize_candles_csv(bars_to_series(random_walk_bars(60, seed=35))).splitlines(keepends=True)
+        path = tmp_path / "gap.csv"
+        path.write_text("".join(lines[:2] + lines[2:50:4]), encoding="utf-8")  # 11 gaps of 4 days after T0 + DAY
+        assert self.run_cli("ingest", "--csv", str(path), "--interval", str(DAY)) == 2
+        err = capsys.readouterr().err.splitlines()
+        shared = (
+            f"data error: series has 11 spacing violation(s); first gap of {4 * DAY}s "
+            f"between {T0 + DAY} and {T0 + 5 * DAY}"
+        )
+        gaps = [f"gap of {4 * DAY}s between {T0 + (1 + 4 * i) * DAY} and {T0 + (5 + 4 * i) * DAY}" for i in range(10)]
+        assert err == [*gaps, shared]
+        cfg = self.write_config(tmp_path / "config.json", config_dict(path, tmp_path / "runs"))
+        tune = ["tune", "--config", cfg, "--model", "knn_c", "--window", "7", "--trials", "1"]
+        for argv in (["features", "--csv", str(path)], ["run", "--config", cfg], tune):
+            assert self.run_cli(*argv) == 2
+            assert capsys.readouterr().err.splitlines() == [shared]
+
     def test_ingest_timestamp_overflow_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("timestamp,open,high,low,close,volume\n99999999999999999999,1,2,1,2,5\n", encoding="utf-8")
@@ -876,7 +902,7 @@ class TestCli:
     @pytest.fixture(scope="class")
     def persisted_run(self, csv_path, tmp_path_factory):
         config = RunConfig.from_dict(config_dict(csv_path, tmp_path_factory.mktemp("persisted"), models=["knn_c"], windows=[7]))
-        return persist_artifact(run_experiment(config, persist=False), config, run_id="written")
+        return persist_artifact(run_experiment(config, persist=False), Path(config.out_dir) / "written")
 
     @pytest.mark.parametrize("command", list(WRITING_COMMANDS.values()), ids=list(WRITING_COMMANDS))
     def test_unwritable_output_exit_1(self, csv_path, tmp_path, capsys, persisted_run, command):

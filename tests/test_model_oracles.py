@@ -240,15 +240,10 @@ def test_score_row_with_a_constant_scaler_column(kind):
         assert_row_matches_batch(model, x)
 
 
-@pytest.mark.parametrize("kind", [
-    "ols_r", "ridge_r", "ridge_c", "sgd_r", "sgd_c", "logistic_c", "perceptron_c",
-    "knn_c", "knn_r", "decision_tree_c", "decision_tree_r", "extra_tree_c", "extra_tree_r", "random_forest_c", "bagging_c",
-    "random_forest_r", "bagging_r",
-])
+@pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
 def test_batch_scores_are_row_count_invariant(kind):
     """`scores` on batches of 1-1000 rows gives each row the bits `score_row`
-    gives it alone, whichever BLAS kernel a matrix product would pick.
-    bernoulli_nb_c does not hold to this yet."""
+    gives it alone, whichever BLAS kernel a matrix product would pick."""
     rng, X, y_class, y_reg = case_data(230, n_max=40)
     est = fit(ModelSpec(kind, seed=3), X, y_class if task_of(kind) == CLASSIFIER else y_reg).estimator
     queries = one_row_queries(rng, X, 5550)

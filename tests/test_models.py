@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -453,13 +452,12 @@ class TestRandomSplits:
         with pytest.raises(ValueError, match="^random splits grow one tree$"):
             grow_forest(X, y, "variance", seeds, random_split=True)
 
-    def test_a_bootstrapped_random_split_tree_redraws_through_a_memo(self):
+    @pytest.mark.parametrize("memo", [None, {}])
+    def test_random_splits_refuse_a_bootstrap(self, memo):
         X, y_class, _ = blob_data(30, seed=26)
-        y, memo = y_class.astype(np.float64), {}
-        grown = [grow_forest(X, y, "gini", range(3, 4), bootstrap=True, random_split=True, memo=m) for m in (memo, memo, None)]
-        for a, *others in zip(*(dataclasses.astuple(t) for t in grown)):
-            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for b in others)
-        assert memo == {}
+        with pytest.raises(ValueError, match="^random splits grow on every row$"):
+            grow_forest(X, y_class.astype(np.float64), "gini", range(3, 4), bootstrap=True, random_split=True, memo=memo)
+        assert memo in (None, {})
 
 
 class TestRegistry:
