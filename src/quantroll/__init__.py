@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .candles import (  # noqa: E402
     CandleSeries,
-    ValidationReport,
     parse_candles_csv,
     serialize_candles_csv,
     validate_series,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,15 +97,6 @@ class GapFinding:
     prev_timestamp: int
     next_timestamp: int
     gap: int
-
-
-@dataclass
-class ValidationReport:
-    findings: list[GapFinding] = field(default_factory=list)
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.findings
 
 
 def _parse_price(raw: str, i: int, where: Callable[[int], str], column: str) -> float:
@@ -225,9 +216,9 @@ def serialize_candles_csv(series: CandleSeries) -> str:
     return csv_text(CSV_HEADER, map(str, series.timestamps.tolist()), *prices)
 
 
-def validate_series(series: CandleSeries) -> ValidationReport:
-    """Report every index whose gap to the previous candle is not `interval`."""
+def validate_series(series: CandleSeries) -> list[GapFinding]:
+    """Every index whose gap to the previous candle is not `interval`, in order; empty for a clean series."""
     ts = series.timestamps
     gaps = np.diff(ts)
     bad = np.nonzero(gaps != series.interval)[0]
-    return ValidationReport([GapFinding(int(i) + 1, int(ts[i]), int(ts[i + 1]), int(gaps[i])) for i in bad])
+    return [GapFinding(int(i) + 1, int(ts[i]), int(ts[i + 1]), int(gaps[i])) for i in bad]

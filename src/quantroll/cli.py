@@ -74,7 +74,7 @@ def ingest(config_path, csv_path, interval, out_path):
     try:
         check_spacing(series)
     except DataError:  # the first 10 gaps, then the message features, run and tune give
-        for finding in validate_series(series).findings[:10]:
+        for finding in validate_series(series)[:10]:
             click.echo(f"gap of {finding.gap}s between {finding.prev_timestamp} and {finding.next_timestamp}", err=True)
         raise
     if out_path:

@@ -34,7 +34,7 @@ from .linear import (
 )
 from .naive_bayes import BernoulliNBClassifier
 from .neighbors import KNNClassifier, KNNRegressor
-from .spaces import RANGES, RULES, Categorical, HyperParamSpace, IntRange, LogUniform
+from .spaces import RANGES, RULES, Categorical, Distribution, IntRange, LogUniform
 from .tree import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -103,11 +103,11 @@ def hyperparameters(kind: str | ModelKind) -> tuple[str, ...]:
     return tuple(name for name in _REGISTRY[coerce_kind(kind)]._param_names() if name != "seed")
 
 
-def default_space(kind: str | ModelKind) -> HyperParamSpace:
-    """The tuning space a search samples for one model kind."""
-    kind = coerce_kind(kind)
+def default_space(kind: str | ModelKind) -> tuple[tuple[str, Distribution], ...]:
+    """The tuning space a search samples for one model kind: its
+    (name, distribution) pairs in draw order."""
     names = hyperparameters(kind)
-    return HyperParamSpace(kind.value, tuple((n, d) for n, d in RANGES.items() if n in names))
+    return tuple((n, d) for n, d in RANGES.items() if n in names)
 
 
 def _check(rule, name: str, value) -> None:
@@ -229,7 +229,6 @@ __all__ = [
     "REGRESSOR",
     "REGRESSOR_KINDS",
     "Categorical",
-    "HyperParamSpace",
     "IntRange",
     "LogUniform",
     "ModelKind",

@@ -46,19 +46,16 @@ class Estimator:
         return float(self.scores(x.reshape(1, -1))[0])
 
 
-def check_matrix(X, name: str = "X") -> np.ndarray:
+def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as a finite float64 matrix (a 1-d X is one column) with at least one
+    row and column, and y as a finite float64 vector of one entry per row."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {X.shape}")
+        raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
     if not np.isfinite(X).all():
-        raise NonFiniteInput(f"{name} contains non-finite entries")
-    return X
-
-
-def check_fit_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = check_matrix(X)
+        raise NonFiniteInput("X contains non-finite entries")
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptyTraining("training set is empty")

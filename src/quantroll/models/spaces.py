@@ -40,12 +40,6 @@ class Categorical:
 Distribution = LogUniform | IntRange | Categorical
 
 
-@dataclass(frozen=True)
-class HyperParamSpace:
-    kind: str
-    dims: tuple[tuple[str, Distribution], ...]
-
-
 # Keyed by parameter name: every kind that takes a parameter shares its rule
 # and range. RULES bound the legal values; RANGES are the (narrower) tuning
 # ranges, in draw order, since the tuner keys each draw by its dimension index.

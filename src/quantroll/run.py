@@ -55,21 +55,9 @@ def parse_instant(value) -> int:
     raise ConfigError(f"not a timestamp: {value!r}")
 
 
-@dataclass(frozen=True)
-class DataSource:
-    """The candle CSV file a run reads."""
-
-    csv_path: str
-
-    def __post_init__(self):
-        try:
-            STRING.check("csv_path", self.csv_path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
 _SPLIT_KEYS = ("train_start", "backtest_start", "forward_start", "forward_end")
 _OPEN_ENDS = ("train_start", "forward_end")  # null stretches the segment to the data's edge
+_NESTED = {"data": ("csv_path",), "split": _SPLIT_KEYS}  # config blocks whose keys are RunConfig fields
 
 
 def _names(cls) -> list[str]:
@@ -101,10 +89,11 @@ def _listed(key: str, value) -> list:
 @dataclass(frozen=True)
 class RunConfig:
     """One run. The fields are the config schema: each one is a top-level key
-    of the same name, except the four split bounds, which sit under "split".
+    of the same name, except csv_path, which sits under "data", and the four
+    split bounds, which sit under "split".
     """
 
-    data: DataSource
+    csv_path: str
     interval: int = 86400
     indicators: IndicatorConfig = field(default_factory=IndicatorConfig)
     backtest_start: int = parse_instant("2023-02-01")
@@ -124,7 +113,7 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            check_fields(self, interval=POSITIVE_INTEGER, seed=INTEGER, out_dir=STRING, jobs=POSITIVE_INTEGER)
+            check_fields(self, csv_path=STRING, interval=POSITIVE_INTEGER, seed=INTEGER, out_dir=STRING, jobs=POSITIVE_INTEGER)
             self.walk(1)  # the rules of mode, retrain_stride, fee_bps and dead_band
             for window in self.windows:
                 POSITIVE_INTEGER.check("windows", window)
@@ -164,7 +153,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["split"] = {name: out.pop(name) for name in _SPLIT_KEYS}
+        for block, keys in _NESTED.items():
+            out[block] = {name: out.pop(name) for name in keys}
         out["models"] = [k.value for k in self.models]
         out["windows"] = list(self.windows)
         return out
@@ -178,11 +168,11 @@ class RunConfig:
 
     @classmethod
     def _from_dict(cls, raw: dict) -> "RunConfig":
-        flat = set(_names(cls)) - set(_SPLIT_KEYS)
-        raw = _block("config", raw, flat | {"split"}, required=("data",))
+        flat = set(_names(cls)).difference(*_NESTED.values())
+        raw = _block("config", raw, flat | set(_NESTED), required=("data",))
         split_raw = _block("split", raw.get("split"), _SPLIT_KEYS)
-        kwargs = {name: value for name, value in raw.items() if name != "split"}
-        kwargs["data"] = DataSource(**_block("data", raw["data"], _names(DataSource), required=("csv_path",)))
+        kwargs = {name: value for name, value in raw.items() if name not in _NESTED}
+        kwargs.update(_block("data", raw["data"], _NESTED["data"], required=_NESTED["data"]))
         kwargs["indicators"] = IndicatorConfig(**_block("indicators", raw.get("indicators"), _names(IndicatorConfig)))
         for name, value in split_raw.items():
             kwargs[name] = None if value is None and name in _OPEN_ENDS else parse_instant(value)
@@ -262,16 +252,16 @@ def _check_writable(path: Path, directory: Path) -> None:
 
 def load_candles(config: RunConfig) -> CandleSeries:
     """The candles of the config's CSV file; one that cannot be read is a data error."""
-    return parse_candles_csv(read_text(config.data.csv_path, DataError), config.interval)
+    return parse_candles_csv(read_text(config.csv_path, DataError), config.interval)
 
 
 def check_spacing(series: CandleSeries) -> None:
     """A series with a missing or misplaced candle is a data error; nothing is forward-filled."""
-    report = validate_series(series)
-    if not report.is_clean:
-        first = report.findings[0]
+    findings = validate_series(series)
+    if findings:
+        first = findings[0]
         raise DataError(
-            f"series has {len(report.findings)} spacing violation(s); first gap of {first.gap}s "
+            f"series has {len(findings)} spacing violation(s); first gap of {first.gap}s "
             f"between {first.prev_timestamp} and {first.next_timestamp}"
         )
 

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import LabeledDataset, SegmentSplit, split
 from .errors import INTEGER, POSITIVE_INTEGER, AllTrialsFailed
 from .metrics import ClassifierReport, RegressorReport
-from .models import Categorical, HyperParamSpace, IntRange, LogUniform, ModelSpec, default_space
+from .models import Categorical, Distribution, IntRange, LogUniform, ModelSpec, coerce_kind, default_space
 from .evaluation import evaluate_segment
 from .walkforward import WalkForwardConfig
 
@@ -68,10 +68,11 @@ def _dimension_rng(trial_seed: int, dim_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_params(space: HyperParamSpace, trial_seed: int) -> dict:
-    """One independent draw per dimension; loguniform is uniform in log space."""
+def sample_params(space: tuple[tuple[str, Distribution], ...], trial_seed: int) -> dict:
+    """One independent draw per (name, distribution) pair of space, keyed by
+    its index; loguniform is uniform in log space."""
     params = {}
-    for dim_index, (name, dist) in enumerate(space.dims):
+    for dim_index, (name, dist) in enumerate(space):
         rng = _dimension_rng(trial_seed, dim_index)
         if isinstance(dist, LogUniform):
             params[name] = float(math.exp(rng.uniform(math.log(dist.lo), math.log(dist.hi))))
@@ -123,4 +124,4 @@ def run_study(
 
     if best is None:
         raise AllTrialsFailed(f"all {n_trials} trials failed")
-    return TunerResult(space.kind, config.window, best, trials)
+    return TunerResult(coerce_kind(kind).value, config.window, best, trials)

@@ -113,12 +113,12 @@ def run_walkforward(
 
     return PredictionSeries(
         task=task,
-        timestamps=parent.timestamps[eval_indices].copy(),
+        timestamps=parent.timestamps[eval_indices],
         direction=classify_from_scores(score),
         score=score,
         value=np.full(score.size, np.nan) if task == CLASSIFIER else score.copy(),
-        realized_class=y_class[eval_indices].copy(),
-        realized_return=y_reg[eval_indices].copy(),
+        realized_class=y_class[eval_indices],
+        realized_return=y_reg[eval_indices],
     )
 
 

@@ -19,7 +19,7 @@ from quantroll.errors import ConfigError, DataError, MalformedRow, MixedTasks
 from quantroll.indicators import IndicatorConfig
 from quantroll.metrics import ClassifierReport, RegressorReport, report_from_row, report_row
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
-from quantroll.run import DataSource, RunConfig, equity_path, make_run_id, parse_instant, persist_artifact, run_experiment
+from quantroll.run import RunConfig, equity_path, make_run_id, parse_instant, persist_artifact, run_experiment
 from quantroll.walkforward import WalkForwardConfig
 from quantroll import cli, run as run_module, tuner as tuner_mod
 
@@ -69,13 +69,13 @@ def _edited(base: dict, keys) -> st.SearchStrategy:
 @st.composite
 def edited_configs(draw):
     raw = {
-        "data": draw(_edited({"csv_path": "c.csv"}, [*_names(DataSource), *NOT_DATA_KEYS])),
+        "data": draw(_edited({"csv_path": "c.csv"}, ["csv_path", *NOT_DATA_KEYS])),
         "split": draw(_edited(SPLIT, list(SPLIT))),
         "indicators": draw(_edited({}, _names(IndicatorConfig))),
         "models": ["knn_c"],
         "windows": [7],
     }
-    return draw(_edited(raw, [*(set(_names(RunConfig)) - set(SPLIT)), "split"]))
+    return draw(_edited(raw, [*(set(_names(RunConfig)) - set(SPLIT)), "data", "split"]))  # a top-level csv_path too
 
 
 def config_dict(csv_path, out_dir, /, **overrides):
@@ -178,6 +178,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             RunConfig.from_dict(config_dict(csv_path, tmp_path, **overrides))
 
+    def test_direct_construction_checks_csv_path(self):
+        with pytest.raises(ConfigError, match=r"^csv_path must be string, got 5$"):
+            RunConfig(5)
+
     @pytest.mark.parametrize("raw", [[1], "c.csv", 5], ids=["list", "string", "int"])
     def test_config_not_an_object_rejected(self, raw):
         with pytest.raises(ConfigError, match=f"config must be a JSON object, got {re.escape(repr(raw))}"):
@@ -235,6 +239,32 @@ class TestRunConfig:
             "jobs": 1,
         }
 
+    def test_persisted_config_bytes(self, tmp_path, monkeypatch):
+        """A run's config.json nests csv_path under data and the bounds under
+        split; these bytes and the run id's config hash are pinned."""
+        raw = {
+            "data": {"csv_path": "clean.csv"},
+            "split": {"train_start": None, "backtest_start": T0 + 60 * DAY, "forward_start": T0 + 95 * DAY,
+                      "forward_end": None},
+            "indicators": {"mfi_period": 10, "bb_k": 1.5},
+            "models": ["ols_r"],
+            "windows": [7],
+        }
+        config = RunConfig.from_dict(raw)
+        monkeypatch.chdir(tmp_path)
+        run_experiment(config, series=bars_to_series(random_walk_bars(N_BARS, seed=31)), run_id="pinned")
+        assert (tmp_path / "runs" / "pinned" / "config.json").read_bytes() == (
+            b'{\n  "data": {\n    "csv_path": "clean.csv"\n  },\n  "dead_band": 0.0,\n  "fee_bps": 0.0,\n'
+            b'  "indicators": {\n    "bb_k": 1.5,\n    "bb_period": 20,\n    "kc_atr_period": 10,\n'
+            b'    "kc_ema_period": 20,\n    "kc_mult": 2.0,\n    "mfi_period": 10,\n    "sar_af_max": 0.2,\n'
+            b'    "sar_af_start": 0.02,\n    "sar_af_step": 0.02\n  },\n  "interval": 86400,\n  "jobs": 1,\n'
+            b'  "mode": "trailing",\n  "models": [\n    "ols_r"\n  ],\n  "out_dir": "runs",\n'
+            b'  "retrain_stride": 1,\n  "seed": 0,\n  "split": {\n    "backtest_start": 1362182400,\n'
+            b'    "forward_end": null,\n    "forward_start": 1365206400,\n    "train_start": null\n  },\n'
+            b'  "tuner_trials": null,\n  "windows": [\n    7\n  ]\n}\n'
+        )
+        assert make_run_id(config).endswith("-d52517c1")
+
 
 # Each numeric setting of each config object, with its rule's description.
 SETTINGS = [
@@ -262,7 +292,7 @@ RULE_CASES = {
 
 def build_setting(cls, name, value):
     if cls is RunConfig:
-        return RunConfig(DataSource(csv_path="c.csv"), **{name: (value,) if name == "windows" else value})
+        return RunConfig("c.csv", **{name: (value,) if name == "windows" else value})
     if cls is CandleSeries:
         return CandleSeries([T0], [1.0], [2.0], [1.0], [1.5], [1.0], interval=value)
     if cls is IndicatorConfig:  # room for either SAR bound to take any accepted value
@@ -455,7 +485,7 @@ import quantroll.run
 unused = [name for name in ("urllib3", "ssl", "hashlib", "concurrent.futures") if name in sys.modules]
 from quantroll import cli
 config = quantroll.run.RunConfig.from_json(sys.argv[1])
-ingest_code = cli.main(["ingest", "--csv", config.data.csv_path, "--out", sys.argv[2]])
+ingest_code = cli.main(["ingest", "--csv", config.csv_path, "--out", sys.argv[2]])
 artifact = quantroll.run.run_experiment(config, run_id="probe")
 print(json.dumps({"unused": unused, "ingest": ingest_code, "reports": len(artifact.reports),
                   "run_id": quantroll.run.make_run_id(config)}))

@@ -383,11 +383,11 @@ class TestSliceEdges:
 
 class TestValidate:
     def test_clean_daily_series(self, fixture_40):
-        assert validate_series(fixture_40).is_clean
+        assert validate_series(fixture_40) == []
 
     def test_single_candle_clean(self):
         series = bars_to_series([(100, 110, 90, 105, 5)])
-        assert validate_series(series).is_clean
+        assert validate_series(series) == []
 
     def test_missing_day_reported(self):
         bars = random_walk_bars(5, seed=1)
@@ -395,9 +395,9 @@ class TestValidate:
         ts = series.timestamps.copy()
         ts[3:] += DAY  # open a one-day hole between index 2 and 3
         gapped = CandleSeries(ts, series.open, series.high, series.low, series.close, series.volume, DAY)
-        report = validate_series(gapped)
-        assert len(report.findings) == 1
-        finding = report.findings[0]
+        findings = validate_series(gapped)
+        assert len(findings) == 1
+        finding = findings[0]
         assert (finding.prev_timestamp, finding.next_timestamp) == (int(ts[2]), int(ts[3]))
         assert finding.gap == 2 * DAY
 
@@ -407,7 +407,7 @@ class TestValidate:
         ts[2:] += 2 * DAY  # wide: three intervals between index 1 and 2
         ts[4:] -= DAY // 2  # narrow: half an interval between index 3 and 4
         gapped = CandleSeries(ts, series.open, series.high, series.low, series.close, series.volume, DAY)
-        findings = validate_series(gapped).findings
+        findings = validate_series(gapped)
         assert [(f.index, f.prev_timestamp, f.next_timestamp, f.gap) for f in findings] == [
             (2, int(ts[1]), int(ts[2]), 3 * DAY),
             (4, int(ts[3]), int(ts[4]), DAY // 2),

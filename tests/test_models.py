@@ -512,10 +512,10 @@ class TestSpecValidation:
         dims = tuple(
             (name, type(dist).__name__, dist.choices) if hasattr(dist, "choices")
             else (name, type(dist).__name__, dist.lo, dist.hi)
-            for name, dist in default_space(ModelKind(kind)).dims
+            for name, dist in default_space(ModelKind(kind))
         )
         assert dims == REF_SPACES[kind]
-        assert default_space(kind).kind == kind
+        assert default_space(kind) == default_space(ModelKind(kind))
         schema = REF_PARAM_SCHEMAS[kind]
         assert set(hyperparameters(kind)) == set(schema)
         for name, description in schema.items():
@@ -576,12 +576,12 @@ class TestSpecValidation:
 class TestSpaces:
     def test_knn_space_contains_k(self):
         space = default_space("knn_c")
-        names = dict(space.dims)
+        names = dict(space)
         assert "k" in names
         assert (names["k"].lo, names["k"].hi) == (1, 25)
 
     def test_ols_space_empty(self):
-        assert default_space("ols_r").dims == ()
+        assert default_space("ols_r") == ()
 
     @pytest.mark.parametrize("kind", [k.value for k in ALL_KINDS])
     def test_sampled_points_fit(self, kind):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import quantroll.tuner as tuner_mod
 from quantroll.dataset import SegmentSplit, build_features, label, log_diff
 from quantroll.errors import AllTrialsFailed
 from quantroll.indicators import IndicatorConfig
-from quantroll.models import HyperParamSpace, IntRange, LogUniform, default_space
+from quantroll.models import IntRange, LogUniform, ModelKind, default_space
 from quantroll.tuner import derive_seed, run_study, sample_params
 from quantroll.walkforward import WalkForwardConfig
 
@@ -38,17 +39,17 @@ class TestSampling:
         assert sample_params(space, 1) != sample_params(space, 2)
 
     def test_degenerate_int_range(self):
-        space = HyperParamSpace("knn_c", (("k", IntRange(3, 3)),))
+        space = (("k", IntRange(3, 3)),)
         for seed in range(20):
             assert sample_params(space, seed) == {"k": 3}
 
     def test_int_bounds_inclusive(self):
-        space = HyperParamSpace("knn_c", (("k", IntRange(1, 3)),))
+        space = (("k", IntRange(1, 3)),)
         seen = {sample_params(space, seed)["k"] for seed in range(200)}
         assert seen == {1, 2, 3}
 
     def test_loguniform_median(self):
-        space = HyperParamSpace("x", (("lr", LogUniform(1e-4, 1.0)),))
+        space = (("lr", LogUniform(1e-4, 1.0)),)
         draws = [sample_params(space, seed)["lr"] for seed in range(10_000)]
         median = sorted(draws)[len(draws) // 2]
         assert 1e-2 / 3 < median < 1e-2 * 3
@@ -77,6 +78,16 @@ class TestRunStudy:
         assert result.best.index == 0
         assert len(result.trials) == 1
         assert result.best.objective == result.best.report.pnl_percent
+
+    @pytest.mark.parametrize("kind", ["knn_c", ModelKind.SGD_R], ids=["string", "model-kind"])
+    def test_result_names_the_kind(self, study_data, kind):
+        ds, seg = study_data
+        result = run_study(kind, ds, seg, WalkForwardConfig(window=7), n_trials=2, seed=8)
+        name = ModelKind(kind).value
+        assert type(result.model) is str and result.model == name  # a ModelKind would compare equal too
+        lines = result.to_jsonl().splitlines()
+        assert len(lines) == 2
+        assert all(json.loads(line)["model"] == name for line in lines)
 
     def test_rerun_byte_identical(self, study_data):
         ds, seg = study_data
