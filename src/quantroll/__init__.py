@@ -17,6 +17,7 @@ from .dataset import (  # noqa: E402
     log_diff,
     split,
 )
+from .evaluation import evaluate_segment  # noqa: E402
 from .indicators import (  # noqa: E402
     BollingerBands,
     IndicatorConfig,
@@ -48,6 +49,6 @@ from .models import (  # noqa: E402
 )
 from .run import RunArtifact, RunConfig, run_experiment  # noqa: E402
 from .report import emit_table  # noqa: E402
-from .trading import EquityCurve, PositionSeries, TradeLedger, pnl_percent, simulate  # noqa: E402
+from .trading import EquityCurve, TradeLedger, pnl_percent, simulate  # noqa: E402
 from .tuner import TunerResult, run_study, sample_params  # noqa: E402
-from .walkforward import PredictionSeries, WalkForwardConfig, run_walkforward, signal_from_predictions  # noqa: E402
+from .walkforward import WalkForwardConfig, evaluated_indices, run_walkforward, signal_from_predictions  # noqa: E402

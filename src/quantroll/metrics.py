@@ -24,7 +24,6 @@ from .errors import (
 )
 from .models import ALL_KINDS, CLASSIFIER, REGRESSOR, task_of
 from .trading import EquityCurve, TradeLedger, pnl_percent
-from .walkforward import PredictionSeries
 
 SEGMENTS = ("backtest", "forward")
 
@@ -183,12 +182,13 @@ def build_classifier_report(
     model: str,
     window: int,
     segment: str,
-    preds: PredictionSeries,
+    realized_class: np.ndarray,
+    direction: np.ndarray,
     curve: EquityCurve,
     ledger: TradeLedger,
     periods_per_year: float = 365.0,
 ) -> ClassifierReport:
-    accuracy, precision, recall, f1 = classification_metrics(preds.realized_class, preds.direction)
+    accuracy, precision, recall, f1 = classification_metrics(realized_class, direction)
     return _report(
         ClassifierReport, model, window, segment, curve, ledger, periods_per_year,
         r2=_maybe(equity_trend_r2, curve), accuracy=accuracy, f1=f1, precision=precision, recall=recall,
@@ -199,13 +199,14 @@ def build_regressor_report(
     model: str,
     window: int,
     segment: str,
-    preds: PredictionSeries,
+    realized_return: np.ndarray,
+    predicted_return: np.ndarray,
     curve: EquityCurve,
     ledger: TradeLedger,
     periods_per_year: float = 365.0,
 ) -> RegressorReport:
-    mae, mse, rmse = regression_errors(preds.realized_return, preds.value)
+    mae, mse, rmse = regression_errors(realized_return, predicted_return)
     return _report(
         RegressorReport, model, window, segment, curve, ledger, periods_per_year,
-        r2=_maybe(r_squared, preds.realized_return, preds.value), mae=mae, mse=mse, rmse=rmse,
+        r2=_maybe(r_squared, realized_return, predicted_return), mae=mae, mse=mse, rmse=rmse,
     )

@@ -72,10 +72,10 @@ class OLSRegressor(Ridge):
 class _GradientDescent(_Linear, StandardizerMixin):
     """Mini-batch gradient descent over standardized features.
 
-    Each epoch draws one seeded permutation of the rows; the mini-batches are
-    consecutive slices of it. A fit draws every epoch's permutation in one call
-    from a fresh generator of its seed, and ignores memo. Subclasses define the
-    derivative of the per-margin loss in terms of a per-row target factor.
+    Each epoch draws one seeded permutation of the rows as it starts; the
+    mini-batches are consecutive slices of it. A fit builds a fresh generator
+    of its seed and ignores memo. Subclasses define the derivative of the
+    per-margin loss in terms of a per-row target factor.
     """
 
     def __init__(self, learning_rate: float = 0.01, epochs: int = 100, batch_size: int = 32, seed: int = 0):
@@ -96,10 +96,7 @@ class _GradientDescent(_Linear, StandardizerMixin):
         Xz = _augment(self._fit_scaler(X))
         n, width = Xz.shape
         w = np.zeros(width)
-        # Shuffling each row of an (epochs, n) tile of arange(n) in place draws
-        # what one rng.permutation(n) per epoch draws; int32 halves the tile.
-        orders = np.tile(np.arange(n, dtype=np.int32), (self.epochs, 1))
-        np.random.default_rng(np.random.PCG64(self.seed)).permuted(orders, axis=1, out=orders)
+        rng = np.random.default_rng(np.random.PCG64(self.seed))
         batch = min(self.batch_size, n)
         # Each epoch gathers its permutation into Xo/to once; the batch views
         # into them are made once per fit. The batch size and the rate are 0-d
@@ -108,7 +105,8 @@ class _GradientDescent(_Linear, StandardizerMixin):
         Xo, to = np.empty_like(Xz), np.empty_like(t)
         batches = [(Xo[s : s + batch], to[s : s + batch], np.array(float(min(batch, n - s)))) for s in range(0, n, batch)]
         dloss, lr = self._dloss_dmargin, np.array(float(self.learning_rate))
-        for order in orders:
+        for _ in range(self.epochs):
+            order = rng.permutation(n)
             Xz.take(order, 0, Xo)
             t.take(order, out=to)
             for Xb, tb, size in batches:

@@ -296,9 +296,9 @@ def _evaluate_job(
 
     spec = ModelSpec(kind, params, seed=_job_seed(config.seed, kind, window, 1))
     for view in (backtest_view, forward_view):
-        outcome = evaluate_segment(view, spec, walk, train_view=train_view)
-        artifact.reports.append(outcome.report)
-        artifact.curves[(kind.value, window, view.segment)] = outcome.curve
+        curve, report = evaluate_segment(view, spec, walk, train_view=train_view)
+        artifact.reports.append(report)
+        artifact.curves[(kind.value, window, view.segment)] = curve
 
 
 def run_experiment(

@@ -16,25 +16,6 @@ from .errors import NON_NEGATIVE_REAL, LengthMismatch
 
 
 @dataclass
-class PositionSeries:
-    """Per-interval directional exposure in {-1, 0, +1}."""
-
-    timestamps: np.ndarray
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        self.positions = np.asarray(self.positions, dtype=np.int8)
-        if self.positions.size != self.timestamps.size:
-            raise LengthMismatch("positions and timestamps must align")
-        if not np.isin(self.positions, (-1, 0, 1)).all():
-            raise ValueError("positions must lie in {-1, 0, +1}")
-
-    def __len__(self) -> int:
-        return int(self.positions.size)
-
-
-@dataclass
 class EquityCurve:
     """Cumulative PNL fraction per step (starts from the first step's return)."""
 
@@ -51,11 +32,9 @@ class EquityCurve:
 
 @dataclass
 class TradeLedger:
-    """One entry per position change: when, and from which position to which."""
+    """When each position change happened."""
 
     timestamps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    old_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
-    new_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
 
     @property
     def count(self) -> int:
@@ -63,34 +42,38 @@ class TradeLedger:
 
 
 def simulate(
-    positions: PositionSeries,
+    timestamps: np.ndarray,
+    positions: np.ndarray,
     simple_returns: np.ndarray,
     fee_bps: float = 0.0,
 ) -> tuple[EquityCurve, TradeLedger]:
-    """Run the position series against realized per-step simple returns.
+    """Run per-step positions in {-1, 0, +1} against realized per-step simple
+    returns, one of each per timestamp.
 
     The position at step t earns pos_t * r_t over (t, t+1]; a fee of fee_bps
     basis points of notional applies on every change from the previous
     position, with flat (0) as the state before the first step.
     """
     NON_NEGATIVE_REAL.check("fee_bps", fee_bps)
+    timestamps = np.array(timestamps, dtype=np.int64)
+    positions = np.asarray(positions)
     returns = np.asarray(simple_returns, dtype=np.float64)
-    if returns.size != len(positions):
-        raise LengthMismatch(f"{len(positions)} positions vs {returns.size} returns")
+    if positions.size != timestamps.size:
+        raise LengthMismatch("positions and timestamps must align")
+    if returns.size != positions.size:
+        raise LengthMismatch(f"{positions.size} positions vs {returns.size} returns")
+    if not ((positions == 0) | (np.abs(positions) == 1)).all():  # before any cast: 0.5 or NaN must not pass as 0
+        raise ValueError("positions must lie in {-1, 0, +1}")
     if returns.size and not np.isfinite(returns).all():
         raise ValueError("returns must be finite")
 
-    pos = positions.positions.astype(np.float64)
+    pos = positions.astype(np.float64)
     fee = fee_bps / 1e4
     prev = np.concatenate([[0.0], pos[:-1]])
     changed = pos != prev
     step = pos * returns - fee * changed
     equity = np.cumsum(step)
-
-    ledger = TradeLedger(
-        positions.timestamps[changed], prev[changed].astype(np.int8), positions.positions[changed]
-    )
-    return EquityCurve(positions.timestamps.copy(), equity, step), ledger
+    return EquityCurve(timestamps, equity, step), TradeLedger(timestamps[changed])
 
 
 def pnl_percent(curve: EquityCurve) -> float:

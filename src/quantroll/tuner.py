@@ -113,8 +113,8 @@ def run_study(
         params = sample_params(space, trial_seed)
         spec = ModelSpec(kind, params, seed=trial_seed)
         try:
-            outcome = evaluate_segment(backtest_view, spec, config, train_view=train_view)
-            trial = Trial(index, params, outcome.report.pnl_percent, report=outcome.report)
+            _, report = evaluate_segment(backtest_view, spec, config, train_view=train_view)
+            trial = Trial(index, params, report.pnl_percent, report=report)
         except Exception as exc:  # noqa: BLE001 - a bad draw must not sink the study
             logger.warning("trial %d failed: %s", index, exc)
             trial = Trial(index, params, float("-inf"), error=f"{type(exc).__name__}: {exc}")

@@ -14,7 +14,6 @@ from .dataset import DatasetView
 from .errors import NON_NEGATIVE_REAL, POSITIVE_INTEGER, POSITIVE_REAL, InsufficientHistory, check_fields
 from .models import CLASSIFIER, ModelSpec, fit, predict_class, predict_value, task_of
 from .models.base import classify_from_scores
-from .trading import PositionSeries
 
 TRAILING = "trailing"
 GLOBAL = "global"
@@ -43,20 +42,23 @@ class WalkForwardConfig:
             raise ValueError(f"mode must be {TRAILING!r} or {GLOBAL!r}")
 
 
-@dataclass
-class PredictionSeries:
-    """Aligned per-evaluation-step records; value is NaN for classifiers."""
+def evaluated_indices(view: DatasetView, config: WalkForwardConfig) -> np.ndarray:
+    """The parent-dataset indices a walk over view evaluates, in order.
 
-    task: str
-    timestamps: np.ndarray
-    direction: np.ndarray
-    score: np.ndarray
-    value: np.ndarray
-    realized_class: np.ndarray
-    realized_return: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.timestamps.size)
+    Global mode evaluates every index of the view. Trailing mode shifts the
+    first evaluable index forward until a full window of history exists in
+    the parent dataset, and raises InsufficientHistory when none is left.
+    """
+    if config.mode == GLOBAL:
+        return view.indices
+    min_start = view.parent.valid_from + config.window
+    indices = view.indices[view.indices >= min_start]
+    if indices.size == 0:
+        raise InsufficientHistory(
+            f"window {config.window} leaves no evaluable index in segment "
+            f"{view.segment!r} (first usable row is {view.parent.valid_from})"
+        )
+    return indices
 
 
 def run_walkforward(
@@ -64,42 +66,33 @@ def run_walkforward(
     spec: ModelSpec,
     config: WalkForwardConfig,
     train_view: DatasetView | None = None,
-) -> PredictionSeries:
-    """Evaluate one model over a segment view.
+) -> np.ndarray:
+    """Evaluate one model over a segment view: one float64 score per
+    evaluated index (see evaluated_indices). A classifier's score's sign is
+    its direction (classify_from_scores); a regressor's score is its
+    predicted return.
 
-    Trailing mode shifts the first evaluable index forward until a full
-    window of history exists in the parent dataset; indices skipped by
-    retrain_stride reuse the most recent model. Only the current model is
-    held: each refit replaces it before the next prediction. Every trailing
-    refit has the same spec and row count, so all of them share one memo of
-    forest draws (see models.fit), which lives only as long as this call.
+    Indices skipped by retrain_stride reuse the most recent model. Only the
+    current model is held: each refit replaces it before the next
+    prediction. Every trailing refit has the same spec and row count, so all
+    of them share one memo of forest draws (see models.fit), which lives
+    only as long as this call.
     """
     parent = view.parent
     X = parent.frame.rows
-    y_class = parent.class_target
-    y_reg = parent.reg_target
     task = task_of(spec.kind)
-    y_train = y_class if task == CLASSIFIER else y_reg
-
-    if config.mode == GLOBAL:
-        if train_view is None:
-            raise ValueError("global mode requires a training view")
-        eval_indices = view.indices
-        rows = train_view.indices
-        model = fit(spec, X[rows], y_train[rows])
-    else:
-        min_start = parent.valid_from + config.window
-        eval_indices = view.indices[view.indices >= min_start]
-        if eval_indices.size == 0:
-            raise InsufficientHistory(
-                f"window {config.window} leaves no evaluable index in segment "
-                f"{view.segment!r} (first usable row is {parent.valid_from})"
-            )
+    y_train = parent.class_target if task == CLASSIFIER else parent.reg_target
 
     trailing = config.mode == TRAILING
+    if not trailing:
+        if train_view is None:
+            raise ValueError("global mode requires a training view")
+        rows = train_view.indices
+        model = fit(spec, X[rows], y_train[rows])
+
     memo: dict = {}
     scores = []
-    for i, t in enumerate(eval_indices.tolist()):
+    for i, t in enumerate(evaluated_indices(view, config).tolist()):
         if trailing and i % config.retrain_stride == 0:
             lo = t - config.window
             model = fit(spec, X[lo:t], y_train[lo:t], memo)
@@ -107,39 +100,24 @@ def run_walkforward(
             scores.append(predict_class(model, X[t])[1])
         else:
             scores.append(predict_value(model, X[t]))
-    # A classifier's direction is its score's sign, ties down; a regressor's
-    # value is its score.
-    score = np.array(scores, dtype=np.float64)
-
-    return PredictionSeries(
-        task=task,
-        timestamps=parent.timestamps[eval_indices],
-        direction=classify_from_scores(score),
-        score=score,
-        value=np.full(score.size, np.nan) if task == CLASSIFIER else score.copy(),
-        realized_class=y_class[eval_indices],
-        realized_return=y_reg[eval_indices],
-    )
+    return np.array(scores, dtype=np.float64)
 
 
-def signal_from_predictions(preds: PredictionSeries, threshold: float = 0.0) -> PositionSeries:
-    """Map predictions to positions.
+def signal_from_predictions(task: str, scores: np.ndarray, threshold: float = 0.0) -> np.ndarray:
+    """Map a walk's scores to int8 positions.
 
     Classifiers are always in the market: up -> +1, down -> -1. Regressors
     go long above +threshold, short below -threshold, and otherwise hold the
     previous position (initially flat).
     """
     NON_NEGATIVE_REAL.check("threshold", threshold)
-
-    if preds.task == CLASSIFIER:
+    scores = np.asarray(scores, dtype=np.float64)
+    if task == CLASSIFIER:
         if threshold != 0.0:
             raise ValueError("dead-band threshold applies to regressors only")
-        positions = preds.direction.astype(np.int8)
-    else:
-        # Forward-fill the sign of the last out-of-band value; row 0 stands in
-        # for "none yet", and its sign is 0 whenever it is in band.
-        value = preds.value
-        sign = (value > threshold).astype(np.int8) - (value < -threshold).astype(np.int8)
-        last = np.maximum.accumulate(np.where(sign != 0, np.arange(sign.size), 0))
-        positions = sign[last]
-    return PositionSeries(preds.timestamps.copy(), positions)
+        return classify_from_scores(scores)
+    # Forward-fill the sign of the last out-of-band value; row 0 stands in
+    # for "none yet", and its sign is 0 whenever it is in band.
+    sign = (scores > threshold).astype(np.int8) - (scores < -threshold).astype(np.int8)
+    last = np.maximum.accumulate(np.where(sign != 0, np.arange(sign.size), 0))
+    return sign[last]

@@ -7,6 +7,7 @@ hide in a shared helper.
 import csv
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from quantroll.candles import CSV_HEADER, CandleSeries, _check_rows
 from quantroll.direction import direction_name
 from quantroll.errors import MalformedRow
 from quantroll.models import CLASSIFIER, fit, predict_class, predict_value, task_of
-from quantroll.walkforward import GLOBAL, TRAILING, PredictionSeries
+from quantroll.walkforward import GLOBAL, TRAILING
 
 NAN = float("nan")
 
@@ -484,8 +485,10 @@ def ref_row_score(kind, est, x):
 
 
 def ref_run_walkforward(view, spec, config, train_view=None):
-    """The walk-forward loop storing each step's direction, score and value
-    into preallocated numpy arrays; fits and predicts through the package."""
+    """The walk-forward loop storing each step's direction (from predict_class
+    for a classifier, the value's sign for a regressor) and score into
+    preallocated numpy arrays, beside the timestamps and realized targets of
+    the rows it predicts; fits and predicts through the package."""
     parent = view.parent
     X = parent.frame.rows
     task = task_of(spec.kind)
@@ -498,7 +501,6 @@ def ref_run_walkforward(view, spec, config, train_view=None):
     n = eval_indices.size
     direction = np.zeros(n, dtype=np.int8)
     score = np.zeros(n)
-    value = np.full(n, np.nan)
     for i, t in enumerate(eval_indices):
         if config.mode == TRAILING and i % config.retrain_stride == 0:
             lo = int(t) - config.window
@@ -507,12 +509,11 @@ def ref_run_walkforward(view, spec, config, train_view=None):
             direction[i], score[i] = predict_class(model, X[t])
         else:
             v = predict_value(model, X[t])
-            value[i] = v
             score[i] = v
             direction[i] = UP if v > 0 else DOWN
-    return PredictionSeries(
-        task, parent.timestamps[eval_indices].copy(), direction, score, value,
-        parent.class_target[eval_indices].copy(), parent.reg_target[eval_indices].copy(),
+    return SimpleNamespace(
+        timestamps=parent.timestamps[eval_indices].copy(), direction=direction, score=score,
+        realized_class=parent.class_target[eval_indices].copy(), realized_return=parent.reg_target[eval_indices].copy(),
     )
 
 

@@ -28,13 +28,14 @@ from quantroll.errors import ConstantTruth, ZeroVolatility
 from quantroll.evaluation import evaluate_segment
 from quantroll.indicators import IndicatorConfig, acc_dist, bollinger, keltner_width, mfi, parabolic_sar
 from quantroll.metrics import classification_metrics, r_squared, regression_errors, sharpe
-from quantroll.models import ALL_KINDS, ModelSpec, cart_best_split, fit, predict_class, predict_value, task_of
+from quantroll.models import ALL_KINDS, ModelSpec, cart_best_split, fit, predict_class, predict_value
+from quantroll.models.base import classify_from_scores
 from quantroll.models.tree import gini_impurity, variance_impurity
 from quantroll.report import CLASSIFIER_COLUMNS, REGRESSOR_COLUMNS, emit_table
 from quantroll.run import RunConfig, run_experiment
-from quantroll.trading import PositionSeries, simulate
+from quantroll.trading import simulate
 from quantroll.tuner import run_study
-from quantroll.walkforward import WalkForwardConfig, run_walkforward
+from quantroll.walkforward import WalkForwardConfig, evaluated_indices, run_walkforward
 
 from .conftest import DAY, T0, bars_to_series, momentum_bars, random_walk_bars, trend_cycle_bars
 from .reference import (
@@ -151,24 +152,22 @@ def test_criterion_03_trading_properties():
             pos = rng.choice([-1, 0, 1], n).astype(np.int8)
             rets = rng.normal(0.0, 0.03, n)
             ts = np.arange(n, dtype=np.int64) * DAY + T0
-            series = PositionSeries(ts, pos)
-
-            zero_fee, _ = simulate(series, rets, 0.0)
+            zero_fee, _ = simulate(ts, pos, rets, 0.0)
             expected = 0.0
             for p, r in zip(pos, rets):
                 expected += p * r
             assert zero_fee.equity[-1] == expected  # additivity, exact
 
-            finals = [simulate(series, rets, f)[0].equity[-1] for f in (0.0, 2.0, 20.0, 200.0)]
+            finals = [simulate(ts, pos, rets, f)[0].equity[-1] for f in (0.0, 2.0, 20.0, 200.0)]
             assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))  # fee monotonicity
 
             assert zero_fee.equity[-1] <= np.abs(rets).sum() + 1e-12  # perfect-foresight bound
 
-            mirrored, _ = simulate(PositionSeries(ts, -pos), rets, 0.0)
+            mirrored, _ = simulate(ts, -pos, rets, 0.0)
             np.testing.assert_allclose(mirrored.equity, -zero_fee.equity, rtol=0, atol=1e-15)  # sign symmetry
 
         best = np.array([0.01, -0.02, 0.0, 0.03])
-        curve, _ = simulate(PositionSeries(np.arange(4, dtype=np.int64), np.sign(best).astype(np.int8)), best)
+        curve, _ = simulate(np.arange(4, dtype=np.int64), np.sign(best).astype(np.int8), best)
         assert curve.equity[-1] == pytest.approx(np.abs(best).sum(), abs=1e-15)  # equality case
 
 
@@ -245,18 +244,17 @@ def test_criterion_05_no_lookahead():
             window = int(windows[int(rng.integers(0, len(windows)))])
             spec = ModelSpec(kind, {}, seed=int(rng.integers(0, 2**32)))
             config = WalkForwardConfig(window=window)
-            clean = run_walkforward(DatasetView(ds, "backtest", base_indices), spec, config)
+            clean_view = DatasetView(ds, "backtest", base_indices)
+            clean = run_walkforward(clean_view, spec, config)
 
             ts = sorted(rng.choice(base_indices, size=10, replace=False).tolist())
             for t in ts:
                 corrupted = _corrupt_after(ds, int(t), np.random.default_rng(int(rng.integers(0, 2**32))))
                 cview = DatasetView(corrupted, "backtest", np.arange(view_lo, t + 1, dtype=np.int64))
                 dirty = run_walkforward(cview, spec, config)
-                i = int(np.nonzero(clean.timestamps == ds.timestamps[t])[0][0])
-                assert dirty.direction[-1] == clean.direction[i]
-                assert dirty.score[-1] == clean.score[i]
-                if task_of(kind) == "regressor":
-                    assert dirty.value[-1] == clean.value[i]
+                i = int(np.nonzero(evaluated_indices(clean_view, config) == t)[0][0])
+                assert classify_from_scores(dirty)[-1] == classify_from_scores(clean)[i]
+                assert dirty[-1] == clean[i]
 
 
 def test_criterion_06_run_determinism(tmp_path):
@@ -320,9 +318,10 @@ def test_criterion_07_walkforward_counting():
         class_t[-1] = 0
         ds = LabeledDataset(frame, class_t, reg, (0, n - 2))
         view = DatasetView(ds, "backtest", np.arange(0, 10, dtype=np.int64))
-        preds = run_walkforward(view, ModelSpec("knn_c", {"k": 1}), WalkForwardConfig(window=7))
-        assert len(preds) == 3
-        np.testing.assert_array_equal(preds.timestamps, ds.timestamps[[7, 8, 9]])
+        config = WalkForwardConfig(window=7)
+        scores = run_walkforward(view, ModelSpec("knn_c", {"k": 1}), config)
+        assert len(scores) == 3
+        np.testing.assert_array_equal(ds.timestamps[evaluated_indices(view, config)], ds.timestamps[[7, 8, 9]])
 
 
 def test_criterion_08_synthetic_market_end_to_end(tmp_path):
@@ -382,8 +381,8 @@ def test_criterion_09_tuner_selects_k1(momentum_series, monkeypatch):
         # pre-establish the optimum by exhaustive sweep
         sweep = {}
         for k in range(1, 26):
-            out = evaluate_segment(back, ModelSpec("knn_c", {"k": k}), WalkForwardConfig(window=8), train_view=train)
-            sweep[k] = out.report.pnl_percent
+            _, report = evaluate_segment(back, ModelSpec("knn_c", {"k": k}), WalkForwardConfig(window=8), train_view=train)
+            sweep[k] = report.pnl_percent
         best_k = max(sorted(sweep), key=lambda k: sweep[k])
         assert best_k in (1, 2)
 

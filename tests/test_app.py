@@ -95,6 +95,9 @@ def config_dict(csv_path, out_dir, /, **overrides):
 class TestRunConfig:
     def test_instant_parsing(self):
         assert parse_instant("2023-02-01") == 1675209600
+        assert parse_instant("2023-02-01T00:00:00Z") == 1675209600
+        assert parse_instant("20230201T000000Z") == 1675209600
+        assert parse_instant("20230201") == 20230201  # digits alone are epoch seconds, never a date
         assert parse_instant(1675209600) == 1675209600
         with pytest.raises(Exception):
             parse_instant("not-a-date")
@@ -1114,7 +1117,7 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(snippet, "README.md", "exec"), namespace)
-    assert len(namespace["preds"]) == len(namespace["back"]) == 181  # 2023-02-01 up to 2023-08-01
+    assert len(namespace["curve"]) == len(namespace["back"]) == 181  # 2023-02-01 up to 2023-08-01
     pnl, trades = capsys.readouterr().out.split()
     assert float(pnl) == namespace["q"].pnl_percent(namespace["curve"])
-    assert int(trades) == namespace["ledger"].count > 0
+    assert int(trades) == namespace["report"].n_trades > 0

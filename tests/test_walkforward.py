@@ -12,12 +12,12 @@ from quantroll.dataset import DatasetView, FeatureFrame, LabeledDataset, Segment
 from quantroll.direction import DOWN, UP
 from quantroll.errors import InsufficientHistory
 from quantroll.models import ModelSpec, TrainedModel
-from quantroll.models.base import Estimator
+from quantroll.models.base import Estimator, classify_from_scores
 from quantroll.walkforward import (
     GLOBAL,
     TRAILING,
-    PredictionSeries,
     WalkForwardConfig,
+    evaluated_indices,
     run_walkforward,
     signal_from_predictions,
 )
@@ -45,55 +45,66 @@ def view_of(ds, lo, hi):
 
 
 class TestCounting:
-    def test_full_history_yields_one_record_per_index(self):
+    def test_full_history_yields_one_score_per_index(self):
         ds = make_dataset(40)
         view = view_of(ds, 20, 34)
-        preds = run_walkforward(view, ModelSpec("knn_c", {"k": 3}), WalkForwardConfig(window=7))
-        assert len(preds) == 15
-        assert (np.diff(preds.timestamps) > 0).all()
+        config = WalkForwardConfig(window=7)
+        scores = run_walkforward(view, ModelSpec("knn_c", {"k": 3}), config)
+        assert len(scores) == 15
+        assert evaluated_indices(view, config).tolist() == list(range(20, 35))
 
     def test_window7_over_10_indices_no_history(self):
         ds = make_dataset(11)  # usable 0..9
         view = view_of(ds, 0, 9)
-        preds = run_walkforward(view, ModelSpec("knn_c", {"k": 1}), WalkForwardConfig(window=7))
-        assert len(preds) == 3
-        np.testing.assert_array_equal(preds.timestamps, ds.timestamps[[7, 8, 9]])
+        config = WalkForwardConfig(window=7)
+        scores = run_walkforward(view, ModelSpec("knn_c", {"k": 1}), config)
+        assert len(scores) == 3
+        np.testing.assert_array_equal(ds.timestamps[evaluated_indices(view, config)], ds.timestamps[[7, 8, 9]])
 
     def test_insufficient_history(self):
         ds = make_dataset(11)
         view = view_of(ds, 0, 9)
+        config = WalkForwardConfig(window=25)
+        with pytest.raises(InsufficientHistory, match="^window 25 leaves no evaluable index in segment 'backtest'"):
+            run_walkforward(view, ModelSpec("knn_c", {"k": 1}), config)
         with pytest.raises(InsufficientHistory):
-            run_walkforward(view, ModelSpec("knn_c", {"k": 1}), WalkForwardConfig(window=25))
+            evaluated_indices(view, config)
+
+    def test_global_mode_evaluates_every_index(self):
+        ds = make_dataset(11)
+        view = view_of(ds, 0, 9)
+        assert evaluated_indices(view, WalkForwardConfig(window=25, mode=GLOBAL)) is view.indices
 
     def test_single_class_momentum_window1(self):
         n = 30
         reg = np.concatenate([np.full(n - 1, 0.01), [np.nan]])
         ds = make_dataset(n, reg_target=reg)  # every label up
         view = view_of(ds, 5, 25)
-        preds = run_walkforward(view, ModelSpec("sgd_c"), WalkForwardConfig(window=1))
-        assert (preds.direction == preds.realized_class).all()
+        config = WalkForwardConfig(window=1)
+        scores = run_walkforward(view, ModelSpec("sgd_c"), config)
+        assert (classify_from_scores(scores) == ds.class_target[evaluated_indices(view, config)]).all()
 
 
-class TestRecords:
-    def test_realized_fields_come_from_row_t(self):
+class TestScores:
+    def test_evaluated_indices_are_the_predicted_rows(self):
         ds = make_dataset(30, seed=1)
         view = view_of(ds, 10, 20)
-        preds = run_walkforward(view, ModelSpec("ols_r"), WalkForwardConfig(window=5))
-        np.testing.assert_array_equal(preds.realized_return, ds.reg_target[10:21])
-        np.testing.assert_array_equal(preds.realized_class, ds.class_target[10:21])
+        config = WalkForwardConfig(window=5)
+        scores = run_walkforward(view, ModelSpec("ols_r"), config)
+        assert evaluated_indices(view, config).tolist() == list(range(10, 21)) and len(scores) == 11
 
-    def test_regressor_records_value_and_direction(self):
+    def test_regressor_scores_are_finite_returns(self):
         ds = make_dataset(30, seed=2)
         view = view_of(ds, 10, 20)
-        preds = run_walkforward(view, ModelSpec("knn_r", {"k": 2}), WalkForwardConfig(window=5))
-        assert np.isfinite(preds.value).all()
-        np.testing.assert_array_equal(preds.direction, np.where(preds.value > 0, UP, DOWN))
+        scores = run_walkforward(view, ModelSpec("knn_r", {"k": 2}), WalkForwardConfig(window=5))
+        assert np.isfinite(scores).all()
+        np.testing.assert_array_equal(classify_from_scores(scores), np.where(scores > 0, UP, DOWN))
 
-    def test_classifier_value_is_nan(self):
+    def test_scores_are_one_float64_array(self):
         ds = make_dataset(30, seed=3)
         view = view_of(ds, 10, 20)
-        preds = run_walkforward(view, ModelSpec("knn_c"), WalkForwardConfig(window=5))
-        assert np.isnan(preds.value).all()
+        scores = run_walkforward(view, ModelSpec("knn_c"), WalkForwardConfig(window=5))
+        assert scores.dtype == np.float64 and scores.shape == (11,)
 
 
 class TestNoLookahead:
@@ -121,11 +132,9 @@ class TestNoLookahead:
             )
             cview = view_of(corrupted, 20, t)
             dirty = run_walkforward(cview, spec, config)
-            i = int(np.nonzero(clean.timestamps == ds.timestamps[t])[0][0])
-            assert dirty.direction[-1] == clean.direction[i]
-            assert dirty.score[-1] == clean.score[i]
-            if not np.isnan(clean.value[i]):
-                assert dirty.value[-1] == clean.value[i]
+            i = int(np.nonzero(evaluated_indices(view, config) == t)[0][0])
+            assert classify_from_scores(dirty)[-1] == classify_from_scores(clean)[i]
+            assert dirty[-1] == clean[i]
 
     def test_stride_agrees_at_retrain_points(self):
         ds = make_dataset(60, seed=6)
@@ -134,8 +143,7 @@ class TestNoLookahead:
         base = run_walkforward(view, spec, WalkForwardConfig(window=7, retrain_stride=1))
         strided = run_walkforward(view, spec, WalkForwardConfig(window=7, retrain_stride=3))
         for k in range(0, len(base), 3):
-            assert strided.direction[k] == base.direction[k]
-            assert strided.score[k] == base.score[k]
+            assert strided[k] == base[k]
 
     def test_stride_reuses_model_between_retrains(self):
         ds = make_dataset(60, seed=7)
@@ -262,10 +270,23 @@ WALK_KINDS = [
 ]
 
 
+def assert_matches_reference(scores, want, view, config):
+    """The engine's scores, their classify_from_scores directions, and the
+    timestamps and realized targets of evaluated_indices equal the
+    reference's step-by-step records byte for byte, dtypes included."""
+    parent, indices = view.parent, evaluated_indices(view, config)
+    derived = {
+        "timestamps": parent.timestamps[indices], "direction": classify_from_scores(scores), "score": scores,
+        "realized_class": parent.class_target[indices], "realized_return": parent.reg_target[indices],
+    }
+    for name, a in derived.items():
+        b = getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 class TestMatchesStepwiseReference:
-    """The loop collects scores and derives direction and value afterwards;
-    the reference stores all three step by step. The series must be equal
-    byte for byte, dtypes included."""
+    """The loop collects scores; the reference stores each step's direction
+    and score as it goes, beside the rows' timestamps and targets."""
 
     @pytest.mark.parametrize("kind, params", WALK_KINDS, ids=[k for k, _ in WALK_KINDS])
     @pytest.mark.parametrize(
@@ -281,21 +302,19 @@ class TestMatchesStepwiseReference:
         spec, config = ModelSpec(kind, params, seed=5), WalkForwardConfig(window=window, mode=mode, retrain_stride=stride)
         got = run_walkforward(back, spec, config, train_view=train)
         want = ref_run_walkforward(back, spec, config, train_view=train)
-        assert got.task == want.task and len(got) == len(want) > 0
-        for name in ("timestamps", "direction", "score", "value", "realized_class", "realized_return"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert len(got) == len(want.score) > 0
+        assert_matches_reference(got, want, back, config)
 
     def test_window_one_takes_the_constant_fallback(self, monkeypatch):
         ds = make_dataset(30, seed=13)
         fitted = []
         real_fit = quantroll.walkforward.fit
         monkeypatch.setattr(quantroll.walkforward, "fit", lambda *args: fitted.append(real_fit(*args)) or fitted[-1])
-        preds = run_walkforward(view_of(ds, 10, 20), ModelSpec("sgd_r"), WalkForwardConfig(window=1))
-        assert len(fitted) == len(preds) == 11
+        scores = run_walkforward(view_of(ds, 10, 20), ModelSpec("sgd_r"), WalkForwardConfig(window=1))
+        assert len(fitted) == len(scores) == 11
         assert {type(m.estimator).__name__ for m in fitted} == {"ConstantRegressor"}
         # each step predicts the one target it trained on, the previous row's
-        assert preds.value.tobytes() == preds.score.tobytes() == ds.reg_target[9:20].tobytes()
+        assert scores.tobytes() == ds.reg_target[9:20].tobytes()
 
 
 FOREST = {"n_members": 40}
@@ -326,54 +345,27 @@ class TestRefitsMatchFreshFits:
         spec, config = ModelSpec(kind, params, seed=5), WalkForwardConfig(window=window, retrain_stride=stride)
         got = run_walkforward(back, spec, config)
         want = ref_run_walkforward(back, spec, config)
-        assert len(got) == len(want) == 30
-        for name in ("timestamps", "direction", "score", "value", "realized_class", "realized_return"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-
-
-def preds_fixture(task, directions=None, values=None):
-    n = len(directions) if directions is not None else len(values)
-    ts = np.arange(n, dtype=np.int64) * DAY + T0
-    if task == "classifier":
-        direction = np.array(directions, dtype=np.int8)
-        value = np.full(n, np.nan)
-        score = direction.astype(np.float64) * 0.25
-    else:
-        value = np.array(values, dtype=np.float64)
-        direction = np.where(value > 0, UP, DOWN).astype(np.int8)
-        score = value
-    return PredictionSeries(
-        task=task,
-        timestamps=ts,
-        direction=direction,
-        score=score,
-        value=value,
-        realized_class=direction.copy(),
-        realized_return=np.full(n, 0.01),
-    )
+        assert len(got) == len(want.score) == 30
+        assert_matches_reference(got, want, back, config)
 
 
 class TestSignals:
     def test_classifier_mapping(self):
-        preds = preds_fixture("classifier", directions=[UP, UP, DOWN])
-        positions = signal_from_predictions(preds)
-        np.testing.assert_array_equal(positions.positions, [1, 1, -1])
+        positions = signal_from_predictions("classifier", np.array([0.25, 0.25, -0.25, 0.0]))
+        assert positions.dtype == np.int8
+        np.testing.assert_array_equal(positions, [1, 1, -1, -1])  # a tie goes down
 
     def test_regressor_sign_rule(self):
-        preds = preds_fixture("regressor", values=[0.02, -0.01])
-        positions = signal_from_predictions(preds, threshold=0.0)
-        np.testing.assert_array_equal(positions.positions, [1, -1])
+        positions = signal_from_predictions("regressor", np.array([0.02, -0.01]), threshold=0.0)
+        np.testing.assert_array_equal(positions, [1, -1])
 
     def test_regressor_dead_band_holds_flat(self):
-        preds = preds_fixture("regressor", values=[0.001, -0.002])
-        positions = signal_from_predictions(preds, threshold=0.005)
-        np.testing.assert_array_equal(positions.positions, [0, 0])
+        positions = signal_from_predictions("regressor", np.array([0.001, -0.002]), threshold=0.005)
+        np.testing.assert_array_equal(positions, [0, 0])
 
     def test_regressor_dead_band_holds_prior_position(self):
-        preds = preds_fixture("regressor", values=[0.02, 0.001, -0.001, -0.02, 0.002])
-        positions = signal_from_predictions(preds, threshold=0.005)
-        np.testing.assert_array_equal(positions.positions, [1, 1, 1, -1, -1])
+        positions = signal_from_predictions("regressor", np.array([0.02, 0.001, -0.001, -0.02, 0.002]), threshold=0.005)
+        np.testing.assert_array_equal(positions, [1, 1, 1, -1, -1])
 
     @pytest.mark.parametrize("threshold", [0.0, 0.005])
     @pytest.mark.parametrize("seed", range(12))
@@ -385,25 +377,23 @@ class TestSignals:
         picks = rng.random(n) < 0.3
         values[picks] = rng.choice(edges, size=int(picks.sum()))
         values[: int(rng.integers(0, 4))] = threshold / 2  # leading in-band rows
-        positions = signal_from_predictions(preds_fixture("regressor", values=values), threshold=threshold)
-        assert positions.positions.dtype == np.int8
-        assert positions.positions.tolist() == ref_dead_band(values.tolist(), threshold)
+        positions = signal_from_predictions("regressor", values, threshold=threshold)
+        assert positions.dtype == np.int8
+        assert positions.tolist() == ref_dead_band(values.tolist(), threshold)
 
     def test_dead_band_holds_at_edges_and_nan(self):
-        preds = preds_fixture("regressor", values=[0.005, 0.006, 0.005, np.nan, -0.005, -0.006, np.nan, 0.0])
-        positions = signal_from_predictions(preds, threshold=0.005)
-        np.testing.assert_array_equal(positions.positions, [0, 1, 1, 1, 1, -1, -1, -1])
+        values = np.array([0.005, 0.006, 0.005, np.nan, -0.005, -0.006, np.nan, 0.0])
+        positions = signal_from_predictions("regressor", values, threshold=0.005)
+        np.testing.assert_array_equal(positions, [0, 1, 1, 1, 1, -1, -1, -1])
 
     @pytest.mark.parametrize("threshold", [-0.001, math.nan, math.inf, True])
     def test_bad_threshold_rejected(self, threshold):
-        preds = preds_fixture("regressor", values=[0.01])
         with pytest.raises(ValueError, match=f"^threshold must be non-negative real, got {threshold!r}$"):
-            signal_from_predictions(preds, threshold=threshold)
+            signal_from_predictions("regressor", np.array([0.01]), threshold=threshold)
 
     def test_threshold_rejected_for_classifiers(self):
-        preds = preds_fixture("classifier", directions=[UP])
         with pytest.raises(ValueError):
-            signal_from_predictions(preds, threshold=0.01)
+            signal_from_predictions("classifier", np.array([0.25]), threshold=0.01)
 
 
 class TestConfigValidation:
