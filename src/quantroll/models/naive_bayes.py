@@ -13,8 +13,7 @@ class BernoulliNBClassifier(Estimator):
     Likelihoods are Laplace-smoothed with `alpha`; priors are empirical.
     A row's score depends on its binarized pattern alone, so `score_row`
     computes it once per pattern and memoizes it: at most 2**width one-row
-    posteriors per fit. `scores` groups its rows by pattern and scores each
-    pattern through the same memo.
+    posteriors per fit. `scores` returns each row's `score_row`.
     """
 
     def __init__(self, alpha: float = 1.0):
@@ -39,19 +38,11 @@ class BernoulliNBClassifier(Estimator):
         return self
 
     def scores(self, X) -> np.ndarray:
-        """Posterior probability of up, minus 0.5: one score per distinct
-        binarized pattern, taken to the rows that share it."""
-        B = np.ascontiguousarray(np.asarray(X, dtype=np.float64) > self.medians_)
-        # Each row's pattern as one opaque item: np.unique(B, axis=0) sorts
-        # bool rows about ten times slower.
-        keys = B.view(np.dtype((np.void, B.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        return np.array([self._pattern_score(B[i]) for i in first], dtype=np.float64)[inverse]
+        """Posterior probability of up, minus 0.5."""
+        return np.array([self.score_row(x) for x in np.asarray(X, dtype=np.float64)], dtype=np.float64)
 
     def score_row(self, x: np.ndarray) -> float:
-        return self._pattern_score(x > self.medians_)
-
-    def _pattern_score(self, pattern: np.ndarray) -> float:
+        pattern = x > self.medians_
         key = pattern.tobytes()
         score = self.pattern_scores_.get(key)
         if score is None:

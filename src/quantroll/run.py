@@ -41,14 +41,13 @@ def parse_instant(value) -> int:
     if isinstance(value, float) and value.is_integer():  # never for inf or NaN
         return int(value)
     if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-        try:
+        try:  # ISO first: "20230201" is a basic-form date, not 20,230,201 s
             dt = datetime.fromisoformat(value)
         except ValueError:
-            raise ConfigError(f"cannot parse instant {value!r}") from None
+            try:
+                return int(value)
+            except ValueError:
+                raise ConfigError(f"cannot parse instant {value!r}") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return int(dt.timestamp())

@@ -97,7 +97,9 @@ class TestRunConfig:
         assert parse_instant("2023-02-01") == 1675209600
         assert parse_instant("2023-02-01T00:00:00Z") == 1675209600
         assert parse_instant("20230201T000000Z") == 1675209600
-        assert parse_instant("20230201") == 20230201  # digits alone are epoch seconds, never a date
+        assert parse_instant("20230201") == 1675209600  # a basic-form date, not 20,230,201 s
+        assert parse_instant("1675209600") == 1675209600  # digits that are no ISO date stay epoch seconds
+        assert parse_instant("99999999") == 99999999
         assert parse_instant(1675209600) == 1675209600
         with pytest.raises(Exception):
             parse_instant("not-a-date")

@@ -253,15 +253,6 @@ def test_batch_scores_are_row_count_invariant(kind):
         want = np.array([est.score_row(x) for x in batch])
         assert est.scores(batch).tobytes() == want.tobytes()
         start += len(batch)
-    # 6,000 distinct rows that fall on at most 8 binarized patterns (naive
-    # Bayes groups by pattern), scored as one batch by a fresh fit, whose
-    # pattern memo is still empty.
-    median, std = np.median(X, axis=0), X.std(axis=0) + 1e-3
-    sign = np.ones((6000, X.shape[1]))
-    sign[:, :3] = rng.choice([-1.0, 1.0], size=(6000, min(3, X.shape[1])))
-    few = median + sign * std * rng.uniform(0.1, 2.0, size=sign.shape)
-    fresh = fit(ModelSpec(kind, seed=3), X, y_class if task_of(kind) == CLASSIFIER else y_reg).estimator
-    assert fresh.scores(few).tobytes() == np.array([est.score_row(x) for x in few]).tobytes()
 
 
 def test_logistic_score_row_saturates_like_the_batch():

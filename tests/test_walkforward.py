@@ -6,11 +6,13 @@ import weakref
 import numpy as np
 import pytest
 
+import quantroll.evaluation
 import quantroll.walkforward
 
 from quantroll.dataset import DatasetView, FeatureFrame, LabeledDataset, SegmentSplit, split
 from quantroll.direction import DOWN, UP
 from quantroll.errors import InsufficientHistory
+from quantroll.evaluation import evaluate_segment
 from quantroll.models import ModelSpec, TrainedModel
 from quantroll.models.base import Estimator, classify_from_scores
 from quantroll.walkforward import (
@@ -347,6 +349,50 @@ class TestRefitsMatchFreshFits:
         want = ref_run_walkforward(back, spec, config)
         assert len(got) == len(want.score) == 30
         assert_matches_reference(got, want, back, config)
+
+
+class TestEvaluateSegment:
+    """evaluate_segment builds the timestamps, realized targets and
+    predictions it hands to simulate and the report builders; each must equal
+    the stepwise reference's records byte for byte."""
+
+    @pytest.mark.parametrize("kind, params", [("knn_c", {"k": 3}), ("sgd_r", {"epochs": 5})], ids=["classifier", "regressor"])
+    def test_trailing_segment_passes_the_reference_arrays(self, monkeypatch, kind, params):
+        ds = make_dataset(50, valid_from=3, seed=14)
+        view = view_of(ds, 3, 40)  # window 7 drops indices 3..9: the trailing shift
+        spec = ModelSpec(kind, params, seed=2)
+        config = WalkForwardConfig(window=7, fee_bps=10.0, dead_band=0.002, periods_per_year=52.0)
+        calls = {}
+
+        def recording(name):
+            real = getattr(quantroll.evaluation, name)
+            def record(*args, **kwargs):
+                calls[name] = (args, kwargs, real(*args, **kwargs))
+                return calls[name][2]
+            monkeypatch.setattr(quantroll.evaluation, name, record)
+
+        for name in ("simulate", "build_classifier_report", "build_regressor_report"):
+            recording(name)
+        curve, report = evaluate_segment(view, spec, config)
+        want = ref_run_walkforward(view, spec, config)
+        assert want.timestamps.tolist() == ds.timestamps[10:41].tolist()
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        classifier = kind.endswith("_c")
+        positions = want.direction if classifier else np.array(ref_dead_band(want.score.tolist(), config.dead_band), dtype=np.int8)
+        (timestamps, got_positions, returns, fee), _, (sim_curve, sim_ledger) = calls.pop("simulate")
+        assert same(timestamps, want.timestamps) and same(got_positions, positions)
+        assert same(returns, np.expm1(want.realized_return)) and fee == config.fee_bps
+        builder = "build_classifier_report" if classifier else "build_regressor_report"
+        args, kwargs, built = calls.pop(builder)
+        assert calls == {}  # the other builder is never called
+        assert args[:3] == (kind, 7, "backtest") and kwargs == {"periods_per_year": 52.0}
+        truth, predicted = (want.realized_class, want.direction) if classifier else (want.realized_return, want.score)
+        assert same(args[3], truth) and same(args[4], predicted)
+        assert args[5] is sim_curve is curve and args[6] is sim_ledger and built is report
 
 
 class TestSignals:
